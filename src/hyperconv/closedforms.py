@@ -119,10 +119,6 @@ def mu_self_conv(p: ConvPoint) -> float:
     return float(mu_self_conv_grid(p.s, p.rho, p.tau))
 
 
-def mu_self_conv_tagged(p: ConvPoint):
-    return mu_self_conv(p), classify(p)
-
-
 def mu_self_conv_masked(s: float, rho, tau):
     """Inner + middle branches only: the lower bound kept in the comparison chain."""
     rho = np.asarray(rho, dtype=float)

@@ -14,6 +14,15 @@ integrals over the slice times:
 
 where k is the sphere-pair kernel; the kernel's annulus constraint carves
 an explicit window out of the time axis, computed in closed form below.
+
+``hyperbolic_conv`` and ``cross_conv`` integrate one tau row at a time: the
+windows of all rho cells come as arrays, each window is cut at the profile
+kinks inside it, and every segment gets 8-point Gauss on 2**L equal pieces
+(end segments batched, whole-kink segments from per-row prefix sums).  A
+cell is accepted at the first level L = 1..4 whose value moved by at most
+rel_tol * max(|value|, 1e-3 * int |integrand|) + abs_tol from level L - 1.
+``meta["quad_levels"]`` counts the cells accepted at each level; cells
+still open after level 4 raise ``CellConvergenceError``.
 """
 from __future__ import annotations
 
@@ -57,49 +66,54 @@ def self_half_width(s: float, rho, tau):
     return val if val.ndim else float(val)
 
 
-def rho_from_half_width(s: float, w, tau):
-    """Invert the half-width map: (rho_inner, rho_outer) hitting half width w."""
-    w = np.asarray(w, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    b = tau * tau + 4.0 * s * s + 4.0 * w * w
-    disc = np.sqrt(np.maximum(b * b - 16.0 * w * w * tau * tau, 0.0))
-    x_plus = 0.5 * (b + disc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_minus = np.where(x_plus > 0, (4.0 * w * w * tau * tau) / x_plus, 0.0)
-    return np.sqrt(x_minus), np.sqrt(x_plus)
+def _self_windows(s: float, rho: np.ndarray, tau: float):
+    """(lo, hi) of shape (2, rho.size): every rho's ``self_window`` at tau > 0.
+
+    Unused slots are empty (lo == hi); rho = 0 gets the empty window w = 0.
+    """
+    lo_edge = np.sqrt(tau * tau + s * s) - s
+    mid_edge = np.sqrt(tau * tau + 4.0 * s * s)
+    hi_edge = np.sqrt(tau * tau + s * s) + s
+    inner = rho < lo_edge
+    middle = (lo_edge <= rho) & (rho <= mid_edge)
+    outer = (mid_edge < rho) & (rho <= hi_edge)
+    w = self_half_width(s, rho, tau)
+    c = 0.5 * tau
+    lo = np.stack([np.where(inner, c - w, 0.0), np.where(outer, c + w, 0.0)])
+    hi = np.stack([np.select([inner, middle, outer], [c + w, tau, c - w], 0.0),
+                   np.where(outer, tau, 0.0)])
+    return lo, hi
+
+
+def _intervals(lo: np.ndarray, hi: np.ndarray):
+    return [(float(a), float(b)) for a, b in zip(lo[:, 0], hi[:, 0]) if b > a]
 
 
 def self_window(s: float, rho: float, tau: float):
     """Kernel-support window in slice time for the self convolution at (rho, tau).
 
-    Returns a list of at most two disjoint intervals inside [0, tau].
+    Returns a list of at most two disjoint nonempty intervals inside [0, tau]:
+    [tau/2 - w, tau/2 + w] on the inner branch, [0, tau] on the middle one
+    and the complement of the inner form on the outer one.
     """
     if tau <= 0 or rho < 0:
         return []
-    lo = np.sqrt(tau * tau + s * s) - s
-    mid = np.sqrt(tau * tau + 4.0 * s * s)
-    hi = np.sqrt(tau * tau + s * s) + s
-    if rho > hi:
-        return []
-    if lo <= rho <= mid:
-        return [(0.0, tau)]
-    w = self_half_width(s, rho, tau)
-    if rho < lo:
-        return [(0.5 * tau - w, 0.5 * tau + w)]
-    return [(0.0, 0.5 * tau - w), (0.5 * tau + w, tau)]
+    return _intervals(*_self_windows(s, np.array([float(rho)]), float(tau)))
 
 
-def cross_boundary(s: float, rho, tau):
-    """Slice time where the cross-window constraint becomes active.
-
-    t_b = (rho*sqrt(1 + 4 s^2/(tau^2 - rho^2)) - tau)/2 for tau >= 0.
-    """
-    rho = np.asarray(rho, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = rho * np.sqrt(np.maximum(1.0 + 4.0 * s * s / (tau * tau - rho * rho), 0.0))
-    out = 0.5 * (d - tau)
-    return out if out.ndim else float(out)
+def _cross_windows(s: float, rho: np.ndarray, tau: float, t_cap: float):
+    """(lo, hi) of shape (1, rho.size): every rho's ``cross_window`` at tau >= 0."""
+    lo_edge = np.sqrt(tau * tau + s * s) - s
+    hi_edge = np.sqrt(tau * tau + s * s) + s
+    # the constraint becomes active at t_b = w - tau/2 (w: the self half width)
+    t_b = self_half_width(s, rho, tau) - 0.5 * tau
+    live = rho > lo_edge  # lo_edge >= 0, so rho = 0 has no window
+    short = live & (rho < tau)
+    full = live & ~short & (rho <= hi_edge)
+    far = live & ~short & ~full
+    lo = np.where(far, t_b, 0.0)
+    hi = np.select([short, full, far], [np.minimum(t_b, t_cap), t_cap, t_cap], 0.0)
+    return lo[None, :], hi[None, :]
 
 
 def cross_window(s: float, rho: float, tau: float, t_cap: float):
@@ -111,17 +125,7 @@ def cross_window(s: float, rho: float, tau: float, t_cap: float):
     """
     if rho <= 0 or tau < 0:
         return []
-    lo_edge = np.sqrt(tau * tau + s * s) - s
-    hi_edge = np.sqrt(tau * tau + s * s) + s
-    if rho <= lo_edge:
-        return []
-    if rho < tau:
-        hi = cross_boundary(s, rho, tau)
-        return [(0.0, min(hi, t_cap))] if hi > 0 else []
-    if rho <= hi_edge:
-        return [(0.0, t_cap)]
-    lo = cross_boundary(s, rho, tau)
-    return [(lo, t_cap)] if lo < t_cap else []
+    return _intervals(*_cross_windows(s, np.array([float(rho)]), float(tau), float(t_cap)))
 
 
 class CellConvergenceError(RuntimeError):
@@ -130,106 +134,133 @@ class CellConvergenceError(RuntimeError):
         super().__init__(f"{len(cells)} grid cells did not reach the quadrature tolerance")
 
 
-_GL8 = np.polynomial.legendre.leggauss(8)
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+MAX_LEVEL = 4
 
 
-class _PairIntegrator:
-    """Window integrals of t -> a(t + shift_a) * b(shift_b - or + t).
+def _gauss_sums(integrand, lo: np.ndarray, hi: np.ndarray, level: int):
+    """Signed and absolute 8-point Gauss sums on 2**level equal pieces of each [lo, hi]."""
+    pieces = 2 ** level
+    half = 0.5 * (hi - lo) / pieces
+    centers = lo[:, None] + half[:, None] * (2.0 * np.arange(pieces) + 1.0)
+    t = centers[:, :, None] + half[:, None, None] * _GL8_X
+    terms = half[:, None, None] * _GL8_W * integrand(t)
+    return terms.sum(axis=(1, 2)), np.abs(terms).sum(axis=(1, 2))
 
-    The integrand is smooth between the interpolation kinks of the two
-    profiles, so per-segment 8-point Gauss converges extremely fast; the
-    per-cell error estimate compares the value against one level of segment
-    halving (h-refinement of the same rule), iterating a few levels if the
-    tolerance asks for more.  Cancellation-heavy (signed or complex)
-    windows are judged against the integrand magnitude rather than the
-    cancelled value.
+
+def _window_sums(ends: np.ndarray, segs: np.ndarray, first, last) -> np.ndarray:
+    """Both end segments of each window plus its whole-kink segments first..last-1."""
+    acc = np.concatenate([np.zeros(1, dtype=segs.dtype), np.cumsum(segs)])
+    k = ends.size // 2
+    return ends[:k] + ends[k:] + (acc[last] - acc[first])
+
+
+def _cell_sums(cell: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    if np.iscomplexobj(x):
+        return np.bincount(cell, x.real, n) + 1j * np.bincount(cell, x.imag, n)
+    return np.bincount(cell, x, n)
+
+
+def _row_integrals(integrand, kinks, lo, hi, support, rho, quad: QuadratureSpec):
+    """(2 pi / rho) * window integral, and acceptance level, of every rho cell.
+
+    ``lo``/``hi`` hold the row's window slots, clipped here to ``support``.
+    The level is -1 for a cell with no window and MAX_LEVEL + 1 for a cell
+    that never met the tolerance.
     """
+    n = rho.size
+    lo = np.maximum(lo, support[0])
+    hi = np.minimum(hi, support[1])
+    slot, cell = np.nonzero(hi > lo)
+    level = np.full(n, -1)
+    if cell.size == 0:
+        return np.zeros(n), level
+    lo, hi = lo[slot, cell], hi[slot, cell]
+    kinks = np.sort(kinks)
+    kinks = kinks[(kinks > lo.min()) & (kinks < hi.max())]
+    # kinks[first:last + 1] are the kinks strictly inside a window; the two
+    # end segments reach them from lo and hi, and a kink-free window is one
+    # segment [lo, hi] plus an empty one
+    first = np.searchsorted(kinks, lo, side="right")
+    last = np.searchsorted(kinks, hi, side="left") - 1
+    inner = last >= first
+    padded = np.append(kinks, 0.0)
+    ends_lo = np.concatenate([lo, np.where(inner, padded[last], hi)])
+    ends_hi = np.concatenate([np.where(inner, padded[first], hi), hi])
+    first = np.where(inner, first, 0)
+    last = np.where(inner, last, 0)
 
-    def __init__(self, eval_a, eval_b, kinks: np.ndarray):
-        self.eval_a = eval_a
-        self.eval_b = eval_b
-        self.kinks = np.sort(kinks)
+    seg, _ = _gauss_sums(integrand, kinks[:-1], kinks[1:], 0)
+    end, _ = _gauss_sums(integrand, ends_lo, ends_hi, 0)
+    out = np.zeros(n, dtype=end.dtype)
+    level[cell] = MAX_LEVEL + 1
+    open_cells = level > MAX_LEVEL
+    for lev in range(1, MAX_LEVEL + 1):
+        sel = open_cells[cell]
+        sel2 = np.concatenate([sel, sel])
+        c, a, b = cell[sel], first[sel], last[sel]
+        new_seg, seg_abs = _gauss_sums(integrand, kinks[:-1], kinks[1:], lev)
+        new_end, end_abs = _gauss_sums(integrand, ends_lo[sel2], ends_hi[sel2], lev)
+        fine = _cell_sums(c, _window_sums(new_end, new_seg, a, b), n)
+        # the change from the previous level, summed segment by segment, so
+        # that its rounding scales with the change and not with the row total
+        change = _cell_sums(c, _window_sums(new_end - end[sel2], new_seg - seg, a, b), n)
+        scale = np.bincount(c, _window_sums(end_abs, seg_abs, a, b), n)
+        ok = open_cells & (np.abs(change) <= quad.rel_tol * np.maximum(
+            np.abs(fine), 1e-3 * scale) + quad.abs_tol)
+        out[ok] = fine[ok]
+        level[ok] = lev
+        open_cells &= ~ok
+        if not open_cells.any():
+            break
+        seg = new_seg
+        end[sel2] = new_end
+    live = level >= 0
+    out[live] *= TWO_PI / rho[live]
+    return out, level
 
-    def _gl8(self, edges_list):
-        total = 0.0
-        scale = 0.0
-        for edges in edges_list:
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            t = mid[:, None] + half[:, None] * _GL8[0][None, :]
-            vals = self.eval_a(t) * self.eval_b(t)
-            w = half[:, None] * _GL8[1][None, :]
-            total += np.sum(w * vals)
-            scale += np.sum(w * np.abs(vals))
-        return total, scale
 
-    @staticmethod
-    def _halve(edges_list):
-        out = []
-        for edges in edges_list:
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            merged = np.empty(edges.size + mids.size)
-            merged[0::2] = edges
-            merged[1::2] = mids
-            out.append(merged)
-        return out
-
-    def integrate(self, intervals, rel_tol: float, abs_tol: float = 1e-14,
-                  max_levels: int = 4):
-        edges_all = []
-        for lo, hi in intervals:
-            if hi - lo <= 0:
-                continue
-            inner = self.kinks[(self.kinks > lo) & (self.kinks < hi)]
-            edges_all.append(np.concatenate([[lo], inner, [hi]]))
-        if not edges_all:
-            return 0.0, True
-        coarse, _ = self._gl8(edges_all)
-        for _ in range(max_levels):
-            edges_all = self._halve(edges_all)
-            fine, scale = self._gl8(edges_all)
-            err = abs(fine - coarse)
-            if err <= rel_tol * max(abs(fine), 1e-3 * scale) + abs_tol:
-                return fine, True
-            coarse = fine
-        return coarse, False
+def _checked_field(grid: Conv2DField, out: np.ndarray, level: np.ndarray) -> Conv2DField:
+    """The sampled field with its level counts, or CellConvergenceError."""
+    bad = np.argwhere(level.T > MAX_LEVEL)
+    if bad.size:
+        raise CellConvergenceError([(int(i), int(j)) for j, i in bad])
+    field = grid.like(out)
+    counts = np.bincount(level[level > 0], minlength=MAX_LEVEL + 1)
+    field.meta["quad_levels"] = {lev: int(counts[lev]) for lev in range(1, MAX_LEVEL + 1)}
+    return field
 
 
 def hyperbolic_conv(f: RadialProfile, g: RadialProfile, grid: Conv2DField,
                     quad: QuadratureSpec) -> Conv2DField:
-    """Self-sheet convolution (f mu_s * g mu_s) sampled on the grid template."""
+    """Self-sheet convolution (f mu_s * g mu_s) sampled on the grid template.
+
+    Rows are integrated as the module docstring describes, with the kinks
+    psi(f.grid) and tau - psi(g.grid); rho = 0 takes the closed-form axis
+    value.  ``meta["quad_levels"]`` maps each level 1..4 to the number of
+    cells accepted there; ``CellConvergenceError.cells`` lists the (i, j)
+    cells that never converged.
+    """
     if f.s != g.s:
         raise ValueError("profiles must share the mass parameter")
     s = f.s
     fu, gu = f.u_support(), g.u_support()
-    f_kinks = psi(f.grid, s)
-    g_kinks = psi(g.grid, s)
-    out = np.zeros((grid.rho_grid.size, grid.tau_grid.size),
+    f_kinks, g_kinks = psi(f.grid, s), psi(g.grid, s)
+    rho = grid.rho_grid
+    out = np.zeros((rho.size, grid.tau_grid.size),
                    dtype=complex if (f.is_complex or g.is_complex) else float)
-    bad = []
+    level = np.full(out.shape, -1)
     for j, tau in enumerate(grid.tau_grid):
         if tau <= 0 or tau < fu[0] + gu[0] or tau > fu[1] + gu[1]:
             continue
-        pair = _PairIntegrator(f.at_time, lambda t, tau=tau: g.at_time(tau - t),
-                               np.concatenate([f_kinks, tau - g_kinks]))
         support = (max(fu[0], tau - gu[1]), min(fu[1], tau - gu[0]))
-        for i, rho in enumerate(grid.rho_grid):
-            if rho == 0.0:
-                mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
-                out[i, j] = TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (tau * tau)) * mid
-                continue
-            window = self_window(s, rho, tau)
-            clipped = [(max(lo, support[0]), min(hi, support[1])) for lo, hi in window]
-            clipped = [(lo, hi) for lo, hi in clipped if hi > lo]
-            if not clipped:
-                continue
-            val, ok = pair.integrate(clipped, quad.rel_tol, quad.abs_tol)
-            out[i, j] = TWO_PI / rho * val
-            if not ok:
-                bad.append((i, j))
-    if bad:
-        raise CellConvergenceError(bad)
-    return grid.like(out)
+        lo, hi = _self_windows(s, rho, tau)
+        out[:, j], level[:, j] = _row_integrals(
+            lambda t: f.at_time(t) * g.at_time(tau - t),
+            np.concatenate([f_kinks, tau - g_kinks]), lo, hi, support, rho, quad)
+        mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
+        out[rho == 0.0, j] = TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (tau * tau)) * mid
+    return _checked_field(grid, out, level)
 
 
 def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField,
@@ -237,42 +268,29 @@ def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField,
     """Cross-sheet convolution (f+ mu_+ * f- mu_-) sampled on the grid template.
 
     tau may take either sign; the field obeys
-    cross(f, g)(rho, tau) = cross(g, f)(rho, -tau).
+    cross(f, g)(rho, tau) = cross(g, f)(rho, -tau).  Rows, levels and
+    errors are handled as in ``hyperbolic_conv``.
     """
     if f_plus.s != f_minus.s:
         raise ValueError("profiles must share the mass parameter")
     s = f_plus.s
-    out = np.zeros((grid.rho_grid.size, grid.tau_grid.size),
+    rho = grid.rho_grid
+    out = np.zeros((rho.size, grid.tau_grid.size),
                    dtype=complex if (f_plus.is_complex or f_minus.is_complex) else float)
-    bad = []
+    level = np.full(out.shape, -1)
     for j, tau in enumerate(grid.tau_grid):
-        if tau >= 0:
-            fa, fb = f_plus, f_minus
-            t_abs = tau
-        else:
-            fa, fb = f_minus, f_plus
-            t_abs = -tau
+        fa, fb = (f_plus, f_minus) if tau >= 0 else (f_minus, f_plus)
+        t_abs = abs(tau)
         au, bu = fa.u_support(), fb.u_support()
         support = (max(bu[0], au[0] - t_abs), min(bu[1], au[1] - t_abs))
         if support[1] <= support[0]:
             continue
-        pair = _PairIntegrator(lambda t, t_abs=t_abs, fa=fa: fa.at_time(t_abs + t),
-                               fb.at_time,
-                               np.concatenate([psi(fa.grid, s) - t_abs,
-                                               psi(fb.grid, s)]))
-        for i, rho in enumerate(grid.rho_grid):
-            window = cross_window(s, rho, t_abs, t_cap=support[1])
-            clipped = [(max(lo, support[0]), min(hi, support[1])) for lo, hi in window]
-            clipped = [(lo, hi) for lo, hi in clipped if hi > lo]
-            if not clipped:
-                continue
-            val, ok = pair.integrate(clipped, quad.rel_tol, quad.abs_tol)
-            out[i, j] = TWO_PI / rho * val
-            if not ok:
-                bad.append((i, j))
-    if bad:
-        raise CellConvergenceError(bad)
-    return grid.like(out)
+        lo, hi = _cross_windows(s, rho, t_abs, support[1])
+        out[:, j], level[:, j] = _row_integrals(
+            lambda t: fa.at_time(t_abs + t) * fb.at_time(t),
+            np.concatenate([psi(fa.grid, s) - t_abs, psi(fb.grid, s)]),
+            lo, hi, support, rho, quad)
+    return _checked_field(grid, out, level)
 
 
 def profile_measure_integral(f: RadialProfile) -> float:

@@ -200,7 +200,7 @@ class SheetPair:
     def s(self):
         return self.f_plus.s
 
-    def norm_sq(self, n: int = 4001):
+    def norm_sq(self):
         from .convolution import profile_measure_integral
         sq_p = RadialProfile(self.s, self.f_plus.grid, np.abs(self.f_plus.values) ** 2)
         sq_m = RadialProfile(self.s, self.f_minus.grid, np.abs(self.f_minus.values) ** 2)
@@ -328,7 +328,6 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
     analytic end segments, so the cost per row is the overlap length.
     """
     nf, ng = len(F), len(G)
-    prefix_f = None  # prefix trapezoid of the row integrand, built per row
     total = 0.0
     k_lo = i0_f + i0_g
     k_hi = i0_f + nf - 1 + i0_g + ng - 1
@@ -485,16 +484,21 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
 # ---- dyadic refinement of the linear bound ----
 
 def dyadic_pieces(f: RadialProfile):
-    """Restrictions of f to the dyadic shells [2^k, 2^{k+1}), k >= 0."""
-    pieces = []
-    k = 0
-    while 2.0 ** k < f.r_max:
-        lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-        vals = np.where((f.grid >= lo) & (f.grid < hi), f.values, 0.0)
-        if np.any(vals != 0):
-            pieces.append((k, RadialProfile(f.s, f.grid, vals)))
-        k += 1
-    return pieces
+    """Restrictions (k, f_k) of f to the dyadic shells [2^k, 2^{k+1}) it meets.
+
+    k runs over every integer whose shell holds a nonzero node value,
+    negative k included (radii below 1 when s < 1), and the last shell is
+    closed at r_max, so the pieces sum to f on every node.
+    """
+    nonzero = f.values != 0
+    if np.any(nonzero & (f.grid == 0.0)):
+        raise ValueError("f must vanish at r = 0, which lies in no dyadic shell")
+    mantissa, exponent = np.frexp(f.grid)
+    shell = exponent - 1  # r in [2^shell, 2^{shell + 1}), exactly
+    if mantissa[-1] == 0.5:
+        shell[-1] -= 1  # r_max = 2^K closes the shell below it
+    return [(int(k), RadialProfile(f.s, f.grid, np.where(shell == k, f.values, 0.0)))
+            for k in np.unique(shell[nonzero])]
 
 
 def dyadic_refinement_check(f: RadialProfile, engine: SliceEngine | None = None):
@@ -511,6 +515,8 @@ def dyadic_refinement_check(f: RadialProfile, engine: SliceEngine | None = None)
     dyadic shells; the bilinear decay only wins once the shells lie farther
     apart than its decay length.
     """
+    if not np.any(f.values):
+        raise ValueError("zero profile")
     engine = engine or SliceEngine(f.s, max(512, 2 * f.grid.size), psi(f.r_max, f.s))
     F = engine.sample(f)
     lhs = TWO_PI * engine.numerator(F) ** 0.25

@@ -113,10 +113,17 @@ class Conv2DField:
     @classmethod
     def from_binary(cls, path) -> "Conv2DField":
         with open(path, "rb") as fh:
-            if fh.read(4) != MAGIC:
-                raise ValueError("not a H3CF field cache")
-            n_rho, n_tau = struct.unpack("<II", fh.read(8))
-            rho = np.frombuffer(fh.read(8 * n_rho), dtype="<f8")
-            tau = np.frombuffer(fh.read(8 * n_tau), dtype="<f8")
-            vals = np.frombuffer(fh.read(8 * n_rho * n_tau), dtype="<f8")
-        return cls(rho.copy(), tau.copy(), vals.reshape(n_rho, n_tau).copy())
+            data = fh.read()
+        if data[:4] != MAGIC:
+            raise ValueError(f"{path}: not a H3CF field cache")
+        if len(data) < 12:
+            raise ValueError(f"{path}: H3CF header needs 12 bytes, file has {len(data)}")
+        n_rho, n_tau = struct.unpack_from("<II", data, 4)
+        expected = 12 + 8 * (n_rho + n_tau + n_rho * n_tau)
+        if len(data) != expected:
+            raise ValueError(f"{path}: H3CF header gives {n_rho} x {n_tau} nodes, "
+                             f"so {expected} bytes are expected; the file has {len(data)}")
+        vals = np.frombuffer(data, dtype="<f8", offset=12)
+        rho, tau = vals[:n_rho], vals[n_rho:n_rho + n_tau]
+        return cls(rho.copy(), tau.copy(),
+                   vals[n_rho + n_tau:].reshape(n_rho, n_tau).copy())

@@ -14,7 +14,7 @@ def check_mass(s: float) -> float:
     """Validate a mass parameter (s = 0 is the cone, s > 0 a hyperboloid)."""
     s = float(s)
     if not np.isfinite(s) or s < 0.0:
-        raise ValueError(f"mass parameter must be finite and >= 0, got {s}")
+        raise ValueError(f"mass parameter s must be finite and >= 0, got {s}")
     return s
 
 

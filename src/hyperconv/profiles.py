@@ -70,12 +70,6 @@ class RadialProfile:
         return RadialProfile(self.s, self.grid, self.values * c)
 
 
-def uniform_time_grid(s: float, r_max: float, n: int) -> np.ndarray:
-    """Radius grid whose images under psi are n uniformly spaced time heights."""
-    u = np.linspace(0.0, psi(r_max, s), n)
-    return phi(u, s)
-
-
 def tip_refined_time_grid(s: float, r_max: float, n: int,
                           tip_nodes: int = 200) -> np.ndarray:
     """Time-uniform radius grid with quadratically spaced nodes near the tip r = s.
@@ -126,16 +120,3 @@ def shell_indicator(lo: float, hi: float, s: float, n: int = 200,
         vals[[0, -1]] = 0.0
     return RadialProfile(s, grid, vals)
 
-
-def random_lognormal_profile(rng: np.random.Generator, s: float, r_max: float,
-                             n: int = 200) -> RadialProfile:
-    """Positive random profile for optimizer restarts (log-normal node values)."""
-    grid = uniform_time_grid(s, r_max, n)
-    vals = np.exp(rng.normal(0.0, 1.0, size=n) - 0.05 * psi(grid, s))
-    return RadialProfile(s, grid, vals)
-
-
-def restrict_to_shell(f: RadialProfile, lo: float, hi: float) -> RadialProfile:
-    """Multiply a profile by the indicator of the radial shell [lo, hi)."""
-    vals = np.where((f.grid >= lo) & (f.grid < hi), f.values, 0.0)
-    return RadialProfile(f.s, f.grid, vals)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from hyperconv.closedforms import ConvPoint, mu_self_conv, mu_self_conv_grid
-from hyperconv.convolution import (cross_conv, cross_window, field_mass,
-                                   hyperbolic_conv, profile_measure_integral,
-                                   self_half_width, self_window,
-                                   sphere_pair_kernel)
+from hyperconv.convolution import (CellConvergenceError, cross_conv,
+                                   cross_window, field_mass, hyperbolic_conv,
+                                   profile_measure_integral, self_half_width,
+                                   self_window, sphere_pair_kernel)
 from hyperconv.fields import Conv2DField
+from hyperconv.geometry import psi
 from hyperconv.profiles import RadialProfile, shell_indicator, trial_profile
 from hyperconv.quadrature import QuadratureSpec, integrate
 
@@ -200,6 +201,108 @@ def test_pointwise_cauchy_schwarz():
     assert np.all(lhs <= rhs * (1 + 1e-8) + 1e-12)
 
 
+# ---- row integrator against an adaptive Gauss-Kronrod oracle ----
+
+def _oracle_profiles(s, kind, rng):
+    """Two bump profiles on overlapping shells, signed-real or complex."""
+    f = shell_indicator(s + 0.3, s + 2.0, s, n=40, smooth=True)
+    g = shell_indicator(s + 0.6, s + 2.6, s, n=35, smooth=True)
+    if kind == "signed":
+        return (RadialProfile(s, f.grid, f.values * rng.uniform(-1.0, 2.0, f.grid.size)),
+                RadialProfile(s, g.grid, g.values * rng.uniform(-1.0, 2.0, g.grid.size)))
+    return (RadialProfile(s, f.grid, f.values * np.exp(1j * rng.uniform(0, 6, f.grid.size))),
+            RadialProfile(s, g.grid, g.values * np.exp(1j * rng.uniform(0, 6, g.grid.size))))
+
+
+def _window_oracle(integrand, windows, support, kinks, rho, complex_values):
+    """2 pi / rho * int over the clipped windows, scipy quad with the kinks as points."""
+    spec = QuadratureSpec(rel_tol=1e-12)
+    total = 0.0
+    for a, b in windows:
+        a, b = max(a, support[0]), min(b, support[1])
+        if b > a:
+            for unit, part in ((1.0, np.real), (1j, np.imag))[:1 + complex_values]:
+                total += unit * integrate(lambda t: part(integrand(t)), a, b, spec,
+                                          points=kinks).value
+    return 2 * np.pi / rho * total
+
+
+def _draw(rng, strata, count=20):
+    """count distinct cells, spread as evenly as the strata allow."""
+    pools = [list(map(tuple, rng.permutation(c))) for c in strata if len(c)]
+    cells = []
+    while len(cells) < count and any(pools):
+        cells += [pool.pop() for pool in pools if pool][:count - len(cells)]
+    return cells
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kind", ["signed", "complex"])
+def test_row_integrator_matches_gk_oracle(s, kind):
+    rng = np.random.default_rng(int(10 * s) + (kind == "complex"))
+    f, g = _oracle_profiles(s, kind, rng)
+    fu, gu = f.u_support(), g.u_support()
+    hi_tau = fu[1] + gu[1]
+    rho_max = np.sqrt(hi_tau ** 2 + s * s) + s + 0.2
+    grid = Conv2DField.template(rho_max, -hi_tau, hi_tau, 57, 64)
+    rho, tau = grid.rho_grid[:, None], grid.tau_grid[None, :]
+
+    # self convolution: cells drawn from the inner, middle and outer branches
+    h = hyperbolic_conv(f, g, grid, SPEC)
+    live = (h.values != 0) & (rho > 0)
+    lo = np.sqrt(tau ** 2 + s * s) - s
+    mid = np.sqrt(tau ** 2 + 4 * s * s)
+    branches = [live & (rho < lo), live & (lo <= rho) & (rho <= mid), live & (rho > mid)]
+    cells = _draw(rng, [np.argwhere(b) for b in branches])
+    assert len(cells) == 20
+    for i, j in cells:
+        r, t = grid.rho_grid[i], grid.tau_grid[j]
+        want = _window_oracle(lambda x: f.at_time(x) * g.at_time(t - x),
+                              self_window(s, r, t),
+                              (max(fu[0], t - gu[1]), min(fu[1], t - gu[0])),
+                              np.concatenate([psi(f.grid, s), t - psi(g.grid, s)]), r,
+                              kind == "complex")
+        np.testing.assert_allclose(h.values[i, j], want, rtol=1e-9)
+
+    # cross convolution: cells drawn from both signs of tau
+    h = cross_conv(f, g, grid, SPEC)
+    live = h.values != 0
+    cells = _draw(rng, [np.argwhere(live & (tau > 0)), np.argwhere(live & (tau < 0))])
+    assert len(cells) == 20
+    for i, j in cells:
+        r, t = grid.rho_grid[i], grid.tau_grid[j]
+        fa, fb = (f, g) if t >= 0 else (g, f)
+        au, bu = fa.u_support(), fb.u_support()
+        support = (max(bu[0], au[0] - abs(t)), min(bu[1], au[1] - abs(t)))
+        want = _window_oracle(lambda x: fa.at_time(abs(t) + x) * fb.at_time(x),
+                              cross_window(s, r, abs(t), t_cap=support[1]), support,
+                              np.concatenate([psi(fa.grid, s) - abs(t), psi(fb.grid, s)]), r,
+                              kind == "complex")
+        np.testing.assert_allclose(h.values[i, j], want, rtol=1e-9)
+
+
+def test_unconverged_cells_raise_and_levels_are_reported():
+    s = 1.0
+    f = shell_indicator(1.2, 2.5, s, n=60, smooth=True)
+    g = shell_indicator(1.5, 3.0, s, n=50, smooth=True)
+    grid = Conv2DField.template(7.0, -5.0, 5.0, 20, 21)
+    strict = QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)
+    for conv in (hyperbolic_conv, cross_conv):
+        h = conv(f, g, grid, QuadratureSpec())
+        integrated = (h.values != 0) & (grid.rho_grid[:, None] > 0)
+        levels = h.meta["quad_levels"]
+        assert sorted(levels) == [1, 2, 3, 4]
+        assert sum(levels.values()) == np.count_nonzero(integrated)
+        with pytest.raises(CellConvergenceError) as err:
+            conv(f, g, grid, strict)
+        assert err.value.cells
+        for cell in err.value.cells:
+            assert all(type(k) is int for k in cell)
+            i, j = cell
+            assert 0 <= i < 20 and 0 <= j < 21
+            assert integrated[i, j]
+
+
 # ---- cross convolution ----
 
 def test_cross_reflection_symmetry():
@@ -249,3 +352,14 @@ def test_field_csv_binary_roundtrip(tmp_path):
     np.testing.assert_allclose(back_csv.values, h.values, rtol=0, atol=0)
     np.testing.assert_allclose(back_bin.values, h.values, rtol=0, atol=0)
     np.testing.assert_array_equal(back_bin.rho_grid, h.rho_grid)
+
+
+def test_from_binary_rejects_truncated_file(tmp_path):
+    grid = Conv2DField.template(2.0, 0.0, 3.0, 5, 7)
+    path = tmp_path / "f.h3cf"
+    grid.to_binary(path)
+    data = path.read_bytes()
+    for cut in (len(data) - 8, 10):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"f.h3cf.*{cut}"):
+            Conv2DField.from_binary(path)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hyperconv.closedforms import mu_self_conv_grid
 from hyperconv.comparison import II_of_a, full_numerator
@@ -132,3 +133,15 @@ def test_dilation_invariance_across_mass():
     eng_1 = SliceEngine(1.0, n, T / s)
     F = np.exp(-0.3 * eng_s.u) * (1.0 + 0.2 * np.sin(eng_s.u))
     np.testing.assert_allclose(eng_s.q_ratio(F), eng_1.q_ratio(F), rtol=1e-10)
+
+
+def test_engine_rejects_bad_mass():
+    for s in (float("nan"), -0.5):
+        with pytest.raises(ValueError, match="mass parameter s"):
+            SliceEngine(s, 64, 5.0)
+
+
+def test_engine_rejects_bad_time_range():
+    for u_max in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="u_max"):
+            SliceEngine(1.0, 64, u_max)

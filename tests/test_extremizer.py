@@ -264,3 +264,23 @@ def test_cone_limit_scan():
     assert ds[-1] == 0.0  # s = 0 row
     assert all(a > b for a, b in zip(ds[:-2], ds[1:-1]))  # strictly decreasing
     assert all(r["bound_ok"] for r in rows)
+
+
+def test_dyadic_pieces_cover_every_node():
+    # mass below r = 1 (s < 1) lands in the shells of negative k
+    s = 0.5
+    f = RadialProfile(s, np.linspace(0.5, 0.99, 50), np.ones(50))
+    pieces = dyadic_pieces(f)
+    assert [k for k, _ in pieces] == [-1]
+    lhs, rhs3, rhs_sup = dyadic_refinement_check(f)
+    assert np.isfinite([lhs, rhs3, rhs_sup]).all() and rhs3 > 0
+    # a node at r_max = 2^K closes the last shell
+    g = RadialProfile(1.0, np.linspace(1.0, 16.0, 100), np.ones(100))
+    assert [k for k, _ in dyadic_pieces(g)] == [0, 1, 2, 3]
+    rng = np.random.default_rng(8)
+    h = RadialProfile(0.3, np.geomspace(0.3, 8.0, 90), rng.uniform(-1.0, 1.0, 90))
+    for prof in (f, g, h):
+        np.testing.assert_array_equal(sum(p.values for _, p in dyadic_pieces(prof)),
+                                      prof.values)
+    with pytest.raises(ValueError, match="zero profile"):
+        dyadic_refinement_check(RadialProfile(s, f.grid, np.zeros(50)))
