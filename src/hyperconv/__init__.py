@@ -9,6 +9,11 @@ cone constant, a radial extremizer search, and dyadic bilinear diagnostics.
 
 __version__ = "0.1.0"
 
+import logging
+
+# library logging (logger "hyperconv") stays silent until the application configures it
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .closedforms import (ConvPoint, mu_cone_conv, mu_cone_conv_sup,
                           mu_self_conv, mu_self_conv_sup, support_predicate)
 from .convolution import cross_conv, hyperbolic_conv, sphere_pair_kernel

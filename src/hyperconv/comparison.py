@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad as _quad
 
 from .closedforms import mu_self_conv_grid, mu_self_conv_masked
-from .quadrature import QuadratureSpec, simpson_adaptive
+from .quadrature import QuadratureSpec, gauss_legendre_nodes, simpson_adaptive
 
 TWO_PI = 2.0 * np.pi
 CONE_CONSTANT = TWO_PI
@@ -366,7 +366,6 @@ def _exp_weighted_density_mass(a: float, s: float, inner, rel_tol: float) -> flo
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi <= lo:
                 continue
-            from .quadrature import gauss_legendre_nodes
             t, w = gauss_legendre_nodes(lo, hi, order)
             total += float(np.sum(w * np.exp(-a * t)
                                   * np.array([inner(tt) for tt in t])))

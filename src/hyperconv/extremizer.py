@@ -9,13 +9,13 @@ certified quasi-extremal direction), shell indicators and random profiles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .closedforms import mu_self_conv_grid
+from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
-from .engine import SliceEngine, rho_pair_from_w
+from .engine import SIXTEEN_PI3, SliceEngine, rho_weights, row_values
 from .fields import Conv2DField
 from .geometry import phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
@@ -29,14 +29,16 @@ DOUBLE_CONE_Q = 3.0 * np.pi  # (3/2) * cone value, the double-cone benchmark
 
 # ---- single-sheet functional ----
 
-def q_ratio(f: RadialProfile, n: int | None = None,
-            quad: QuadratureSpec | None = None):
+def q_ratio(f: RadialProfile, n: int | None = None):
     """(Q(f), report) on an engine grid matched to the profile.
 
     The report carries the tail mass fraction near the truncation radius and
-    a Richardson error estimate from a half-resolution evaluation.
+    a Richardson error estimate from a half-resolution evaluation.  That
+    estimate covers only the engine's own resolution error: it says nothing
+    of the gap to the field route (``full_q_ratio``), which is larger on
+    sharp-edged profiles (1.3 % for ``shell_indicator(1, 2, 1, n=200)``,
+    against an estimate of 0.05 %).
     """
-    quad = quad or QuadratureSpec()
     if not np.any(np.abs(f.values) > 0):
         raise ValueError("zero profile")
     n = n or max(256, 2 * f.grid.size)
@@ -46,7 +48,6 @@ def q_ratio(f: RadialProfile, n: int | None = None,
     q = eng.q_ratio(F)
     eng_half = SliceEngine(f.s, n // 2, u_max)
     q_half = eng_half.q_ratio(eng_half.sample(f))
-    tail = F[eng.u > 0.9 * u_max]
     den = eng.norm_sq(F)
     tail_mass = float(np.sum((eng.den_weights * F * F)[eng.u > 0.9 * u_max]) / den)
     report = {
@@ -201,10 +202,11 @@ class SheetPair:
         return self.f_plus.s
 
     def norm_sq(self):
-        from .convolution import profile_measure_integral
         sq_p = RadialProfile(self.s, self.f_plus.grid, np.abs(self.f_plus.values) ** 2)
         sq_m = RadialProfile(self.s, self.f_minus.grid, np.abs(self.f_minus.values) ** 2)
-        return profile_measure_integral(sq_p) + profile_measure_integral(sq_m)
+        # looked up on the module at call time, so a patched (traced) version is used
+        return (convolution.profile_measure_integral(sq_p)
+                + convolution.profile_measure_integral(sq_m))
 
 
 def symmetrize(pair: SheetPair) -> SheetPair:
@@ -322,86 +324,41 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
                        i0_g: int, G: np.ndarray) -> float:
     """||f mu_s * g mu_s||_2^2 for node values on a shared uniform time grid.
 
-    F occupies nodes i0_f .. i0_f + len(F) - 1 (spacing delta), likewise G.
-    Per tau row the windowed slice integral is a difference of prefix
-    trapezoids, and the rho integral runs over the half-width variable with
-    analytic end segments, so the cost per row is the overlap length.
+    F occupies nodes i0_f .. i0_f + len(F) - 1 (spacing delta), likewise G,
+    and both vanish on every other node.  This is the SliceEngine numerator
+    (F, G) on the tau rows the pair reaches.  Per row, the window sums come
+    from one prefix trapezoid of the product at the engine's node-aligned
+    windows, and only the windows whose edges cross the support are kept:
+    the others repeat S = 0 or S = C, which the rho trapezoid integrates
+    exactly from its end nodes.  The cost per row is the overlap length.
     """
     nf, ng = len(F), len(G)
     total = 0.0
-    k_lo = i0_f + i0_g
-    k_hi = i0_f + nf - 1 + i0_g + ng - 1
-    for k in range(k_lo, k_hi + 1):
-        tau = k * delta
-        if tau <= 0:
-            continue
-        # integrand g_i = F_{i - i0_f} G_{k - i - i0_g} on i in [iA, iB]
+    for k in range(max(i0_f + i0_g, 1), i0_f + nf + i0_g + ng - 1):
+        # the product F_{i - i0_f} G_{k - i - i0_g} lives on nodes iA .. iB
         iA = max(i0_f, k - i0_g - ng + 1)
         iB = min(i0_f + nf - 1, k - i0_g)
-        if iB < iA:
-            continue
-        idx = np.arange(iA, iB + 1)
-        gvals = F[idx - i0_f] * G[k - idx - i0_g]
-        # prefix trapezoid T_m = int over [iA, iA + m]
-        segs = 0.5 * delta * (gvals[:-1] + gvals[1:])
-        T = np.concatenate([[0.0], np.cumsum(segs)])
-        C = T[-1]
-        # centered windows: w needed from just inside the support to cover it
-        center = 0.5 * k
-        d_lo = max(abs(center - iA), abs(iB - center))
-        d_near = max(min(abs(center - iA), abs(iB - center)), 0.0)
-        if iA <= center <= iB:
-            d_near = 0.0
-        half = int(np.ceil(k / 2))
-
-        def S_of(wj):
-            """window integral over [center - wj, center + wj] (node units)."""
-            hi = np.minimum(center + wj, iB) - iA
-            lo = np.maximum(center - wj, iA) - iA
-            hi = np.clip(hi, 0.0, iB - iA)
-            lo = np.clip(lo, 0.0, iB - iA)
-            return _interp_prefix(T, hi, delta) - _interp_prefix(T, lo, delta)
-
-        # node-aligned w values between first contact and saturation
-        if k % 2 == 0:
-            j_vals = np.arange(0, half + 1, dtype=float)
-        else:
-            j_vals = np.arange(1, half + 1, dtype=float) - 0.5
-        w_nodes = j_vals * delta
-        active = (j_vals >= np.floor(d_near)) & (j_vals <= np.ceil(d_lo) + 1)
-        w_act = w_nodes[active]
-        if w_act.size == 0:
-            w_act = np.array([min(d_near * delta, half * delta)])
-        if w_act[0] > 0.0:
-            # the w = 0 node (S = 0) anchors the first rho cell on both branches
-            w_act = np.concatenate([[0.0], w_act])
-        S_act = S_of(w_act / delta)
-        r_in_act, r_out_act = rho_pair_from_w(s, w_act, tau)
-        w_end = 0.5 * tau
-        r_in_end, r_out_end = rho_pair_from_w(s, np.array([w_end]), tau)
-        lo_branch = r_in_end[0]
-        mid_branch = rho_pair_from_w(s, np.array([0.0]), tau)[1][0]
-
-        # inner branch: S = 0 before w_act[0], trapezoid inside, C after
-        V = float(np.sum(0.5 * np.diff(r_in_act) * (S_act[:-1] ** 2 + S_act[1:] ** 2)))
-        V += C * C * max(lo_branch - r_in_act[-1], 0.0)
-        # middle branch
-        V += C * C * max(mid_branch - lo_branch, 0.0)
-        # outer branch: H = C - S; C before w_act[0], trapezoid, 0 after
-        V += C * C * max(r_out_act[0] - mid_branch, 0.0)
-        V += float(np.sum(0.5 * np.diff(r_out_act)
-                          * ((C - S_act[:-1]) ** 2 + (C - S_act[1:]) ** 2)))
-        weight = delta if k_lo < k < k_hi else 0.5 * delta
-        total += weight * V
-    return 16.0 * np.pi ** 3 * total
-
-
-def _interp_prefix(T: np.ndarray, x, delta: float):
-    """Linear interpolation of the prefix table at fractional node index x."""
-    x = np.asarray(x, dtype=float)
-    i = np.clip(np.floor(x).astype(int), 0, len(T) - 2)
-    frac = np.clip(x - i, 0.0, 1.0)
-    return T[i] + frac * (T[i + 1] - T[i])
+        g = np.zeros(iB - iA + 3)  # one zero node on either side
+        g[1:-1] = F[iA - i0_f:iB + 1 - i0_f] * G[k - iB - i0_g:k - iA - i0_g + 1][::-1]
+        T = np.cumsum(g)
+        T -= 0.5 * g
+        T *= delta
+        # window j pairs nodes hi = k//2 + j and lo = k - hi = j_end - j
+        # (empty at j = 0 on odd rows); S changes only from the last window
+        # that misses the support to the first that holds all of it
+        j_end, k2 = (k + 1) // 2, k // 2
+        j_first = max(min(j_end - iB, iA - k2) - 1, 0)
+        j_last = min(max(j_end - iA, iB - k2) + 1, j_end)
+        j = np.concatenate(([0], np.arange(j_first, j_last + 1), [j_end]))
+        hi = k2 + j
+        lo = np.minimum(k - hi, hi)
+        S = (T[np.clip(hi - iA + 1, 0, g.size - 1)]
+             - T[np.clip(lo - iA + 1, 0, g.size - 1)])[None, :]
+        tau = k * delta
+        w = np.clip((j - 0.5 * (k % 2)) * delta, 0.0, 0.5 * tau)[None, :]
+        total += row_values(S, np.array([j.size - 1]), *rho_weights(s, w, [tau]))[0]
+    # every row is interior to the tau trapezoid: the pair vanishes beyond it
+    return SIXTEEN_PI3 * delta * total
 
 
 def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):

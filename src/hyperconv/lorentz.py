@@ -8,7 +8,7 @@ first-axis boost conjugated by a rotation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

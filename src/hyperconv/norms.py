@@ -1,7 +1,9 @@
 """Lp norms of radial profiles and weighted L2 norms of sampled fields."""
 from __future__ import annotations
 
+import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -10,6 +12,8 @@ from .geometry import phi
 from .profiles import RadialProfile
 from .quadrature import QuadratureSpec, integrate
 
+log = logging.getLogger("hyperconv")
+
 
 def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> float:
     """Lp norm of a radial profile against the surface measure.
@@ -17,7 +21,10 @@ def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> f
     In the time chart the weight is smooth:
     ||f||_p^p = 4*pi * int_0^inf |f(phi(u))|^p phi(u) du; the substitution
     u = psi(r) removes the endpoint weight singularity 1/sqrt(r^2-s^2)
-    exactly, so plain adaptive quadrature applies.
+    exactly, so plain adaptive quadrature applies.  If the spec's rule does
+    not converge, the integral is retried with the Simpson rule at the same
+    tolerances and depth, and the fallback is logged as a warning on the
+    "hyperconv" logger.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -32,9 +39,9 @@ def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> f
 
     res = integrate(integrand, u0, u1, spec, strict=False)
     if not res.converged:
-        res = integrate(integrand, u0, u1, spec.__class__(rule="simpson",
-                                                          rel_tol=spec.rel_tol,
-                                                          r_max=spec.r_max))
+        log.warning("lp_norm: rule %r did not converge on [%g, %g]; retrying with simpson",
+                    spec.rule, u0, u1)
+        res = integrate(integrand, u0, u1, replace(spec, rule="simpson"))
     return float((4.0 * np.pi * res.value) ** (1.0 / p))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.closedforms import mu_self_conv_grid
 from hyperconv.comparison import II_of_a, full_numerator
@@ -91,6 +93,27 @@ def test_gradient_matches_finite_differences():
         e[idx] = h
         fd = (eng.numerator(F + e) - eng.numerator(F - e)) / (2 * h)
         np.testing.assert_allclose(grad[idx], fd, rtol=5e-6, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 41), s=st.floats(0.0, 10.0), u_max=st.floats(0.5, 20.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_property(n, s, u_max, seed):
+    # the discrete numerator is a homogeneous quartic in the node values, so
+    # the central difference along v carries only an h^2 term, and
+    # grad . F = 4 N holds to rounding
+    rng = np.random.default_rng(seed)
+    eng = SliceEngine(s, n, u_max)
+    F = rng.uniform(0.0, 1.0, n)
+    num, grad = eng.numerator_gradient(F)
+    assert num == eng.numerator(F)
+    scale = np.sum(np.abs(grad) * np.abs(F))
+    np.testing.assert_allclose(grad @ F, 4.0 * num, rtol=1e-12, atol=1e-12 * scale)
+    v = rng.normal(0.0, 1.0, n)
+    h = 1e-5
+    fd = (eng.numerator(F + h * v) - eng.numerator(F - h * v)) / (2 * h)
+    np.testing.assert_allclose(fd, grad @ v, rtol=1e-7,
+                               atol=1e-7 * np.sum(np.abs(grad) * np.abs(v)))
 
 
 def test_q_gradient_matches_finite_differences():

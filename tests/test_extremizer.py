@@ -62,6 +62,27 @@ def test_shell_pair_norm_matches_engine():
     np.testing.assert_allclose(got_self, want_self, rtol=1e-6)
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_shell_pair_norm_equals_dense_engine(s):
+    # the sparse rows integrate with the engine's own window sums and rho
+    # weights, so the two routes give the same discrete number to rounding
+    for kind in ("bump", "indicator"):
+        for nodes_per_shell in (32, 33):
+            for parity in (0, 1):
+                delta = psi(2.0 * s, s) / nodes_per_shell
+                i3, last = dyadic_shell_values(s, 3, delta, kind)
+                n = i3 + last.size + 3 + parity  # zero nodes past the last shell
+                eng = SliceEngine(s, n, (n - 1) * delta)
+                shells = [dyadic_shell_values(s, k, eng.delta, kind) for k in range(4)]
+                dense = np.zeros((4, n))
+                for row, (i0, vals) in zip(dense, shells):
+                    row[i0:i0 + vals.size] = vals
+                for a, b in ((1, 1), (1, 2), (0, 3)):  # self, adjacent, distant
+                    got = shell_pair_norm_sq(s, eng.delta, *shells[a], *shells[b])
+                    want = eng.numerator(dense[a], dense[b])
+                    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_maximize_radial_small():
     res = maximize_radial(1.0, grid_size=160, r_max=25.0, restarts=2, iters=250,
                           seed=11)

@@ -1,10 +1,14 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import hyperconv.norms as norms
 from hyperconv.fields import Conv2DField
 from hyperconv.norms import TruncationWarning, l2_field_norm, lp_norm
 from hyperconv.profiles import RadialProfile, trial_profile
-from hyperconv.quadrature import QuadratureSpec, integrate_exp_decay
+from hyperconv.quadrature import QuadResult, QuadratureSpec, integrate_exp_decay
 
 
 def test_l2_norm_cone_indicator():
@@ -72,3 +76,25 @@ def test_field_norm_warns_on_boundary_support():
     vals = np.ones(g.values.shape)
     with pytest.warns(TruncationWarning):
         l2_field_norm(g.like(vals))
+
+
+def test_lp_norm_fallback_is_logged_and_keeps_the_callers_spec(monkeypatch, caplog):
+    # force the gk route to report non-convergence; the simpson retry must
+    # be logged and must keep every other field of the caller's spec
+    real = norms.integrate
+    specs = []
+
+    def gk_never_converges(f, a, b, spec, points=None, strict=True):
+        specs.append(spec)
+        res = real(f, a, b, spec, points=points, strict=strict)
+        return QuadResult(res.value, res.error, False) if spec.rule == "gk" else res
+
+    monkeypatch.setattr(norms, "integrate", gk_never_converges)
+    f = RadialProfile(0.0, np.linspace(1.0, 2.0, 50), np.ones(50))
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_depth=18)
+    with caplog.at_level(logging.WARNING, logger="hyperconv"):
+        got = lp_norm(f, 2.0, spec)
+    assert specs == [spec, replace(spec, rule="simpson")]
+    assert [r.name for r in caplog.records] == ["hyperconv"]
+    assert "simpson" in caplog.records[0].getMessage()
+    np.testing.assert_allclose(got ** 2, 6.0 * np.pi, rtol=1e-9)
