@@ -16,14 +16,28 @@ the mapped node positions rho_inner(w), rho_outer(w); integrating in w
 passes through the sqrt cusp of the rho parametrization exactly.
 
 On the grid, tau nodes are sums of u nodes, so the window integrands align
-with grid nodes.  Row k of the window table is tau = k*delta; its window j
-pairs the nodes hi = k//2 + j and lo = k - hi at half width
-w_j = (j - (k%2)/2)*delta, and the window saturates at j_end = (k+1)//2
-(w = tau/2).  The pair sums P_j = g_lo + g_hi of the product integrand
-(P_0 = 2 g_c on even rows, P_0 = 0 on odd rows, whose j = 0 window is
-empty) make S a single cumulative trapezoid sum per row.  Pairs that leave
-the grid point at the sentinel index n, where the node vectors carry an
-appended zero, so no mask is needed.  The numerator
+with grid nodes.  Row k = 0 .. 2n-2 of the window table is tau = k*delta;
+its window j pairs the nodes hi = k//2 + j and lo = k - hi at half width
+w_j = (j - (k%2)/2)*delta, and the window reaches the saturation width
+tau/2 at j_end = (k+1)//2.  The pair sums P_j = g_lo + g_hi of the product
+integrand (P_0 = 2 g_c on even rows, P_0 = 0 on odd rows, whose j = 0
+window is empty) make S a single cumulative trapezoid sum per row.  Pairs
+that leave the grid point at the sentinel index n, where the node vectors
+carry an appended zero, so no mask is needed.
+
+Only the live diamond of the table is stored.  Row k keeps the windows
+j = 0 .. J_k with J_k = min(j_end, n-1-k//2), the last pair on the grid.
+A row with J_k = j_end saturates on the grid, at C = S_{J_k}.  Otherwise
+P_j = 0 beyond J_k, so S_j = C from J = J_k + 1 on, and the dropped
+windows J+1 .. j_end add C^2 times the inner trapezoid weights of their
+nodes, r_sat - (r_J + r_{J+1})/2 (r = rho_inner), and nothing on the outer
+branch.  The row therefore keeps window J+1 and one appended column at
+the saturation width tau/2: the trapezoid weights of those two nodes,
+(r_sat - r_J)/2 and (r_sat - r_{J+1})/2, sum to exactly that weight, and
+the appended column (a sentinel pair) holds C.  The rows are stored in
+blocks of consecutive k, each padded to its widest row with columns at the
+saturation width (trapezoid weight 0) and sentinel pairs (P = 0).  The
+numerator
 
     ||f mu * f mu||_2^2 = 16 pi^3 int d tau int H^2 d rho
 
@@ -31,9 +45,12 @@ becomes a quadratic form in the per-row cumulative sums with fixed,
 profile-independent coefficients (``rho_weights``, applied per row by
 ``row_values``), and its exact gradient is the reverse cumulative chain
 (the adjoint of the slice quadrature).  ``extremizer.shell_pair_norm_sq``
-integrates its sparse rows with the same two functions.
+integrates its sparse rows with the same two functions, applying the same
+saturation reduction.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +58,7 @@ from .geometry import check_mass, phi
 
 SIXTEEN_PI3 = 16.0 * np.pi ** 3
 FOUR_PI = 4.0 * np.pi
+BLOCK_ENTRIES = 2 ** 15  # packed entries per block, about: bounds each block's temporaries
 
 
 def rho_pair_from_w(s: float, w, tau):
@@ -86,13 +104,51 @@ def row_values(S, j_end, alpha_in, alpha_out, mid_len):
             + np.sum(alpha_out * (C - S) ** 2, axis=1))
 
 
+class _Block(NamedTuple):
+    """Consecutive rows of the packed window table, padded to one width.
+
+    The tau trapezoid weight of each row (1/2 on the first and the last row
+    of the table) is folded into alpha_in, alpha_out and mid_len.
+    """
+
+    lo: np.ndarray         # (rows, width) int32 node indices, sentinel n
+    hi: np.ndarray
+    sat: np.ndarray        # (rows,) column holding the saturation value C
+    alpha_in: np.ndarray   # (rows, width) rho weights, from rho_weights
+    alpha_out: np.ndarray
+    mid_len: np.ndarray    # (rows,)
+
+
+def _packed_block(s: float, n: int, delta: float, k0: int, k1: int) -> _Block:
+    """Rows k0 .. k1-1 of the packed table of the module docstring."""
+    k = np.arange(k0, k1, dtype=np.int32)[:, None]
+    j_end = (k + 1) // 2
+    last = np.minimum(j_end, n - 1 - k // 2)   # J_k
+    sat = np.where(last == j_end, last, last + 2)
+    j = np.arange(int(sat.max()) + 1, dtype=np.int32)[None, :]
+    hi = k // 2 + j
+    lo = k - hi
+    off = (j > last) | (lo > hi)
+    hi[off] = n
+    lo[off] = n
+    tau = delta * k
+    w = np.where(j > last + 1, 0.5 * tau,
+                 np.clip((j - 0.5 * (k % 2)) * delta, 0.0, 0.5 * tau))
+    alpha_in, alpha_out, mid_len = rho_weights(s, w, tau[:, 0])
+    ends = (k[:, 0] == 0) | (k[:, 0] == 2 * n - 2)
+    alpha_in[ends] *= 0.5
+    alpha_out[ends] *= 0.5
+    mid_len[ends] *= 0.5
+    return _Block(lo, hi, sat[:, 0], alpha_in, alpha_out, mid_len)
+
+
 class SliceEngine:
     """Quartic-functional evaluator on a uniform time grid for mass s.
 
-    The window table (pair indices and rho weights of the rows
-    tau = k*delta, k = 0 .. 2n-2) depends only on (s, n, u_max) and is
-    built once; each numerator or gradient evaluation is pure array
-    arithmetic.
+    The packed window table (pair indices and rho weights of the live rows
+    tau = k*delta, k = 0 .. 2n-2, in blocks of about ``BLOCK_ENTRIES``
+    entries) depends only on (s, n, u_max) and is built once; each numerator
+    or gradient evaluation is pure array arithmetic, one block at a time.
     """
 
     def __init__(self, s: float, n: int, u_max: float):
@@ -108,19 +164,10 @@ class SliceEngine:
         self.delta = self.u[1] - self.u[0]
         self.phi_u = phi(self.u, s)
         self.radius_grid = self.phi_u  # strictly increasing radii
-        # the row table of the module docstring; int32 indices halve its size
-        k = np.arange(2 * n - 1, dtype=np.int32)[:, None]
-        j = np.arange(n, dtype=np.int32)[None, :]
-        hi = k // 2 + j
-        lo = k - hi
-        off = (lo < 0) | (hi >= n) | (lo > hi)
-        hi[off] = n
-        lo[off] = n
-        self._hi, self._lo = hi, lo
-        self._j_end = (k[:, 0] + 1) // 2
-        tau = self.delta * k
-        w = np.clip((j - 0.5 * (k % 2)) * self.delta, 0.0, 0.5 * tau)
-        self._weights = rho_weights(s, w, tau[:, 0])
+        # rows per block: no packed row is wider than n//2 + 3 columns
+        rows, step = 2 * n - 1, max(8, BLOCK_ENTRIES // (n // 2 + 3))
+        self._blocks = [_packed_block(s, n, self.delta, k0, min(k0 + step, rows))
+                        for k0 in range(0, rows, step)]
 
         # denominator weights: 4 pi int F^2 phi(u) du by trapezoid
         wts = np.full(n, self.delta)
@@ -138,65 +185,72 @@ class SliceEngine:
 
     # ---- quadratic slice machinery ----
 
-    def _window_sums(self, F, G=None):
-        """Window integrals S[k, j] of the (F, G) product on the row table.
+    def _window_sums(self, P):
+        """Window integrals S of one block from its pair sums P (overwritten).
 
         P_j = g_lo + g_hi, with the center pair P_0 = 2 g_c counted once
         per side, makes the trapezoid recurrence
         S_j = S_{j-1} + delta (P_j + P_{j-1})/2 hold uniformly.
         """
-        F = np.append(F, 0.0)
-        if G is None:
-            P = F[self._lo] * F[self._hi]
-            P *= 2.0
-        else:
-            G = np.append(G, 0.0)
-            P = F[self._lo] * G[self._hi]
-            P += G[self._lo] * F[self._hi]
         S = np.cumsum(P, axis=1)
-        S -= 0.5 * (P + P[:, :1])
+        P += P[:, :1]
+        P *= 0.5
+        S -= P
         S *= self.delta
         return S
 
-    def _integrate(self, S) -> float:
-        V = row_values(S, self._j_end, *self._weights)
-        # tau-trapezoid over the rows k = 0 .. 2n-2 (spacing delta)
-        return SIXTEEN_PI3 * self.delta * float(V.sum() - 0.5 * (V[0] + V[-1]))
-
     def numerator(self, F: np.ndarray, G: np.ndarray | None = None) -> float:
         """||f mu * g mu||_2^2 for node-value vectors on the engine grid."""
-        return self._integrate(self._window_sums(F, G))
+        F = np.append(F, 0.0)
+        if G is not None:
+            G = np.append(G, 0.0)
+        total = 0.0
+        for blk in self._blocks:
+            if G is None:
+                P = F.take(blk.lo) * F.take(blk.hi)
+                P *= 2.0
+            else:
+                P = F.take(blk.lo) * G.take(blk.hi)
+                P += G.take(blk.lo) * F.take(blk.hi)
+            S = self._window_sums(P)
+            total += row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len).sum()
+        return SIXTEEN_PI3 * self.delta * float(total)
 
     def numerator_gradient(self, F: np.ndarray):
         """(numerator, gradient wrt the node values), exact for the discrete form."""
-        S = self._window_sums(F)
-        value = self._integrate(S)
-
-        # T = dN/dS per row: the saturation C = S[j_end] folded in, rows
-        # weighted by the tau trapezoid
-        alpha_in, alpha_out, mid_len = self._weights
-        rows = np.arange(S.shape[0])
-        C = S[rows, self._j_end][:, None]
-        T = 2.0 * alpha_in * S - 2.0 * alpha_out * (C - S)
-        T[rows, self._j_end] += 2.0 * (mid_len * C[:, 0]
-                                       + np.sum(alpha_out * (C - S), axis=1))
-        T[[0, -1]] *= 0.5
-
-        # adjoint of the cumulative sums: suffix sums R_j = sum_{j' >= j} T_j';
-        # dN/dP_i = delta (R_i - T_i/2 - [i = 0] (sum_j T_j)/2)
-        dP = np.cumsum(T[:, ::-1], axis=1)[:, ::-1]
-        dP -= 0.5 * T
-        dP[:, 0] -= 0.5 * T.sum(axis=1)
-        dP *= 2.0 * self.delta
-
         n = self.n
         Fz = np.append(F, 0.0)
-        grad = np.bincount(self._lo.ravel(), weights=(dP * Fz[self._hi]).ravel(),
-                           minlength=n + 1)[:n]
-        grad += np.bincount(self._hi.ravel(), weights=(dP * Fz[self._lo]).ravel(),
-                            minlength=n + 1)[:n]
-        grad *= SIXTEEN_PI3 * self.delta
-        return value, grad
+        total = 0.0
+        grad = np.zeros(n + 1)
+        for blk in self._blocks:
+            F_lo, F_hi = Fz.take(blk.lo), Fz.take(blk.hi)
+            P = F_lo * F_hi
+            P *= 2.0
+            S = self._window_sums(P)
+            total += row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len).sum()
+
+            # T = (dV/dS)/2 for the row values V, the saturation C = S[sat] folded in
+            rows = np.arange(S.shape[0])
+            C = S[rows, blk.sat]
+            D = C[:, None] - S
+            D *= blk.alpha_out
+            T = blk.alpha_in * S
+            T -= D
+            T[rows, blk.sat] += blk.mid_len * C + D.sum(axis=1)
+
+            # adjoint of the cumulative sums: suffix sums R_j = sum_{j' >= j} T_j';
+            # dV/dP_i = 2 delta (R_i - T_i/2 - [i = 0] R_0/2), and dP/dF_lo = 2 F_hi
+            dP = np.cumsum(T[:, ::-1], axis=1)[:, ::-1]
+            dP[:, 0] *= 0.5
+            T *= 0.5
+            dP -= T
+            F_hi *= dP
+            F_lo *= dP
+            grad += np.bincount(blk.lo.ravel(), weights=F_hi.ravel(), minlength=n + 1)
+            grad += np.bincount(blk.hi.ravel(), weights=F_lo.ravel(), minlength=n + 1)
+        grad = grad[:n]
+        grad *= 4.0 * SIXTEEN_PI3 * self.delta ** 2
+        return SIXTEEN_PI3 * self.delta * float(total), grad
 
     # ---- the functional ----
 

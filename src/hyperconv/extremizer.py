@@ -9,6 +9,7 @@ certified quasi-extremal direction), shell indicators and random profiles.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .geometry import phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
 from .profiles import RadialProfile
 from .quadrature import DEFAULT_SEED, QuadratureSpec
+
+log = logging.getLogger("hyperconv")
 
 TWO_PI = 2.0 * np.pi
 CONE_Q = TWO_PI           # sup Q over the cone (convolution-form units)
@@ -73,6 +76,13 @@ def trial_family_scan(engine: SliceEngine, a_grid=None):
 
 @dataclass
 class AscentResult:
+    """Best profile of a multi-start ascent, with one row per restart.
+
+    Each ``restarts`` row holds the restart index, its final Q, its trace
+    length (``iterations``), ``stagnated`` and ``stop``, the reason its
+    ascent ended (see ``_ascend``).
+    """
+
     profile: RadialProfile
     q_star: float
     q_refined: float
@@ -91,13 +101,20 @@ class GradientNaNError(RuntimeError):
 
 def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float,
             stall_limit: int = 50):
-    """Normalized projected gradient ascent with backtracking; monotone trace."""
+    """Normalized projected gradient ascent with backtracking; monotone trace.
+
+    Returns (F, trace, stop); stop says why the ascent ended: "rel_stop"
+    (an accepted step gained less than rel_stop relative), "stalled"
+    (stall_limit iterations in a row found no improving step) or "iters"
+    (the iteration budget ran out).
+    """
     F = np.maximum(F0, 0.0)
     F = F / np.sqrt(engine.norm_sq(F))
     q, grad = engine.q_gradient(F)
     trace = [q]
     step = 0.1 / (np.linalg.norm(grad) + 1e-30)
     stalls = 0
+    stop = "iters"
     for _ in range(iters):
         if not np.all(np.isfinite(grad)):
             raise GradientNaNError(np.flatnonzero(~np.isfinite(grad)).tolist())
@@ -115,7 +132,8 @@ def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float,
         if not improved:
             stalls += 1
             if stalls >= stall_limit:
-                return F, trace, True
+                stop = "stalled"
+                break
             continue
         stalls = 0
         rel = (q_new - q) / q
@@ -124,8 +142,11 @@ def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float,
         _, grad = engine.q_gradient(F)
         step *= 1.5
         if rel < rel_stop:
+            stop = "rel_stop"
             break
-    return F, trace, False
+    log.debug("ascent stopped (%s) after %d accepted steps at Q = %.12g",
+              stop, len(trace) - 1, q)
+    return F, trace, stop
 
 
 def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
@@ -162,11 +183,12 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     restart_rows = []
     stagnated_any = False
     for idx, F0 in enumerate(starts):
-        F, trace, stagnated = _ascend(engine, F0, iters, rel_stop)
+        F, trace, stop = _ascend(engine, F0, iters, rel_stop)
+        stagnated = stop == "stalled"
         stagnated_any = stagnated_any or stagnated
         q = trace[-1]
         restart_rows.append({"restart": idx, "q": q, "iterations": len(trace),
-                             "stagnated": stagnated})
+                             "stagnated": stagnated, "stop": stop})
         if best is None or q > best[1]:
             best = (F, q, trace)
     F_star, q_star, trace = best

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,19 @@ def test_dyadic_pieces_cover_every_node():
                                       prof.values)
     with pytest.raises(ValueError, match="zero profile"):
         dyadic_refinement_check(RadialProfile(s, f.grid, np.zeros(50)))
+
+
+@pytest.mark.parametrize("iters, rel_stop, stop", [(3, 0.0, "iters"),
+                                                  (30, 1.0, "rel_stop"),
+                                                  (5000, 0.0, "stalled")])
+def test_ascent_reports_why_it_stopped(caplog, iters, rel_stop, stop):
+    # a budget of 3 iterations ends first; rel_stop = 1 ends after the first
+    # accepted step; with rel_stop = 0 the 64-node ascent reaches its
+    # optimum and then fails 50 iterations in a row
+    with caplog.at_level(logging.DEBUG, logger="hyperconv"):
+        res = maximize_radial(1.0, 64, 20.0, restarts=2, iters=iters, rel_stop=rel_stop)
+    assert [row["stop"] for row in res.restarts] == [stop, stop]
+    assert [row["stagnated"] for row in res.restarts] == [stop == "stalled"] * 2
+    assert res.stagnated == (stop == "stalled")
+    lines = [rec.getMessage() for rec in caplog.records if "ascent stopped" in rec.getMessage()]
+    assert len(lines) == 2 and all(f"({stop})" in line for line in lines)
