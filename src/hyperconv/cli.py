@@ -2,11 +2,15 @@
 
     hyperconv maximize --s 1 --grid-size 400 --r-max 40 --restarts 5 \\
         --iters 2000 --seed 24301
+    hyperconv scan --s 1 --k-max 6 --profile-kind bump --nodes-per-shell 48
 
-``maximize`` runs ``extremizer.maximize_radial`` and prints its inputs, the
-package versions, the seed, the total wall time, ``q_star``, ``q_refined``,
-the best exponential trial value and one row per restart with the reason
-its ascent stopped.
+Every record holds the command, its inputs, the package versions and the
+total wall time.  ``maximize`` runs ``extremizer.maximize_radial`` and adds
+the seed, ``q_star``, ``q_refined``, the best exponential trial value and
+one row per restart with the reason its ascent stopped.  ``scan`` runs
+``extremizer.bilinear_dyadic_scan`` and adds the shell-pair table as nested
+lists and the report (slope, intercept, constant, ``diag_max``,
+``refined``).
 """
 from __future__ import annotations
 
@@ -19,22 +23,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .extremizer import maximize_radial
+from .extremizer import bilinear_dyadic_scan, maximize_radial
 from .quadrature import DEFAULT_SEED
 
 
-def _maximize(args) -> dict:
+def _maximize(args):
     inputs = {"s": args.s, "grid_size": args.grid_size, "r_max": args.r_max,
               "restarts": args.restarts, "iters": args.iters, "seed": args.seed}
-    started = time.perf_counter()
     res = maximize_radial(**inputs)
-    return {
-        "command": "maximize",
-        "inputs": inputs,
-        "versions": {"hyperconv": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+    return inputs, {
         "seed": args.seed,
-        "wall_s": time.perf_counter() - started,
         "q_star": res.q_star,
         "q_refined": res.q_refined,
         "trial_best_q": res.trial_best_q,
@@ -42,21 +40,45 @@ def _maximize(args) -> dict:
     }
 
 
+def _scan(args):
+    inputs = {"s": args.s, "k_max": args.k_max, "profile_kind": args.profile_kind,
+              "nodes_per_shell": args.nodes_per_shell}
+    table, report = bilinear_dyadic_scan(**inputs)
+    return inputs, {"table": table.tolist(), "report": report}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hyperconv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("maximize", help="radial extremizer search (maximize_radial)")
+    p.set_defaults(run=_maximize)
     p.add_argument("--s", type=float, default=1.0, help="mass parameter s >= 0")
     p.add_argument("--grid-size", type=int, default=400, help="engine grid nodes (>= 64)")
     p.add_argument("--r-max", type=float, default=40.0, help="truncation radius")
     p.add_argument("--restarts", type=int, default=5, help="number of ascent starts")
     p.add_argument("--iters", type=int, default=2000, help="iterations per ascent")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the random starts")
+    p = sub.add_parser("scan", help="dyadic shell-pair decay table (bilinear_dyadic_scan)")
+    p.set_defaults(run=_scan)
+    p.add_argument("--s", type=float, default=1.0, help="mass parameter s > 0")
+    p.add_argument("--k-max", type=int, default=6, help="last dyadic shell (>= 4)")
+    p.add_argument("--profile-kind", default="bump", help="shell profile: bump or indicator")
+    p.add_argument("--nodes-per-shell", type=int, default=48,
+                   help="grid nodes across the first shell (>= 8)")
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        record = _maximize(args)
+        inputs, result = args.run(args)
     except ValueError as exc:  # bad inputs, named by the library
         parser.error(str(exc))
+    record = {
+        "command": args.command,
+        "inputs": inputs,
+        "versions": {"hyperconv": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+        "wall_s": time.perf_counter() - started,
+        **result,
+    }
     print(json.dumps(record))
     return 0
 

@@ -16,37 +16,34 @@ the mapped node positions rho_inner(w), rho_outer(w); integrating in w
 passes through the sqrt cusp of the rho parametrization exactly.
 
 On the grid, tau nodes are sums of u nodes, so the window integrands align
-with grid nodes.  Row k = 0 .. 2n-2 of the window table is tau = k*delta;
-its window j pairs the nodes hi = k//2 + j and lo = k - hi at half width
-w_j = (j - (k%2)/2)*delta, and the window reaches the saturation width
-tau/2 at j_end = (k+1)//2.  The pair sums P_j = g_lo + g_hi of the product
-integrand (P_0 = 2 g_c on even rows, P_0 = 0 on odd rows, whose j = 0
-window is empty) make S a single cumulative trapezoid sum per row.  Pairs
-that leave the grid point at the sentinel index n, where the node vectors
-carry an appended zero, so no mask is needed.
+with grid nodes.  Row k of a window table is tau = k*delta; its window j
+pairs the nodes hi = k//2 + j and lo = k - hi at half width
+w_j = (j - (k%2)/2)*delta, clipped to [0, tau/2], which it reaches at
+j_end = (k+1)//2.  The pair sums P_j = g_lo + g_hi of the product integrand
+(P_0 = 2 g_c on even rows, 0 on odd rows, whose j = 0 window is empty) make
+S one cumulative trapezoid sum per row.  Pairs off the stored nodes point
+at the sentinel index n, where the node vectors carry an appended zero.
 
-Only the live diamond of the table is stored.  Row k keeps the windows
-j = 0 .. J_k with J_k = min(j_end, n-1-k//2), the last pair on the grid.
-A row with J_k = j_end saturates on the grid, at C = S_{J_k}.  Otherwise
-P_j = 0 beyond J_k, so S_j = C from J = J_k + 1 on, and the dropped
-windows J+1 .. j_end add C^2 times the inner trapezoid weights of their
-nodes, r_sat - (r_J + r_{J+1})/2 (r = rho_inner), and nothing on the outer
-branch.  The row therefore keeps window J+1 and one appended column at
-the saturation width tau/2: the trapezoid weights of those two nodes,
-(r_sat - r_J)/2 and (r_sat - r_{J+1})/2, sum to exactly that weight, and
-the appended column (a sentinel pair) holds C.  The rows are stored in
-blocks of consecutive k, each padded to its widest row with columns at the
-saturation width (trapezoid weight 0) and sentinel pairs (P = 0).  The
-numerator
+A row is stored as (k, j_first, j_last): only its windows j_first .. j_last,
+where S = 0 up to j_first and S = C from j_last on (the first window with
+S = C).  Both constant stretches hold the middle-branch value H = C: the
+outer branch on [0, w_{j_first}] and the inner branch on [w_{j_last}, tau/2]
+hold C^2, the other branch 0.  So the middle branch, measured from
+r_in(w_{j_last}) to r_out(w_{j_first}), takes in both stretches exactly.
+Each row records the column of window j_last, whose S is C.  Rows are
+stored in blocks of at most ``BLOCK_ENTRIES`` entries, padded with columns
+that repeat the last width (trapezoid weight 0) and hold sentinel pairs.
+``SliceEngine`` stores the rows k = 0 .. 2n-2, ``extremizer.shell_pair_norm_sq``
+the rows of one shell pair.  The numerator
 
-    ||f mu * f mu||_2^2 = 16 pi^3 int d tau int H^2 d rho
+    ||f mu * g mu||_2^2 = 16 pi^3 int d tau int H^2 d rho
 
 becomes a quadratic form in the per-row cumulative sums with fixed,
 profile-independent coefficients (``rho_weights``, applied per row by
 ``row_values``), and its exact gradient is the reverse cumulative chain
-(the adjoint of the slice quadrature).  ``extremizer.shell_pair_norm_sq``
-integrates its sparse rows with the same two functions, applying the same
-saturation reduction.
+(the adjoint of the slice quadrature).  All tables come from one block
+builder (``row_blocks``) and go through one evaluator (``_block_values``:
+the window sums, then ``row_values``).
 """
 from __future__ import annotations
 
@@ -58,7 +55,7 @@ from .geometry import check_mass, phi
 
 SIXTEEN_PI3 = 16.0 * np.pi ** 3
 FOUR_PI = 4.0 * np.pi
-BLOCK_ENTRIES = 2 ** 15  # packed entries per block, about: bounds each block's temporaries
+BLOCK_ENTRIES = 2 ** 15  # stored entries per block, at most: bounds each block's temporaries
 
 
 def rho_pair_from_w(s: float, w, tau):
@@ -76,11 +73,11 @@ def rho_pair_from_w(s: float, w, tau):
 def rho_weights(s: float, w, tau):
     """Trapezoid weights (alpha_in, alpha_out, mid_len) of the rho integral per row.
 
-    w[r] holds row r's window half widths, nondecreasing from 0 up to the
-    saturation width tau[r]/2.  alpha_in[r, j] multiplies S_j^2 (inner
-    branch), alpha_out[r, j] multiplies (C - S_j)^2 (outer branch) and
-    mid_len[r] multiplies C^2 (middle branch); repeated widths get zero
-    weight.
+    w[r] holds row r's nondecreasing window half widths in [0, tau[r]/2].
+    alpha_in[r, j] multiplies S_j^2 (inner branch), alpha_out[r, j]
+    multiplies (C - S_j)^2 (outer branch) and mid_len[r] multiplies C^2 on
+    the middle branch, which takes in S = 0 below the first width and S = C
+    above the last (module docstring); repeated widths get zero weight.
     """
     r_in, r_out = rho_pair_from_w(s, w, np.asarray(tau, dtype=float)[:, None])
     mid_len = np.maximum(r_out[:, 0] - r_in[:, -1], 0.0)
@@ -105,11 +102,8 @@ def row_values(S, j_end, alpha_in, alpha_out, mid_len):
 
 
 class _Block(NamedTuple):
-    """Consecutive rows of the packed window table, padded to one width.
-
-    The tau trapezoid weight of each row (1/2 on the first and the last row
-    of the table) is folded into alpha_in, alpha_out and mid_len.
-    """
+    """Consecutive rows of a window table, padded to one width; the tau
+    trapezoid weight of each row is folded into its rho weights."""
 
     lo: np.ndarray         # (rows, width) int32 node indices, sentinel n
     hi: np.ndarray
@@ -119,36 +113,74 @@ class _Block(NamedTuple):
     mid_len: np.ndarray    # (rows,)
 
 
-def _packed_block(s: float, n: int, delta: float, k0: int, k1: int) -> _Block:
-    """Rows k0 .. k1-1 of the packed table of the module docstring."""
-    k = np.arange(k0, k1, dtype=np.int32)[:, None]
-    j_end = (k + 1) // 2
-    last = np.minimum(j_end, n - 1 - k // 2)   # J_k
-    sat = np.where(last == j_end, last, last + 2)
-    j = np.arange(int(sat.max()) + 1, dtype=np.int32)[None, :]
+def row_blocks(s: float, delta: float, n: int, k, j_first, j_last, origin: int = 0):
+    """Blocks of the rows (k[r], j_first[r], j_last[r]) of the module docstring.
+
+    Node indices are counted from ``origin``, and pairs off the nodes
+    0 .. n-1 so counted point at the sentinel n.  A block holds at most
+    ``BLOCK_ENTRIES`` entries, or 8 rows when one row is wider.
+    """
+    k, j_first, j_last = (np.asarray(a, dtype=np.int32)[:, None] for a in (k, j_first, j_last))
+    sat = j_last - j_first                         # column of window j_last
+    step = max(8, BLOCK_ENTRIES // (int(sat.max(initial=0)) + 1))
+    for r in range(0, k.size, step):
+        rows = slice(r, r + step)
+        yield _row_block(s, delta, n, origin, k[rows], j_first[rows], sat[rows])
+
+
+def _row_block(s, delta, n, origin, k, j_first, sat) -> _Block:
+    """One block of ``row_blocks``, from its rows' (rows, 1) descriptors."""
+    c = np.arange(int(sat.max()) + 1, dtype=np.int32)[None, :]
+    j = np.minimum(c, sat) + j_first               # padding repeats window j_last
     hi = k // 2 + j
     lo = k - hi
-    off = (j > last) | (lo > hi)
+    hi -= origin
+    lo -= origin
+    off = (c > sat) | (lo > hi) | (lo < 0) | (hi >= n)
     hi[off] = n
     lo[off] = n
     tau = delta * k
-    w = np.where(j > last + 1, 0.5 * tau,
-                 np.clip((j - 0.5 * (k % 2)) * delta, 0.0, 0.5 * tau))
-    alpha_in, alpha_out, mid_len = rho_weights(s, w, tau[:, 0])
-    ends = (k[:, 0] == 0) | (k[:, 0] == 2 * n - 2)
-    alpha_in[ends] *= 0.5
-    alpha_out[ends] *= 0.5
-    mid_len[ends] *= 0.5
-    return _Block(lo, hi, sat[:, 0], alpha_in, alpha_out, mid_len)
+    w = j - 0.5 * (k % 2)
+    w *= delta
+    np.clip(w, 0.0, 0.5 * tau, out=w)
+    return _Block(lo, hi, sat[:, 0], *rho_weights(s, w, tau[:, 0]))
+
+
+def _block_values(blk: _Block, P, delta: float):
+    """(window sums S, summed row values) of one block from its pair sums P.
+
+    P (overwritten) holds P_j = g_lo + g_hi with the center pair P_0 = 2 g_c
+    counted once per side, so S_j = S_{j-1} + delta (P_j + P_{j-1})/2 holds
+    uniformly and S is one cumulative sum per row.
+    """
+    S = np.cumsum(P, axis=1)
+    P += P[:, :1]
+    P *= 0.5
+    S -= P
+    S *= delta
+    return S, row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len).sum()
+
+
+def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None = None) -> float:
+    """||f mu * g mu||_2^2 over the rows of blocks; F and G end in the sentinel zero."""
+    total = 0.0
+    for blk in blocks:
+        if G is None:
+            P = 2.0 * F.take(blk.lo) * F.take(blk.hi)
+        else:
+            P = F.take(blk.lo) * G.take(blk.hi) + G.take(blk.lo) * F.take(blk.hi)
+        total += _block_values(blk, P, delta)[1]
+        del blk, P  # a generator of blocks builds the next one without these
+    return SIXTEEN_PI3 * delta * float(total)
 
 
 class SliceEngine:
     """Quartic-functional evaluator on a uniform time grid for mass s.
 
-    The packed window table (pair indices and rho weights of the live rows
-    tau = k*delta, k = 0 .. 2n-2, in blocks of about ``BLOCK_ENTRIES``
-    entries) depends only on (s, n, u_max) and is built once; each numerator
-    or gradient evaluation is pure array arithmetic, one block at a time.
+    The window table (pair indices and rho weights of the rows
+    tau = k*delta, k = 0 .. 2n-2, in blocks from ``row_blocks``) depends
+    only on (s, n, u_max) and is built once; each numerator or gradient
+    evaluation is pure array arithmetic, one block at a time.
     """
 
     def __init__(self, s: float, n: int, u_max: float):
@@ -164,10 +196,15 @@ class SliceEngine:
         self.delta = self.u[1] - self.u[0]
         self.phi_u = phi(self.u, s)
         self.radius_grid = self.phi_u  # strictly increasing radii
-        # rows per block: no packed row is wider than n//2 + 3 columns
-        rows, step = 2 * n - 1, max(8, BLOCK_ENTRIES // (n // 2 + 3))
-        self._blocks = [_packed_block(s, n, self.delta, k0, min(k0 + step, rows))
-                        for k0 in range(0, rows, step)]
+        # J_k = min(j_end, n-1-k//2) is row k's last window with its pair on the
+        # grid; P = 0 beyond it, so the first window with S = C is min(J_k + 1, j_end)
+        k = np.arange(2 * n - 1)
+        j_last = np.minimum(n - k // 2, (k + 1) // 2)
+        self._blocks = list(row_blocks(s, self.delta, n, k, np.zeros_like(k), j_last))
+        for blk, r in ((self._blocks[0], 0), (self._blocks[-1], -1)):  # tau trapezoid ends
+            blk.alpha_in[r] *= 0.5
+            blk.alpha_out[r] *= 0.5
+            blk.mid_len[r] *= 0.5
 
         # denominator weights: 4 pi int F^2 phi(u) du by trapezoid
         wts = np.full(n, self.delta)
@@ -185,36 +222,10 @@ class SliceEngine:
 
     # ---- quadratic slice machinery ----
 
-    def _window_sums(self, P):
-        """Window integrals S of one block from its pair sums P (overwritten).
-
-        P_j = g_lo + g_hi, with the center pair P_0 = 2 g_c counted once
-        per side, makes the trapezoid recurrence
-        S_j = S_{j-1} + delta (P_j + P_{j-1})/2 hold uniformly.
-        """
-        S = np.cumsum(P, axis=1)
-        P += P[:, :1]
-        P *= 0.5
-        S -= P
-        S *= self.delta
-        return S
-
     def numerator(self, F: np.ndarray, G: np.ndarray | None = None) -> float:
         """||f mu * g mu||_2^2 for node-value vectors on the engine grid."""
-        F = np.append(F, 0.0)
-        if G is not None:
-            G = np.append(G, 0.0)
-        total = 0.0
-        for blk in self._blocks:
-            if G is None:
-                P = F.take(blk.lo) * F.take(blk.hi)
-                P *= 2.0
-            else:
-                P = F.take(blk.lo) * G.take(blk.hi)
-                P += G.take(blk.lo) * F.take(blk.hi)
-            S = self._window_sums(P)
-            total += row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len).sum()
-        return SIXTEEN_PI3 * self.delta * float(total)
+        return blocks_numerator(self._blocks, self.delta, np.append(F, 0.0),
+                                None if G is None else np.append(G, 0.0))
 
     def numerator_gradient(self, F: np.ndarray):
         """(numerator, gradient wrt the node values), exact for the discrete form."""
@@ -226,8 +237,8 @@ class SliceEngine:
             F_lo, F_hi = Fz.take(blk.lo), Fz.take(blk.hi)
             P = F_lo * F_hi
             P *= 2.0
-            S = self._window_sums(P)
-            total += row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len).sum()
+            S, value = _block_values(blk, P, self.delta)
+            total += value
 
             # T = (dV/dS)/2 for the row values V, the saturation C = S[sat] folded in
             rows = np.arange(S.shape[0])

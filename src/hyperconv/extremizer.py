@@ -16,9 +16,9 @@ import numpy as np
 
 from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
-from .engine import SIXTEEN_PI3, SliceEngine, rho_weights, row_values
+from .engine import SliceEngine, blocks_numerator, row_blocks
 from .fields import Conv2DField
-from .geometry import phi, psi
+from .geometry import check_count, check_mass, phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
 from .profiles import RadialProfile
 from .quadrature import DEFAULT_SEED, QuadratureSpec
@@ -158,6 +158,9 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     shell indicators, and random log-normal profiles; the returned best
     value always dominates the trial-family baseline because restart 0
     starts there and the ascent is monotone.
+
+    ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
+    on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
@@ -348,39 +351,38 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
 
     F occupies nodes i0_f .. i0_f + len(F) - 1 (spacing delta), likewise G,
     and both vanish on every other node.  This is the SliceEngine numerator
-    (F, G) on the tau rows the pair reaches.  Per row, the window sums come
-    from one prefix trapezoid of the product at the engine's node-aligned
-    windows, and only the windows whose edges cross the support are kept:
-    the others repeat S = 0 or S = C, which the rho trapezoid integrates
-    exactly from its end nodes.  The cost per row is the overlap length.
+    (F, G) on the tau rows the pair reaches, built and evaluated in the
+    engine's row blocks (``engine.row_blocks``, ``engine.blocks_numerator``)
+    without building an engine; the two shells sit in one zero-padded node
+    vector over the pair's span.  Row k is stored as (k, j_first, j_last):
+    the product F_i G_{k-i} lives on the nodes iA .. iB, so S = 0 up to
+    j_first, the last window that misses the support, and S = C from
+    j_last, one past the first window that holds all of it.  The middle
+    branch takes in both constant stretches (``engine`` module docstring),
+    so the cost per row is the length of the support.
     """
+    s = check_mass(s)
+    delta = float(delta)
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+    for name, i0 in (("i0_f", i0_f), ("i0_g", i0_g)):
+        if i0 < 0:
+            raise ValueError(f"start index {name} must be >= 0, got {i0}")
     nf, ng = len(F), len(G)
-    total = 0.0
-    for k in range(max(i0_f + i0_g, 1), i0_f + nf + i0_g + ng - 1):
-        # the product F_{i - i0_f} G_{k - i - i0_g} lives on nodes iA .. iB
-        iA = max(i0_f, k - i0_g - ng + 1)
-        iB = min(i0_f + nf - 1, k - i0_g)
-        g = np.zeros(iB - iA + 3)  # one zero node on either side
-        g[1:-1] = F[iA - i0_f:iB + 1 - i0_f] * G[k - iB - i0_g:k - iA - i0_g + 1][::-1]
-        T = np.cumsum(g)
-        T -= 0.5 * g
-        T *= delta
-        # window j pairs nodes hi = k//2 + j and lo = k - hi = j_end - j
-        # (empty at j = 0 on odd rows); S changes only from the last window
-        # that misses the support to the first that holds all of it
-        j_end, k2 = (k + 1) // 2, k // 2
-        j_first = max(min(j_end - iB, iA - k2) - 1, 0)
-        j_last = min(max(j_end - iA, iB - k2) + 1, j_end)
-        j = np.concatenate(([0], np.arange(j_first, j_last + 1), [j_end]))
-        hi = k2 + j
-        lo = np.minimum(k - hi, hi)
-        S = (T[np.clip(hi - iA + 1, 0, g.size - 1)]
-             - T[np.clip(lo - iA + 1, 0, g.size - 1)])[None, :]
-        tau = k * delta
-        w = np.clip((j - 0.5 * (k % 2)) * delta, 0.0, 0.5 * tau)[None, :]
-        total += row_values(S, np.array([j.size - 1]), *rho_weights(s, w, [tau]))[0]
+    origin = min(i0_f, i0_g)
+    n = max(i0_f + nf, i0_g + ng) - origin
+    Fz, Gz = np.zeros((2, n + 1))
+    Fz[i0_f - origin:i0_f - origin + nf] = F
+    Gz[i0_g - origin:i0_g - origin + ng] = G
+    k = np.arange(max(i0_f + i0_g, 1), i0_f + nf + i0_g + ng - 1)
+    iA = np.maximum(i0_f, k - i0_g - ng + 1)
+    iB = np.minimum(i0_f + nf - 1, k - i0_g)
+    # window j pairs hi = k//2 + j and lo = j_end - j (empty at j = 0 on odd rows)
+    j_end, k2 = (k + 1) // 2, k // 2
+    j_first = np.maximum(np.maximum(j_end - iB, iA - k2) - 1, 0)
+    j_last = np.minimum(np.maximum(j_end - iA, iB - k2) + 1, j_end)
     # every row is interior to the tau trapezoid: the pair vanishes beyond it
-    return SIXTEEN_PI3 * delta * total
+    return blocks_numerator(row_blocks(s, delta, n, k, j_first, j_last, origin), delta, Fz, Gz)
 
 
 def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):
@@ -400,7 +402,7 @@ def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):
         vals = np.ones(u.size)
         vals[[0, -1]] = 0.0
     else:
-        raise ValueError(kind)
+        raise ValueError(f"profile_kind must be 'bump' or 'indicator', got {kind!r}")
     wts = np.full(u.size, delta)
     wts[[0, -1]] *= 0.5
     nrm = np.sqrt(4.0 * np.pi * np.sum(wts * vals * vals * phi(u, s)))
@@ -417,8 +419,11 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
     constant.  One automatic refinement doubles the grid when the two
     resolutions disagree beyond 1 percent.
     """
-    if k_max < 4:
-        raise ValueError("k_max must be at least 4")
+    s = check_mass(s)
+    if s == 0.0:
+        raise ValueError("mass parameter s must be > 0 for the dyadic scan, got 0.0")
+    k_max = check_count("k_max", k_max, 4)
+    nodes_per_shell = check_count("nodes_per_shell", nodes_per_shell, 8)
 
     def compute(delta):
         shells = [dyadic_shell_values(s, k, delta, profile_kind)
@@ -432,14 +437,11 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
                 tbl[k, kp] = tbl[kp, k] = val
         return tbl
 
-    delta = (psi(2.0 * s, s) - 0.0) / nodes_per_shell
-    table = compute(delta)
-    table_fine = compute(delta / 2.0)
-    refined = False
-    if np.max(np.abs(table_fine - table) / np.maximum(table_fine, 1e-300)) > 1e-2:
-        table, table_fine = table_fine, compute(delta / 4.0)
-        refined = True
-    table = table_fine
+    delta = psi(2.0 * s, s) / nodes_per_shell
+    table = compute(delta / 2.0)
+    refined = bool(np.max(np.abs(table - compute(delta)) / np.maximum(table, 1e-300)) > 1e-2)
+    if refined:
+        table = compute(delta / 4.0)
 
     seps, logs = [], []
     for k in range(k_max + 1):

@@ -32,6 +32,8 @@ class Conv2DField:
         self.values = np.asarray(self.values)
         if self.rho_grid.ndim != 1 or self.tau_grid.ndim != 1:
             raise ValueError("grids must be 1-D")
+        if not (np.all(np.isfinite(self.rho_grid)) and np.all(np.isfinite(self.tau_grid))):
+            raise ValueError("grids must be finite")
         if np.any(self.rho_grid < 0):
             raise ValueError("rho grid must be nonnegative")
         if not (np.all(np.diff(self.rho_grid) > 0) and np.all(np.diff(self.tau_grid) > 0)):

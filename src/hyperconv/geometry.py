@@ -18,6 +18,13 @@ def check_mass(s: float) -> float:
     return s
 
 
+def check_count(name: str, value, minimum: int) -> int:
+    """Validate an integer parameter (no bool, no float) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def psi(r, s: float):
     """Time height sqrt(r^2 - s^2) of the surface point at spatial radius r >= s."""
     r = np.asarray(r, dtype=float)

@@ -112,12 +112,6 @@ class CapSpec:
     def spherical_area(self) -> float:
         return 2.0 * np.pi * (1.0 - np.cos(self.eps))
 
-    def is_dyadic(self, k: int) -> bool:
-        if self.s == 0:
-            return False
-        return (abs(self.a - self.s * 2.0 ** k) < 1e-12 * self.a
-                and abs(self.b - self.s * 2.0 ** (k + 1)) < 1e-12 * self.b)
-
 
 def _radial_antiderivative(r, s: float):
     """F with F' = r^2 / sqrt(r^2 - s^2): (s^2 ln(r + psi) + r psi) / 2."""

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as _scipy_quad
 
+from .geometry import check_count
+
 DEFAULT_SEED = 0x5EED
 
 
@@ -34,10 +36,13 @@ class QuadratureSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        for name in ("rel_tol", "r_max"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (np.isfinite(self.abs_tol) and self.abs_tol >= 0):
+            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
+        check_count("max_depth", self.max_depth, 0)
 
     def with_profile(self, profile: str) -> "QuadratureSpec":
         tol = {"fast": 1e-6, "default": 1e-8, "paranoid": 1e-10}[profile]

@@ -26,3 +26,29 @@ def test_maximize_rejects_bad_input_by_name(capsys):
         main(["maximize", "--grid-size", "32"])
     assert exc.value.code == 2
     assert "grid_size" in capsys.readouterr().err
+
+
+def test_scan_prints_one_json_run_record(capsys):
+    assert main(["scan", "--s", "1", "--k-max", "4", "--nodes-per-shell", "16"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["command"] == "scan"
+    assert record["inputs"] == {"s": 1.0, "k_max": 4, "profile_kind": "bump",
+                                "nodes_per_shell": 16}
+    assert set(record["versions"]) == {"hyperconv", "numpy", "scipy"}
+    assert record["wall_s"] > 0.0
+    table = record["table"]
+    assert len(table) == 5 and all(len(row) == 5 for row in table)
+    assert all(table[i][j] == table[j][i] > 0.0 for i in range(5) for j in range(5))
+    assert set(record["report"]) == {"slope", "intercept", "constant", "diag_max", "refined"}
+    assert record["report"]["slope"] < 0.0
+
+
+@pytest.mark.parametrize("argv, name", [(["--s", "0"], "mass parameter s"),
+                                        (["--k-max", "3"], "k_max"),
+                                        (["--nodes-per-shell", "4"], "nodes_per_shell"),
+                                        (["--profile-kind", "box"], "profile_kind")])
+def test_scan_rejects_bad_input_by_name(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--k-max", "4", "--nodes-per-shell", "16"] + argv)
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err

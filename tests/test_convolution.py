@@ -363,3 +363,13 @@ def test_from_binary_rejects_truncated_file(tmp_path):
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match=f"f.h3cf.*{cut}"):
             Conv2DField.from_binary(path)
+
+
+@pytest.mark.parametrize("rho, tau", [
+    ([0.0, 1.0, np.inf], [0.0, 1.0]),
+    ([0.0, 1.0], [-np.inf, 0.0, 1.0]),
+    ([0.0, np.nan, 1.0], [0.0, 1.0]),
+    ([0.0, 1.0], [0.0, np.nan])])
+def test_field_rejects_non_finite_grids(rho, tau):
+    with pytest.raises(ValueError, match="grids must be finite"):
+        Conv2DField(np.array(rho), np.array(tau), np.zeros((len(rho), len(tau))))

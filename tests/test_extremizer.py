@@ -1,9 +1,13 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperconv.engine import SliceEngine
+from hyperconv import extremizer
+from hyperconv.engine import BLOCK_ENTRIES, SliceEngine, row_blocks
 from hyperconv.extremizer import (CONE_Q, DOUBLE_CONE_Q, SheetPair,
                                   bilinear_dyadic_scan, cone_limit_scan,
                                   dyadic_pieces, dyadic_refinement_check,
@@ -83,6 +87,93 @@ def test_shell_pair_norm_equals_dense_engine(s):
                     got = shell_pair_norm_sq(s, eng.delta, *shells[a], *shells[b])
                     want = eng.numerator(dense[a], dense[b])
                     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def dense_pair_numerator(s, delta, i0_f, F, i0_g, G, pad=1):
+    """SliceEngine numerator (F, G) on zero-padded dense vectors: pad zero nodes
+    past the pair keep every row of the pair interior to the tau trapezoid."""
+    n = max(8, i0_f + F.size + pad, i0_g + G.size + pad)
+    eng = SliceEngine(s, n, (n - 1) * delta)
+    dense = np.zeros((2, n))
+    dense[0, i0_f:i0_f + F.size] = F
+    dense[1, i0_g:i0_g + G.size] = G
+    return eng.numerator(dense[0], dense[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.floats(0.0, 10.0), delta=st.floats(0.01, 2.0),
+       i0_f=st.integers(0, 40), nf=st.integers(1, 40),
+       i0_g=st.integers(0, 40), ng=st.integers(1, 40),
+       same=st.booleans(), pad=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_shell_pair_norm_matches_engine_property(s, delta, i0_f, nf, i0_g, ng, same, pad, seed):
+    # random starts and lengths give self, overlapping and disjoint pairs,
+    # rows of both parities, and start index 0 (a pair at node 0 of every row)
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(-1.0, 1.0, nf)
+    G = F if same else rng.uniform(-1.0, 1.0, ng)
+    if same:
+        i0_g = i0_f
+    got = shell_pair_norm_sq(s, delta, i0_f, F, i0_g, G)
+    want = dense_pair_numerator(s, delta, i0_f, F, i0_g, G, pad)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_shell_pair_norm_spanning_several_blocks(monkeypatch):
+    # two 400-node shells, overlapping, equal or disjoint, one of them from
+    # node 0: their rows fill several blocks
+    blocks = []
+
+    def counted(*args):
+        for blk in row_blocks(*args):
+            blocks.append(blk.lo.size)
+            yield blk
+    monkeypatch.setattr(extremizer, "row_blocks", counted)
+    rng = np.random.default_rng(5)
+    F, G = rng.uniform(-1.0, 1.0, (2, 400))
+    s, delta = 0.7, 0.05
+    for i0_f, i0_g in ((0, 250), (30, 30), (0, 500)):
+        blocks.clear()
+        got = shell_pair_norm_sq(s, delta, i0_f, F, i0_g, G)
+        np.testing.assert_allclose(got, dense_pair_numerator(s, delta, i0_f, F, i0_g, G),
+                                   rtol=1e-12, atol=0)
+        assert len(blocks) >= 3 and max(blocks) <= BLOCK_ENTRIES
+
+
+def test_shell_pair_memory_stays_blocked():
+    # the self pair of shell 6 at the scan's finer default grid: 3548 nodes
+    # and 7095 rows; one dense table of it would take about 200 MB per array
+    s = 1.0
+    delta = psi(2.0 * s, s) / 48 / 2.0
+    i0, F = dyadic_shell_values(s, 6, delta)
+    assert F.size == 3548
+    tracemalloc.start()
+    try:
+        value = shell_pair_norm_sq(s, delta, i0, F, i0, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0.0
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"s": -1.0}, "mass parameter s"), ({"s": 0.0}, "mass parameter s"),
+    ({"s": np.nan}, "mass parameter s"), ({"nodes_per_shell": np.nan}, "nodes_per_shell"),
+    ({"nodes_per_shell": 7}, "nodes_per_shell"), ({"nodes_per_shell": 32.0}, "nodes_per_shell"),
+    ({"k_max": 3}, "k_max"), ({"k_max": 4.5}, "k_max")])
+def test_dyadic_scan_rejects_bad_input_by_name(kwargs, name):
+    args = {"s": 1.0, "k_max": 4, "nodes_per_shell": 16} | kwargs
+    with pytest.raises(ValueError, match=name):
+        bilinear_dyadic_scan(**args)
+
+
+@pytest.mark.parametrize("delta, i0_f, i0_g, name", [
+    (0.0, 0, 0, "delta"), (-0.1, 0, 0, "delta"), (np.nan, 0, 0, "delta"),
+    (np.inf, 0, 0, "delta"), (0.1, -1, 0, "i0_f"), (0.1, 0, -2, "i0_g")])
+def test_shell_pair_norm_rejects_bad_input_by_name(delta, i0_f, i0_g, name):
+    F = np.ones(10)
+    with pytest.raises(ValueError, match=name):
+        shell_pair_norm_sq(1.0, delta, i0_f, F, i0_g, F)
 
 
 def test_maximize_radial_small():

@@ -47,3 +47,17 @@ def test_gauss_legendre_weights_sum():
     x, w = gauss_legendre_nodes(-2.0, 3.0, 12)
     np.testing.assert_allclose(w.sum(), 5.0, rtol=1e-14)
     np.testing.assert_allclose((w * x ** 5).sum(), (3.0 ** 6 - (-2.0) ** 6) / 6.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", np.nan), ("rel_tol", np.inf), ("rel_tol", -1e-8),
+    ("r_max", np.nan), ("r_max", np.inf), ("abs_tol", np.nan), ("abs_tol", -1.0),
+    ("max_depth", -3), ("max_depth", 2.5), ("max_depth", True)])
+def test_spec_rejects_bad_fields_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureSpec(**{field: value})
+
+
+def test_spec_accepts_zero_abs_tol_and_depth():
+    spec = QuadratureSpec(abs_tol=0.0, max_depth=0)
+    assert spec.abs_tol == 0.0 and spec.max_depth == 0
