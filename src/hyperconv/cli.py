@@ -3,14 +3,18 @@
     hyperconv maximize --s 1 --grid-size 400 --r-max 40 --restarts 5 \\
         --iters 2000 --seed 24301
     hyperconv scan --s 1 --k-max 6 --profile-kind bump --nodes-per-shell 48
+    hyperconv study --s 1 --r-max 40 --n 400,800,1600 --n 3200
 
 Every record holds the command, its inputs, the package versions and the
 total wall time.  ``maximize`` runs ``extremizer.maximize_radial`` and adds
 the seed, ``q_star``, ``q_refined``, the best exponential trial value and
-one row per restart with the reason its ascent stopped.  ``scan`` runs
-``extremizer.bilinear_dyadic_scan`` and adds the shell-pair table as nested
-lists and the report (slope, intercept, constant, ``diag_max``,
-``refined``).
+one row per restart with its Q evaluations and the reason its ascent
+stopped.  ``scan`` runs ``extremizer.bilinear_dyadic_scan`` and adds the
+shell-pair table as nested lists and the report (slope, intercept,
+constant, ``diag_max``, ``refined``).  ``study`` runs
+``extremizer.extremal_study`` and adds its report: q*(n), the observed
+orders, the Richardson limits, ``q_inf``, ``margin``, ``error_bar``, the
+truncation run and one row per n with its wall time.
 """
 from __future__ import annotations
 
@@ -23,8 +27,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .extremizer import bilinear_dyadic_scan, maximize_radial
+from .extremizer import bilinear_dyadic_scan, extremal_study, maximize_radial
 from .quadrature import DEFAULT_SEED
+
+STUDY_N = [400, 800, 1600, 3200]
 
 
 def _maximize(args):
@@ -47,6 +53,16 @@ def _scan(args):
     return inputs, {"table": table.tolist(), "report": report}
 
 
+def _study(args):
+    inputs = {"s": args.s, "r_max": args.r_max,
+              "n_list": [n for part in args.n or [STUDY_N] for n in part]}
+    return inputs, extremal_study(**inputs)
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hyperconv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,6 +81,13 @@ def main(argv=None) -> int:
     p.add_argument("--profile-kind", default="bump", help="shell profile: bump or indicator")
     p.add_argument("--nodes-per-shell", type=int, default=48,
                    help="grid nodes across the first shell (>= 8)")
+    p = sub.add_parser("study", help="extrapolated extremal value q_inf (extremal_study)")
+    p.set_defaults(run=_study)
+    p.add_argument("--s", type=float, default=1.0, help="mass parameter s >= 0")
+    p.add_argument("--r-max", type=float, default=40.0, help="truncation radius")
+    p.add_argument("--n", type=_int_list, action="append",
+                   help="grid sizes, comma-separated or repeated (default "
+                        f"{','.join(map(str, STUDY_N))})")
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

@@ -293,19 +293,24 @@ def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField,
     return _checked_field(grid, out, level)
 
 
-def profile_measure_integral(f: RadialProfile) -> float:
+def profile_measure_integral(f: RadialProfile, power: int = 1) -> float:
     """int f d(mu_s) = 4*pi * int f(r) r^2 / sqrt(r^2 - s^2) dr, segment-exact.
 
     Integrates in the time chart with 8-point Gauss per profile segment;
     the integrand is smooth inside each segment of the piecewise-linear
     profile, so this is exact to machine precision for the profile class.
+    Any other ``power`` integrates |f|^power, taken at the Gauss nodes of the
+    interpolant (power = 2 gives the squared L2 norm).
     """
     x, w = np.polynomial.legendre.leggauss(8)
     u_nodes = psi(f.grid, f.s)
     lo, hi = u_nodes[:-1], u_nodes[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     u = mid[:, None] + half[:, None] * x[None, :]
-    vals = f.at_time(u) * phi(u, f.s)
+    vals = f.at_time(u)
+    if power != 1:
+        vals = np.abs(vals) ** power
+    vals = vals * phi(u, f.s)
     return 4.0 * np.pi * float(np.sum(half[:, None] * w[None, :] * vals))
 
 

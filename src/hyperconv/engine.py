@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_mass, phi
+from .geometry import check_count, check_mass, phi
 
 SIXTEEN_PI3 = 16.0 * np.pi ** 3
 FOUR_PI = 4.0 * np.pi
@@ -184,14 +184,13 @@ class SliceEngine:
     """
 
     def __init__(self, s: float, n: int, u_max: float):
-        if n < 8:
-            raise ValueError("need at least 8 grid nodes")
+        n = check_count("n", n, 8)
         s = check_mass(s)
         u_max = float(u_max)
         if not (np.isfinite(u_max) and u_max > 0.0):
             raise ValueError(f"u_max must be finite and positive, got {u_max}")
         self.s = s
-        self.n = int(n)
+        self.n = n
         self.u = np.linspace(0.0, u_max, n)
         self.delta = self.u[1] - self.u[0]
         self.phi_u = phi(self.u, s)

@@ -6,13 +6,22 @@ of the extension inequality is 2*pi (sup Q)^{1/4}.  The search ascends Q
 over nonnegative radial profiles with the exact discrete gradient from the
 slice engine; multi-start covers the exponential trial family (the
 certified quasi-extremal direction), shell indicators and random profiles.
+Each ascent is scipy's L-BFGS-B on -Q with the bounds F >= 0 (Byrd, Lu,
+Nocedal and Zhu, SIAM J. Sci. Comput. 1995); its exits map to the stop
+reasons "iters" (maxiter), "rel_stop" (a callback halts once an improving
+iterate gains less than rel_stop) and "stalled" (converged or line-search
+failure).  ``extremal_study`` repeats the ascent on refined grids, each
+warm-started from the coarser optimum, and extrapolates q*(delta) to
+delta -> 0 with an error bar.
 """
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
@@ -79,8 +88,9 @@ class AscentResult:
     """Best profile of a multi-start ascent, with one row per restart.
 
     Each ``restarts`` row holds the restart index, its final Q, its trace
-    length (``iterations``), ``stagnated`` and ``stop``, the reason its
-    ascent ended (see ``_ascend``).
+    length (``iterations``), ``evaluations`` (the ascent's Q evaluations,
+    one gradient each), ``stagnated`` and ``stop``, the reason its ascent
+    ended (see ``_ascend``).
     """
 
     profile: RadialProfile
@@ -100,64 +110,64 @@ class GradientNaNError(RuntimeError):
 
 
 def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float,
-            stall_limit: int = 50):
-    """Normalized projected gradient ascent with backtracking; monotone trace.
+            *, counts: dict | None = None):
+    """L-BFGS-B ascent of Q over nonnegative node values; monotone trace.
 
-    Returns (F, trace, stop); stop says why the ascent ended: "rel_stop"
-    (an accepted step gained less than rel_stop relative), "stalled"
-    (stall_limit iterations in a row found no improving step) or "iters"
-    (the iteration budget ran out).
+    Minimizes -Q under the bounds F >= 0, one ``engine.q_gradient`` per
+    evaluation.  trace[0] is Q at the clipped, normalized start, then every
+    iterate that improves on the last entry; F is the last of these,
+    normalized.  Returns (F, trace, stop), stop being "iters" (scipy's
+    maxiter exit), "rel_stop" (an improving iterate gained less than
+    rel_stop relative) or "stalled" (converged, or the line search failed).
+    A ``counts`` dict receives "evaluations", scipy's count of Q evaluations.
     """
     F = np.maximum(F0, 0.0)
     F = F / np.sqrt(engine.norm_sq(F))
-    q, grad = engine.q_gradient(F)
-    trace = [q]
-    step = 0.1 / (np.linalg.norm(grad) + 1e-30)
-    stalls = 0
-    stop = "iters"
-    for _ in range(iters):
+    trace, stop = [], None
+
+    def neg_q(x):
+        q, grad = engine.q_gradient(x)
         if not np.all(np.isfinite(grad)):
             raise GradientNaNError(np.flatnonzero(~np.isfinite(grad)).tolist())
-        improved = False
-        for _try in range(25):
-            cand = np.maximum(F + step * grad, 0.0)
-            nrm = engine.norm_sq(cand)
-            if nrm > 0:
-                cand /= np.sqrt(nrm)
-                q_new = engine.q_ratio(cand)
-                if q_new > q:
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            stalls += 1
-            if stalls >= stall_limit:
-                stop = "stalled"
-                break
-            continue
-        stalls = 0
-        rel = (q_new - q) / q
-        F, q = cand, q_new
-        trace.append(q)
-        _, grad = engine.q_gradient(F)
-        step *= 1.5
-        if rel < rel_stop:
-            stop = "rel_stop"
-            break
+        if not trace:  # scipy evaluates the start first
+            trace.append(q)
+        return -q, -grad
+
+    def accept(intermediate_result):
+        nonlocal F, stop
+        q = -float(intermediate_result.fun)
+        if q > trace[-1]:
+            rel = (q - trace[-1]) / trace[-1]
+            trace.append(q)
+            F = intermediate_result.x.copy()
+            if rel < rel_stop:
+                stop = "rel_stop"
+                raise StopIteration
+
+    res = minimize(neg_q, F, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * F.size,
+                   callback=accept, options={"maxiter": iters, "maxcor": 20,
+                                             "ftol": 1e-15, "gtol": 1e-12})
+    stop = stop or ("iters" if res.status == 1 else "stalled")
+    F = np.maximum(F, 0.0)
+    F /= np.sqrt(engine.norm_sq(F))
+    if counts is not None:
+        counts["evaluations"] = int(res.nfev)
     log.debug("ascent stopped (%s) after %d accepted steps at Q = %.12g",
-              stop, len(trace) - 1, q)
+              stop, len(trace) - 1, trace[-1])
     return F, trace, stop
 
 
 def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
                     restarts: int = 5, iters: int = 2000, seed: int = DEFAULT_SEED,
                     rel_stop: float = 1e-9) -> AscentResult:
-    """Projected gradient ascent on Q over nonnegative radial profiles.
+    """Bound-constrained quasi-Newton ascent on Q over nonnegative radial profiles.
 
     Multi-start: the best exponential trial profile (restart 0), dyadic
-    shell indicators, and random log-normal profiles; the returned best
+    shell indicators, and random log-normal profiles, each ascended by
+    L-BFGS-B (``_ascend``) for at most ``iters`` iterations or until an
+    improving iterate gains less than ``rel_stop``.  The returned best
     value always dominates the trial-family baseline because restart 0
-    starts there and the ascent is monotone.
+    starts there and the ascent's trace is monotone.
 
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
@@ -186,11 +196,13 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     restart_rows = []
     stagnated_any = False
     for idx, F0 in enumerate(starts):
-        F, trace, stop = _ascend(engine, F0, iters, rel_stop)
+        counts = {}
+        F, trace, stop = _ascend(engine, F0, iters, rel_stop, counts=counts)
         stagnated = stop == "stalled"
         stagnated_any = stagnated_any or stagnated
         q = trace[-1]
         restart_rows.append({"restart": idx, "q": q, "iterations": len(trace),
+                             "evaluations": counts["evaluations"],
                              "stagnated": stagnated, "stop": stop})
         if best is None or q > best[1]:
             best = (F, q, trace)
@@ -205,6 +217,82 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
                         q_refined=float(q_refined), trial_best_a=a_star,
                         trial_best_q=q_trial, trace=trace,
                         restarts=restart_rows, stagnated=stagnated_any)
+
+
+STUDY_REL_STOP = 1e-12  # q* to about 1e-11, far below the O(delta^2) differences
+STUDY_ITERS = 2000      # a cap only: study ascents meet STUDY_REL_STOP in 30-60
+
+
+def extremal_study(s: float, r_max: float, n_list) -> dict:
+    """q*(delta) on refined grids, extrapolated to delta -> 0 with an error bar.
+
+    The ascent at the first n starts from the best exponential trial
+    profile; each later one is warm-started from the coarser optimum,
+    interpolated in u (every grid spans [0, psi(r_max)]).  Each runs to
+    ``STUDY_REL_STOP``.  With d_k = q_k - q_{k-1} and grid ratio
+    h_k = delta_{k-1} / delta_k, the report holds q*(n), the differences
+    d_k, their ratios d_{k-1} / d_k, the observed orders
+    log(d_{k-1} / d_k) / log(h_k) (exact for a constant ratio; NaN where
+    the differences change sign), the order-2 Richardson limits
+    q_k + d_k / (h_k^2 - 1) with ``q_inf`` the last, and ``margin`` =
+    q_inf - 2*pi.  ``error_bar`` adds the spread of the last two limits
+    and the truncation shift: q* at about 2*r_max on the first grid's nodes
+    and spacing, minus q*(n_list[0]).  ``rows`` (and ``truncation``) hold
+    each ascent's iterations, Q evaluations, stop reason and wall time.
+    """
+    s = check_mass(s)
+    r_max = float(r_max)
+    if not (np.isfinite(r_max) and r_max > s):
+        raise ValueError(f"r_max must be finite and > s = {s}, got {r_max}")
+    n_list = [check_count(f"n_list[{i}]", n, 64) for i, n in enumerate(n_list)]
+    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must hold at least 3 strictly increasing sizes, got {n_list}")
+
+    def solve(n, u_max, start):
+        """(optimum, row) of one ascent; start is (u, F) or None for the trial start."""
+        started = time.perf_counter()
+        engine = SliceEngine(s, n, u_max)
+        if start is None:
+            F0 = engine.trial_values(trial_family_scan(engine)[0])
+        else:
+            F0 = np.interp(engine.u, *start)
+        counts = {}
+        F, trace, stop = _ascend(engine, F0, STUDY_ITERS, STUDY_REL_STOP, counts=counts)
+        row = {"n": n, "delta": float(engine.delta), "q_star": float(trace[-1]),
+               "iterations": len(trace), "evaluations": counts["evaluations"],
+               "stop": stop, "wall_s": time.perf_counter() - started}
+        return (engine.u, F), row
+
+    u_max = psi(r_max, s)
+    rows, optima = [], []
+    for n in n_list:
+        opt, row = solve(n, u_max, optima[-1] if optima else None)
+        optima.append(opt)
+        rows.append(row)
+    # about 2*r_max on exactly the first grid's nodes and spacing
+    n_wide = round(psi(2.0 * r_max, s) / u_max * (n_list[0] - 1)) + 1
+    u_wide = (n_wide - 1) * rows[0]["delta"]
+    _, wide = solve(n_wide, u_wide, optima[0])
+
+    q = np.array([row["q_star"] for row in rows])
+    h = np.array([a["delta"] / b["delta"] for a, b in zip(rows, rows[1:])])
+    d = np.diff(q)
+    ratios = d[:-1] / d[1:]
+    limits = q[1:] + d / (h ** 2 - 1.0)
+    spread = abs(limits[-1] - limits[-2])
+    truncation = wide["q_star"] - q[0]
+    return {
+        "q_star": q.tolist(),
+        "differences": d.tolist(), "difference_ratios": ratios.tolist(),
+        "observed_orders": (np.log(np.where(ratios > 0.0, ratios, np.nan))
+                            / np.log(h[1:])).tolist(),
+        "richardson": limits.tolist(), "q_inf": float(limits[-1]),
+        "margin": float(limits[-1] - CONE_Q),
+        "error_bar": float(spread + abs(truncation)),
+        "extrapolation_spread": float(spread),
+        "truncation": {**wide, "r_max": phi(u_wide, s), "shift": float(truncation)},
+        "rows": rows,
+    }
 
 
 # ---- sheet pairs and the full functional ----
@@ -227,19 +315,34 @@ class SheetPair:
         return self.f_plus.s
 
     def norm_sq(self):
+        """Sheet sum of int interp(|f|^2) d(mu_s), linear in the node values |f_i|^2.
+
+        ``symmetrize`` preserves this exactly.  By convexity it is at least
+        ``l2_norm_sq``, the norm of the interpolated profiles that the field
+        route convolves: 29.1261 against 28.9332 for the upper sheet
+        ``shell_indicator(1, 2, 1, n=200)``, far more on complex profiles
+        whose phase turns between nodes.
+        """
         sq_p = RadialProfile(self.s, self.f_plus.grid, np.abs(self.f_plus.values) ** 2)
         sq_m = RadialProfile(self.s, self.f_minus.grid, np.abs(self.f_minus.values) ** 2)
-        # looked up on the module at call time, so a patched (traced) version is used
         return (convolution.profile_measure_integral(sq_p)
                 + convolution.profile_measure_integral(sq_m))
+
+    def l2_norm_sq(self):
+        """||f_plus||^2 + ||f_minus||^2 in L2(mu_s) of the interpolated profiles."""
+        # looked up on the module at call time, so a patched (traced) version is used
+        return (convolution.profile_measure_integral(self.f_plus, power=2)
+                + convolution.profile_measure_integral(self.f_minus, power=2))
 
 
 def symmetrize(pair: SheetPair) -> SheetPair:
     """Nonnegative even symmetrization sqrt((|f(p)|^2 + |f(-p)|^2)/2).
 
     For radial sheets the antipodal reflection swaps the sheets, so both
-    output sheets carry sqrt((|f_plus|^2 + |f_minus|^2)/2); the L2 norm is
-    preserved exactly.
+    output sheets carry sqrt((|f_plus|^2 + |f_minus|^2)/2) at the nodes.
+    This preserves the nodal ``SheetPair.norm_sq`` exactly; the interpolant
+    of the node values dominates the pointwise symmetrization of the
+    interpolants (Minkowski), so ``l2_norm_sq`` may grow.
     """
     vals = np.sqrt(0.5 * (np.abs(pair.f_plus.values) ** 2
                           + np.abs(pair.f_minus.values) ** 2))
@@ -295,7 +398,7 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     Ap_ref = grid.like(Ap.values[:, ::-1])
     total = grid.like(A.values + Ap_ref.values + 2.0 * B.values)
     num = l2_field_norm(total, warn_boundary=False)[0] ** 2
-    den = pair.norm_sq()
+    den = pair.l2_norm_sq()
     terms = {
         "upper_self": l2_field_norm(A, warn_boundary=False)[0] ** 2,
         "lower_self": l2_field_norm(Ap, warn_boundary=False)[0] ** 2,

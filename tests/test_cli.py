@@ -52,3 +52,36 @@ def test_scan_rejects_bad_input_by_name(capsys, argv, name):
         main(["scan", "--k-max", "4", "--nodes-per-shell", "16"] + argv)
     assert exc.value.code == 2
     assert name in capsys.readouterr().err
+
+
+def test_maximize_rows_count_q_evaluations(capsys):
+    assert main(["maximize", "--s", "1", "--grid-size", "64", "--r-max", "20",
+                 "--restarts", "3", "--iters", "20", "--seed", "7"]) == 0
+    rows = json.loads(capsys.readouterr().out)["restarts"]
+    assert len(rows) == 3
+    assert all(row["evaluations"] >= row["iterations"] for row in rows)
+
+
+def test_study_prints_one_json_run_record(capsys):
+    assert main(["study", "--s", "1", "--r-max", "20", "--n", "64,128", "--n", "256"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["command"] == "study"
+    assert record["inputs"] == {"s": 1.0, "r_max": 20.0, "n_list": [64, 128, 256]}
+    assert set(record["versions"]) == {"hyperconv", "numpy", "scipy"}
+    assert record["wall_s"] > 0.0
+    assert len(record["q_star"]) == 3 and len(record["richardson"]) == 2
+    assert len(record["observed_orders"]) == 1
+    assert record["q_inf"] == record["richardson"][-1]
+    assert record["error_bar"] > 0.0
+    assert [row["n"] for row in record["rows"]] == [64, 128, 256]
+    assert all(row["wall_s"] > 0.0 for row in record["rows"])
+
+
+@pytest.mark.parametrize("argv, name", [(["--n", "64,128"], "n_list"),
+                                        (["--n", "64,x,256"], "--n"),
+                                        (["--n", "64,128,256", "--r-max", "0.5"], "r_max")])
+def test_study_rejects_bad_input_by_name(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["study"] + argv)
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err

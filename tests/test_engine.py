@@ -246,3 +246,9 @@ def test_engine_memory_stays_packed():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [8.5, float("nan"), 7, True])
+def test_engine_names_a_bad_node_count(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 8"):
+        SliceEngine(1.0, n, 10.0)

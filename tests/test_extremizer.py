@@ -18,7 +18,7 @@ from hyperconv.extremizer import (CONE_Q, DOUBLE_CONE_Q, SheetPair,
                                   tail_bound_check, trial_family_scan)
 from hyperconv.fields import Conv2DField
 from hyperconv.geometry import psi
-from hyperconv.norms import l2_field_norm
+from hyperconv.norms import l2_field_norm, lp_norm
 from hyperconv.profiles import RadialProfile, shell_indicator, trial_profile
 from hyperconv.quadrature import QuadratureSpec
 
@@ -414,3 +414,91 @@ def test_ascent_reports_why_it_stopped(caplog, iters, rel_stop, stop):
     assert res.stagnated == (stop == "stalled")
     lines = [rec.getMessage() for rec in caplog.records if "ascent stopped" in rec.getMessage()]
     assert len(lines) == 2 and all(f"({stop})" in line for line in lines)
+
+
+# ---- L-BFGS-B ascent and the extremal study ----
+
+def test_ascent_reaches_the_search_target():
+    res = maximize_radial(1.0, 400, 40.0, restarts=1, iters=300)
+    assert res.q_star >= 6.44656
+
+
+def test_ascent_returns_a_normalized_nonnegative_profile():
+    eng = SliceEngine(1.0, 120, psi(20.0, 1.0))
+    F0 = eng.trial_values(0.5) * np.cos(0.3 * eng.u)  # signed start, clipped at 0
+    counts = {}
+    F, trace, stop = extremizer._ascend(eng, F0, 25, 0.0, counts=counts)
+    assert np.all(F >= 0.0)
+    assert abs(eng.norm_sq(F) - 1.0) <= 1e-12
+    assert 1 <= len(trace) and len(trace) - 1 <= 25
+    assert all(b > a for a, b in zip(trace, trace[1:]))
+    np.testing.assert_allclose(eng.q_ratio(F), trace[-1], rtol=1e-12)
+    assert counts["evaluations"] >= len(trace) - 1
+    assert stop in ("iters", "stalled")
+
+
+def test_ascent_names_the_node_of_a_nan_gradient(monkeypatch):
+    original = SliceEngine.q_gradient
+
+    def q_gradient(self, F):
+        q, grad = original(self, F)
+        grad[17] = np.nan
+        return q, grad
+
+    monkeypatch.setattr(SliceEngine, "q_gradient", q_gradient)
+    eng = SliceEngine(1.0, 64, psi(20.0, 1.0))
+    with pytest.raises(extremizer.GradientNaNError) as exc:
+        extremizer._ascend(eng, eng.trial_values(0.5), 10, 1e-9)
+    assert exc.value.indices == [17]
+    assert "[17]" in str(exc.value)
+
+
+def test_extremal_study_converges_at_order_two():
+    report = extremizer.extremal_study(1.0, 40.0, [200, 400, 800])
+    assert abs(report["q_inf"] - 6.444299) <= 1e-5
+    assert all(1.8 <= p <= 2.2 for p in report["observed_orders"])
+    q = report["q_star"]
+    assert all(b < a for a, b in zip(q, q[1:]))
+    assert report["error_bar"] > 0.0
+    assert report["margin"] > 0.0
+    np.testing.assert_allclose(report["margin"], report["q_inf"] - CONE_Q, rtol=1e-12)
+    assert [row["n"] for row in report["rows"]] == [200, 400, 800]
+    assert all(row["wall_s"] > 0.0 for row in report["rows"])
+    # the truncation run keeps the first grid's spacing at about twice r_max
+    trunc = report["truncation"]
+    assert trunc["delta"] == report["rows"][0]["delta"]
+    assert abs(trunc["r_max"] / 80.0 - 1.0) < 1e-2
+
+
+@pytest.mark.parametrize("n_list, name", [([200, 400], "n_list"),
+                                          ([200, 400, 400], "n_list"),
+                                          ([400, 200, 800], "n_list"),
+                                          ([32, 64, 128], r"n_list\[0\]"),
+                                          ([200, 400.0, 800], r"n_list\[1\]"),
+                                          ([200, True, 800], r"n_list\[1\]")])
+def test_extremal_study_rejects_bad_grid_sizes(n_list, name):
+    with pytest.raises(ValueError, match=name):
+        extremizer.extremal_study(1.0, 40.0, n_list)
+
+
+@pytest.mark.parametrize("r_max", [0.5, float("nan"), float("inf")])
+def test_extremal_study_rejects_bad_r_max(r_max):
+    with pytest.raises(ValueError, match="r_max"):
+        extremizer.extremal_study(1.0, r_max, [200, 400, 800])
+
+
+def test_sheet_pair_l2_norm_squares_the_interpolant():
+    f = shell_indicator(1.0, 2.0, 1.0, n=200)
+    zero = RadialProfile(1.0, f.grid, np.zeros(f.grid.size))
+    np.testing.assert_allclose(SheetPair(f, zero).l2_norm_sq(), lp_norm(f, 2.0) ** 2,
+                               rtol=1e-7)
+    assert SheetPair(f, zero).norm_sq() > 1.006 * lp_norm(f, 2.0) ** 2  # nodal, by convexity
+    x = np.linspace(-1.0, 1.0, f.grid.size)
+    g = RadialProfile(1.0, f.grid, np.sin(5.0 * x) * (1.0 + x))
+    pair = SheetPair(g, f)
+    want = lp_norm(g, 2.0) ** 2 + lp_norm(f, 2.0) ** 2
+    np.testing.assert_allclose(pair.l2_norm_sq(), want, rtol=1e-7)
+    # full_q_ratio divides by the interpolants' norm
+    grid = Conv2DField.template(8.0, -7.0, 7.0, 21, 31)
+    _, br = full_q_ratio(pair, grid=grid)
+    np.testing.assert_allclose(br["denominator_sq"], want ** 2, rtol=2e-7)
