@@ -68,10 +68,14 @@ class BranchTag:
 
 
 def branch_curves(s: float, tau):
-    """The three rho boundaries (inner|middle, middle|outer, support edge) at tau."""
+    """The three rho boundaries (inner|middle, middle|outer, support edge) at tau.
+
+    The inner edge sqrt(tau^2 + s^2) - s is taken as tau^2 / (sqrt(tau^2 + s^2) + s),
+    which does not cancel when tau << s.
+    """
     tau = np.asarray(tau, dtype=float)
     root = np.sqrt(tau * tau + s * s)
-    return root - s, np.sqrt(tau * tau + 4.0 * s * s), root + s
+    return tau * tau / (root + s), np.sqrt(tau * tau + 4.0 * s * s), root + s
 
 
 def classify(p: ConvPoint) -> BranchTag:
@@ -141,12 +145,13 @@ def mu_self_conv_casewise(s: float, rho: float, tau: float) -> float:
     if rho == 0.0:
         return TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (tau * tau))
     out = 0.0
-    edge_hi = np.sqrt((rho + s) ** 2 - s * s)  # tau on the support boundary curve
+    # tau on the curves, sqrt((rho +- s)^2 - s^2) without cancellation at small rho
+    edge_hi = np.sqrt(rho * (rho + 2.0 * s))  # the support boundary curve
     if rho <= 2.0 * s:
         if tau <= edge_hi:
             out += 2.0 * tau
     else:
-        edge_lo = np.sqrt((rho - s) ** 2 - s * s)
+        edge_lo = np.sqrt(rho * (rho - 2.0 * s))
         edge_mid = np.sqrt(rho * rho - 4.0 * s * s)
         if edge_lo <= tau < edge_mid:
             out += 2.0 * (tau - rho * np.sqrt(1.0 + 4.0 * s * s / (tau * tau - rho * rho)))

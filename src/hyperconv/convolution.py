@@ -296,9 +296,13 @@ def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField,
 def profile_measure_integral(f: RadialProfile, power: int = 1) -> float:
     """int f d(mu_s) = 4*pi * int f(r) r^2 / sqrt(r^2 - s^2) dr, segment-exact.
 
-    Integrates in the time chart with 8-point Gauss per profile segment;
-    the integrand is smooth inside each segment of the piecewise-linear
-    profile, so this is exact to machine precision for the profile class.
+    Integrates in the time chart with 8-point Gauss per profile segment.
+    Inside a segment the integrand is linear in r = sqrt(u^2 + s^2), which is
+    analytic in u except at u = +-i s, so the rule reaches machine precision
+    only when each segment is short in u against its distance to those
+    points; near the tip u = 0 that means short against s.  On cos(r) from
+    r = s to 1.5 with 20 nodes the relative error is 5e-9 at s = 0.01,
+    5e-13 at s = 0.1 and 2e-16 at s = 1; 200 nodes bring s = 0.01 to 7e-15.
     Any other ``power`` integrates |f|^power, taken at the Gauss nodes of the
     interpolant (power = 2 gives the squared L2 norm).
     """

@@ -88,6 +88,8 @@ class Conv2DField:
         return edge > rel * peak
 
     def to_csv(self, path) -> None:
+        if np.iscomplexobj(self.values):
+            raise ValueError("CSV stores real-valued fields only")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("rho,tau,value\n")
             for i, rho in enumerate(self.rho_grid):

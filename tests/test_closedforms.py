@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.closedforms import (Branch, ConvPoint, branch_curves, classify,
                                    exp_weighted_conv, mixed_sup_breakpoint,
@@ -62,6 +64,24 @@ def test_casewise_differential():
         a = mu_self_conv(ConvPoint(s, rho, tau))
         b = mu_self_conv_casewise(s, rho, tau)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), seed=st.integers(0, 2 ** 32 - 1))
+def test_casewise_matches_grid_next_to_branch_curves(s, seed):
+    # rho a relative 1e-12 .. 1e-6 off each branch curve, tau from 1e-6 to
+    # 1e3: the inner curve sqrt(tau^2 + s^2) - s is far below s there, where
+    # a difference of square roots loses every digit
+    rng = np.random.default_rng(seed)
+    tau = 10.0 ** rng.uniform(-6.0, 3.0, 60)
+    off = rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(-12.0, -6.0, 60)
+    root = np.hypot(tau, s)
+    for edge in (tau * tau / (root + s), np.sqrt(tau * tau + 4.0 * s * s), root + s):
+        rho = edge * (1.0 + off)
+        want = [mu_self_conv_casewise(s, r, t) for r, t in zip(rho, tau)]
+        np.testing.assert_allclose(mu_self_conv_grid(s, rho, tau), want,
+                                   rtol=1e-9, atol=1e-9)
 
 
 def test_scaling_identity_exact():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyperconv import comparison
 from hyperconv.comparison import (CONE_CONSTANT, D3_LIMIT, I_LIMIT, II_LIMIT,
                                   ND_DERIVATIVE_LIMIT, I_of_a, II_of_a,
                                   asymptotic_integral_suite, closing_integral,
@@ -9,7 +10,7 @@ from hyperconv.comparison import (CONE_CONSTANT, D3_LIMIT, I_LIMIT, II_LIMIT,
                                   ratio_of_a, ratio_scan)
 from hyperconv.norms import lp_norm
 from hyperconv.profiles import trial_profile
-from hyperconv.quadrature import QuadratureSpec
+from hyperconv.quadrature import QuadratureError, QuadratureSpec
 
 
 def test_small_a_limits():
@@ -106,3 +107,18 @@ def test_asymptotic_suite_all_pass():
 def test_exact_identity_and_closing_integral():
     assert exact_log_identity_gap(0.1) < 1e-9
     np.testing.assert_allclose(closing_integral(), 1.0, rtol=1e-8)
+
+
+def test_density_mass_raises_when_gauss_orders_disagree(monkeypatch):
+    # a density oscillating fast in tau defeats every Gauss order on the
+    # outer panels; the routine must say so instead of returning a value
+    monkeypatch.setattr(comparison, "mu_self_conv_grid",
+                        lambda s, rho, tau: 1.0 + 0.5 * np.sin(200.0 * tau))
+    with pytest.raises(QuadratureError, match=r"a=1\.0.*differ by"):
+        full_numerator(1.0)
+
+
+def test_appendix_integral_raises_on_unreachable_tolerance():
+    # a piece that misses its tolerance is reported, not added to the sum
+    with pytest.raises(QuadratureError, match=r"\[0\.0, 0\.03\].*rel_tol=1e-17"):
+        I_of_a(0.3, QuadratureSpec(rel_tol=1e-17))

@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.closedforms import ConvPoint, mu_self_conv, mu_self_conv_grid
 from hyperconv.convolution import (CellConvergenceError, cross_conv,
@@ -373,3 +377,39 @@ def test_from_binary_rejects_truncated_file(tmp_path):
 def test_field_rejects_non_finite_grids(rho, tau):
     with pytest.raises(ValueError, match="grids must be finite"):
         Conv2DField(np.array(rho), np.array(tau), np.zeros((len(rho), len(tau))))
+
+
+def test_to_csv_rejects_complex_values(tmp_path):
+    h = Conv2DField([0.0, 1.0], [0.0, 1.0], np.array([[1.0, 2.0], [3.0 + 1j, 4.0]]))
+    with pytest.raises(ValueError, match="real"):
+        h.to_csv(tmp_path / "f.csv")
+
+
+@st.composite
+def real_fields(draw):
+    n_rho, n_tau = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rho = draw(st.lists(st.floats(0.0, 1e300), min_size=n_rho, max_size=n_rho,
+                        unique=True))
+    tau = draw(st.lists(st.floats(-1e300, 1e300), min_size=n_tau, max_size=n_tau,
+                        unique=True))
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    values = draw(st.lists(st.one_of(special, st.floats()), min_size=n_rho * n_tau,
+                           max_size=n_rho * n_tau))
+    return Conv2DField(sorted(rho), sorted(tau), np.reshape(values, (n_rho, n_tau)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=real_fields())
+def test_csv_and_binary_round_trips_are_exact(h):
+    with tempfile.TemporaryDirectory() as tmp:
+        h.to_csv(f"{tmp}/f.csv")
+        h.to_binary(f"{tmp}/f.h3cf")
+        backs = [Conv2DField.from_csv(f"{tmp}/f.csv"),
+                 Conv2DField.from_binary(f"{tmp}/f.h3cf")]
+    for back in backs:
+        for got, want in [(back.rho_grid, h.rho_grid), (back.tau_grid, h.tau_grid),
+                          (back.values, h.values)]:
+            assert np.array_equal(got, want, equal_nan=True)
+            # the sign of a zero survives; a NaN's sign is not kept ("nan")
+            signed = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))

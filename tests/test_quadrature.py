@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hyperconv.quadrature import (QuadratureSpec, gauss_legendre_nodes, integrate,
-                                  integrate_exp_decay, simpson_adaptive,
-                                  split_exp_tail)
+from hyperconv import quadrature
+from hyperconv.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre_nodes,
+                                  integrate, integrate_exp_decay, integrate_pieces,
+                                  simpson_adaptive, split_exp_tail)
 
 
 def test_simpson_polynomial_exact():
@@ -61,3 +65,35 @@ def test_spec_rejects_bad_fields_by_name(field, value):
 def test_spec_accepts_zero_abs_tol_and_depth():
     spec = QuadratureSpec(abs_tol=0.0, max_depth=0)
     assert spec.abs_tol == 0.0 and spec.max_depth == 0
+
+
+def test_integrate_pieces_sums_pieces_and_skips_empty_ones():
+    spec = QuadratureSpec(rel_tol=1e-12)
+    res = integrate_pieces(np.cos, [0.0, 1.0, 1.0, 0.5, 2.0], spec)
+    want = sum(integrate(np.cos, lo, hi, spec).value for lo, hi in [(0.0, 1.0), (0.5, 2.0)])
+    assert res.value == want and res.converged
+    assert 0.0 < res.error <= 1e-12 * 2
+
+
+@pytest.mark.parametrize("rule", ["gk", "simpson"])
+def test_integrate_pieces_names_the_piece_that_fails(rule):
+    spec = QuadratureSpec(rule=rule, rel_tol=1e-12, max_depth=4)
+    with pytest.raises(QuadratureError, match=r"\[1\.0, 2\.0\]"):
+        integrate_pieces(lambda x: np.where(x > 1.0, np.sin(1e4 * x), x),
+                         [0.0, 1.0, 2.0], spec)
+
+
+def test_only_the_quadrature_module_imports_scipy_integrate():
+    # every 1-D integral goes through quadrature.integrate, so no module
+    # keeps a private piece loop on scipy's quad
+    importers = set()
+    for path in Path(quadrature.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+                importers.add(path.name)
+    assert importers == {"quadrature.py"}
