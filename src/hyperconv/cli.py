@@ -4,6 +4,7 @@
         --iters 2000 --seed 24301
     hyperconv scan --s 1 --k-max 6 --profile-kind bump --nodes-per-shell 48
     hyperconv study --s 1 --r-max 40 --n 400,800,1600 --n 3200
+    hyperconv q --a 0.3 --s 1 --r-max 40 --n 500 --grid-n 1000
 
 Every record holds the command, its inputs, the package versions and the
 total wall time.  ``maximize`` runs ``extremizer.maximize_radial`` and adds
@@ -14,7 +15,10 @@ shell-pair table as nested lists and the report (slope, intercept,
 constant, ``diag_max``, ``refined``).  ``study`` runs
 ``extremizer.extremal_study`` and adds its report: q*(n), the observed
 orders, the Richardson limits, ``q_inf``, ``margin``, ``error_bar``, the
-truncation run and one row per n with its wall time.
+truncation run and one row per n with its wall time.  ``q`` runs
+``extremizer.q_ratio`` on ``profiles.trial_profile(a, s, r_max, n)`` with
+``grid_n`` engine nodes (null: the default) and adds ``q`` and the report
+(grid size, error estimate, tail mass fraction, sharp-constant bound).
 """
 from __future__ import annotations
 
@@ -27,7 +31,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .extremizer import bilinear_dyadic_scan, extremal_study, maximize_radial
+from .extremizer import bilinear_dyadic_scan, extremal_study, maximize_radial, q_ratio
+from .geometry import check_count
+from .profiles import trial_profile
 from .quadrature import DEFAULT_SEED
 
 STUDY_N = [400, 800, 1600, 3200]
@@ -59,6 +65,15 @@ def _study(args):
     return inputs, extremal_study(**inputs)
 
 
+def _q(args):
+    inputs = {"a": args.a, "s": args.s, "r_max": args.r_max, "n": args.n,
+              "grid_n": args.grid_n}
+    if args.grid_n is not None:
+        check_count("grid_n", args.grid_n, 16)
+    q, report = q_ratio(trial_profile(args.a, args.s, args.r_max, args.n), n=args.grid_n)
+    return inputs, {"q": q, "report": report}
+
+
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
@@ -88,6 +103,14 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=_int_list, action="append",
                    help="grid sizes, comma-separated or repeated (default "
                         f"{','.join(map(str, STUDY_N))})")
+    p = sub.add_parser("q", help="Q of one exponential trial profile (q_ratio)")
+    p.set_defaults(run=_q)
+    p.add_argument("--a", type=float, default=0.3, help="decay rate a > 0 of exp(-a u/2)")
+    p.add_argument("--s", type=float, default=1.0, help="mass parameter s >= 0")
+    p.add_argument("--r-max", type=float, default=40.0, help="truncation radius (> s)")
+    p.add_argument("--n", type=int, default=400, help="profile nodes (>= 2)")
+    p.add_argument("--grid-n", type=int, default=None,
+                   help="engine grid nodes (>= 16; default max(256, 2 * profile nodes))")
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

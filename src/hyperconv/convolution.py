@@ -66,14 +66,23 @@ def self_half_width(s: float, rho, tau):
     return val if val.ndim else float(val)
 
 
+def _branch_edges(s: float, tau: float):
+    """The rho edges (inner|middle, middle|outer, support) of the branches at tau.
+
+    The inner edge sqrt(tau^2 + s^2) - s is taken as
+    tau^2 / (sqrt(tau^2 + s^2) + s), which does not cancel when tau << s.
+    """
+    root = np.sqrt(tau * tau + s * s)
+    lo_edge = tau * tau / (root + s) if root > 0.0 else 0.0
+    return lo_edge, np.sqrt(tau * tau + 4.0 * s * s), root + s
+
+
 def _self_windows(s: float, rho: np.ndarray, tau: float):
     """(lo, hi) of shape (2, rho.size): every rho's ``self_window`` at tau > 0.
 
     Unused slots are empty (lo == hi); rho = 0 gets the empty window w = 0.
     """
-    lo_edge = np.sqrt(tau * tau + s * s) - s
-    mid_edge = np.sqrt(tau * tau + 4.0 * s * s)
-    hi_edge = np.sqrt(tau * tau + s * s) + s
+    lo_edge, mid_edge, hi_edge = _branch_edges(s, tau)
     inner = rho < lo_edge
     middle = (lo_edge <= rho) & (rho <= mid_edge)
     outer = (mid_edge < rho) & (rho <= hi_edge)
@@ -103,10 +112,10 @@ def self_window(s: float, rho: float, tau: float):
 
 def _cross_windows(s: float, rho: np.ndarray, tau: float, t_cap: float):
     """(lo, hi) of shape (1, rho.size): every rho's ``cross_window`` at tau >= 0."""
-    lo_edge = np.sqrt(tau * tau + s * s) - s
-    hi_edge = np.sqrt(tau * tau + s * s) + s
-    # the constraint becomes active at t_b = w - tau/2 (w: the self half width)
-    t_b = self_half_width(s, rho, tau) - 0.5 * tau
+    lo_edge, _, hi_edge = _branch_edges(s, tau)
+    # the constraint becomes active at t_b = w - tau/2 >= 0 (w: the self half
+    # width); clamped, since w cancels where the outer branch is below rho's ulp
+    t_b = np.maximum(self_half_width(s, rho, tau) - 0.5 * tau, 0.0)
     live = rho > lo_edge  # lo_edge >= 0, so rho = 0 has no window
     short = live & (rho < tau)
     full = live & ~short & (rho <= hi_edge)

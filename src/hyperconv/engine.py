@@ -43,7 +43,16 @@ profile-independent coefficients (``rho_weights``, applied per row by
 ``row_values``), and its exact gradient is the reverse cumulative chain
 (the adjoint of the slice quadrature).  All tables come from one block
 builder (``row_blocks``) and go through one evaluator (``_block_values``:
-the window sums, then ``row_values``).
+the window sums, then the per-row values of ``row_values``).
+
+The exponential trial profiles are geometric on the grid: F_i = e^{-a u_i/2}
+= r^i with r = e^{-a delta/2}.  Every stored pair of row k has lo + hi = k,
+and pairs off the grid hit the sentinel zero, so row k's pair sums are r^k
+times those of the all-ones profile and its value is e^{-a tau_k} V_k, where
+V_k is the all-ones row value with the tau trapezoid end weights folded in.
+Hence N(a) = 16 pi^3 delta sum_k e^{-a tau_k} V_k and
+||f||^2 = sum_i den_weights_i e^{-a u_i}: ``SliceEngine.trial_q_ratios``
+evaluates Q on a whole a-grid with one pass over the table.
 """
 from __future__ import annotations
 
@@ -147,7 +156,7 @@ def _row_block(s, delta, n, origin, k, j_first, sat) -> _Block:
 
 
 def _block_values(blk: _Block, P, delta: float):
-    """(window sums S, summed row values) of one block from its pair sums P.
+    """(window sums S, per-row values) of one block from its pair sums P.
 
     P (overwritten) holds P_j = g_lo + g_hi with the center pair P_0 = 2 g_c
     counted once per side, so S_j = S_{j-1} + delta (P_j + P_{j-1})/2 holds
@@ -158,7 +167,7 @@ def _block_values(blk: _Block, P, delta: float):
     P *= 0.5
     S -= P
     S *= delta
-    return S, row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len).sum()
+    return S, row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len)
 
 
 def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None = None) -> float:
@@ -169,7 +178,7 @@ def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None =
             P = 2.0 * F.take(blk.lo) * F.take(blk.hi)
         else:
             P = F.take(blk.lo) * G.take(blk.hi) + G.take(blk.lo) * F.take(blk.hi)
-        total += _block_values(blk, P, delta)[1]
+        total += _block_values(blk, P, delta)[1].sum()
         del blk, P  # a generator of blocks builds the next one without these
     return SIXTEEN_PI3 * delta * float(total)
 
@@ -219,6 +228,24 @@ class SliceEngine:
     def trial_values(self, a: float) -> np.ndarray:
         return np.exp(-0.5 * a * self.u)
 
+    def trial_q_ratios(self, a_grid) -> np.ndarray:
+        """Q of ``trial_values(a)`` for every decay rate a in a_grid, in one table pass.
+
+        Uses the all-ones row values V_k (module docstring); the result
+        agrees with per-profile ``q_ratio`` to rounding.
+        """
+        a = np.asarray(a_grid, dtype=float)
+        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0.0)):
+            raise ValueError("a_grid must be a nonempty 1-D array of finite positive "
+                             f"decay rates, got {a_grid!r}")
+        # the all-ones pair sums: 2 on the grid, 0 at the sentinel (lo = hi = n)
+        V = np.concatenate([_block_values(blk, np.where(blk.lo < self.n, 2.0, 0.0),
+                                          self.delta)[1] for blk in self._blocks])
+        tau = self.delta * np.arange(V.size)
+        num = SIXTEEN_PI3 * self.delta * (np.exp(-np.outer(a, tau)) @ V)
+        den = np.exp(-np.outer(a, self.u)) @ self.den_weights
+        return num / den ** 2
+
     # ---- quadratic slice machinery ----
 
     def numerator(self, F: np.ndarray, G: np.ndarray | None = None) -> float:
@@ -236,8 +263,8 @@ class SliceEngine:
             F_lo, F_hi = Fz.take(blk.lo), Fz.take(blk.hi)
             P = F_lo * F_hi
             P *= 2.0
-            S, value = _block_values(blk, P, self.delta)
-            total += value
+            S, values = _block_values(blk, P, self.delta)
+            total += values.sum()
 
             # T = (dV/dS)/2 for the row values V, the saturation C = S[sat] folded in
             rows = np.arange(S.shape[0])

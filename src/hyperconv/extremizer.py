@@ -49,11 +49,12 @@ def q_ratio(f: RadialProfile, n: int | None = None):
     estimate covers only the engine's own resolution error: it says nothing
     of the gap to the field route (``full_q_ratio``), which is larger on
     sharp-edged profiles (1.3 % for ``shell_indicator(1, 2, 1, n=200)``,
-    against an estimate of 0.05 %).
+    against an estimate of 0.05 %).  ``n`` (at least 16, default
+    max(256, 2 * profile nodes)) is the engine grid size.
     """
     if not np.any(np.abs(f.values) > 0):
         raise ValueError("zero profile")
-    n = n or max(256, 2 * f.grid.size)
+    n = max(256, 2 * f.grid.size) if n is None else check_count("n", n, 16)
     u_max = psi(f.r_max, f.s)
     eng = SliceEngine(f.s, n, u_max)
     F = eng.sample(f)
@@ -72,13 +73,18 @@ def q_ratio(f: RadialProfile, n: int | None = None):
 
 
 def trial_family_scan(engine: SliceEngine, a_grid=None):
-    """Best exponential trial profile on the engine grid: (a*, Q*, table)."""
+    """Best exponential trial profile on the engine grid: (a*, Q*, table).
+
+    The scan is one pass over the engine's table, not one numerator per a:
+    on the grid exp(-a u/2) is geometric in the node index, so every row
+    value is e^{-a tau} times that of the all-ones profile
+    (``SliceEngine.trial_q_ratios``).  Its Q values agree with
+    ``engine.q_ratio(engine.trial_values(a))`` to a few ulps.
+    """
     if a_grid is None:
         a_grid = np.geomspace(0.05, 2.0, 40)
-    table = []
-    for a in a_grid:
-        qv = engine.q_ratio(engine.trial_values(a))
-        table.append((float(a), float(qv)))
+    q = engine.trial_q_ratios(a_grid)
+    table = [(float(a), float(qv)) for a, qv in zip(a_grid, q)]
     best = max(table, key=lambda t: t[1])
     return best[0], best[1], table
 
@@ -166,8 +172,10 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     shell indicators, and random log-normal profiles, each ascended by
     L-BFGS-B (``_ascend``) for at most ``iters`` iterations or until an
     improving iterate gains less than ``rel_stop``.  The returned best
-    value always dominates the trial-family baseline because restart 0
-    starts there and the ascent's trace is monotone.
+    value dominates the trial-family baseline to rounding: restart 0 starts
+    from the best trial profile, the ascent's trace is monotone, and its
+    first entry is Q at that profile normalized, which can differ from the
+    scan's value (``trial_family_scan``) by a few ulps.
 
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_mass, phi, psi
+from .geometry import check_count, check_mass, phi, psi
 
 
 @dataclass
@@ -91,8 +91,12 @@ def tip_refined_time_grid(s: float, r_max: float, n: int,
 def trial_profile(a: float, s: float = 1.0, r_max: float = 40.0,
                   n: int = 400) -> RadialProfile:
     """Exponential trial profile exp(-(a/2) * psi(r, s)), tip-refined sampling."""
-    if a <= 0:
-        raise ValueError("decay rate a must be positive")
+    a, s, r_max = float(a), check_mass(s), float(r_max)
+    if not (np.isfinite(a) and a > 0.0):
+        raise ValueError(f"decay rate a must be finite and positive, got {a}")
+    if not (np.isfinite(r_max) and r_max > s):
+        raise ValueError(f"r_max must be finite and > s = {s}, got {r_max}")
+    n = check_count("n", n, 2)
     grid = tip_refined_time_grid(s, r_max, n, tip_nodes=max(64, n // 8))
     vals = np.exp(-0.5 * a * psi(grid, s))
     return RadialProfile(s, grid, vals)

@@ -5,6 +5,7 @@ Route A ("gk") wraps scipy's adaptive Gauss-Kronrod rule.  Route B
 a depth cap; it is deliberately independent of scipy so that closed forms
 can be checked against two dissimilar integrators.  ``integrate_pieces`` runs
 either route over consecutive pieces and is the package's one piece loop.
+``QuadratureSpec`` rejects any other rule name.
 Integrands must accept numpy arrays.
 """
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy.integrate import quad as _scipy_quad
 from .geometry import check_count
 
 DEFAULT_SEED = 0x5EED
+RULES = ("gk", "simpson")
 
 
 class QuadratureError(RuntimeError):
@@ -37,6 +39,8 @@ class QuadratureSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if self.rule not in RULES:
+            raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
         for name in ("rel_tol", "r_max"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -88,7 +92,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec,
         return QuadResult(0.0, 0.0, True)
     if spec.rule == "simpson":
         res = simpson_adaptive(f, a, b, spec.rel_tol, spec.abs_tol, spec.max_depth)
-    else:
+    elif spec.rule == "gk":
         pts = None
         if points is not None:
             pts = [p for p in points if a < p < b]
@@ -100,6 +104,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec,
             val, err = _scipy_quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                                    limit=200, points=pts)
         res = QuadResult(val, err, err <= spec.rel_tol * abs(val) + 10 * spec.abs_tol + 1e-300)
+    else:
+        raise ValueError(f"unknown quadrature rule {spec.rule!r}")
     if strict and not res.converged:
         raise QuadratureError(
             f"integral on [{a}, {b}] did not reach rel_tol={spec.rel_tol} "

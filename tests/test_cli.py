@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
 from hyperconv.cli import main
+from hyperconv.extremizer import q_ratio
+from hyperconv.profiles import trial_profile
 
 
 def test_maximize_prints_one_json_run_record(capsys):
@@ -83,5 +86,42 @@ def test_study_prints_one_json_run_record(capsys):
 def test_study_rejects_bad_input_by_name(capsys, argv, name):
     with pytest.raises(SystemExit) as exc:
         main(["study"] + argv)
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+
+
+def test_q_prints_one_json_run_record(capsys):
+    assert main(["q", "--a", "0.3", "--s", "1", "--r-max", "40", "--n", "500",
+                 "--grid-n", "600"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["command"] == "q"
+    assert record["inputs"] == {"a": 0.3, "s": 1.0, "r_max": 40.0, "n": 500, "grid_n": 600}
+    assert set(record["versions"]) == {"hyperconv", "numpy", "scipy"}
+    assert record["wall_s"] > 0.0
+    assert record["q"] > 2.0 * math.pi
+    assert set(record["report"]) == {"grid_n", "error_estimate", "tail_mass_fraction",
+                                     "sharp_constant_lower_bound"}
+    assert record["report"]["grid_n"] == 600
+    q, _ = q_ratio(trial_profile(0.3, 1.0, r_max=40.0, n=500), n=600)
+    assert record["q"] == q
+
+
+def test_q_defaults_the_engine_grid(capsys):
+    assert main(["q", "--n", "200"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["inputs"]["grid_n"] is None
+    assert record["report"]["grid_n"] >= 256
+
+
+@pytest.mark.parametrize("argv, name", [(["--a", "nan"], "decay rate a"),
+                                        (["--a", "0"], "decay rate a"),
+                                        (["--s", "-1"], "mass parameter s"),
+                                        (["--r-max", "0.5"], "r_max"),
+                                        (["--n", "1"], "n must be"),
+                                        (["--grid-n", "10"], "grid_n"),
+                                        (["--a", "x"], "--a")])
+def test_q_rejects_bad_input_by_name(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["q"] + argv)
     assert exc.value.code == 2
     assert name in capsys.readouterr().err

@@ -36,6 +36,13 @@ def test_dual_rule_agreement():
         np.testing.assert_allclose(b_gk, b_si, rtol=1e-10)
 
 
+@pytest.mark.parametrize("integral", [I_of_a, II_of_a])
+def test_unknown_rule_is_rejected_by_name(integral):
+    # a misspelt rule used to run Gauss-Kronrod silently
+    with pytest.raises(ValueError, match="rule must be one of"):
+        integral(0.3, rule="Simpson")
+
+
 def test_II_matches_profile_norm():
     # II(a) = ||f_a||_2^4 with the norm computed through the profile stack
     a = 1.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperconv.closedforms import ConvPoint, mu_self_conv, mu_self_conv_grid
+from hyperconv.closedforms import ConvPoint, branch_curves, mu_self_conv, mu_self_conv_grid
 from hyperconv.convolution import (CellConvergenceError, cross_conv,
                                    cross_window, field_mass, hyperbolic_conv,
                                    profile_measure_integral, self_half_width,
@@ -86,6 +86,51 @@ def test_cross_window_against_bruteforce():
         win = cross_window(s, rho, tau, t_cap=30.0)
         length = sum(b - a for a, b in win)
         np.testing.assert_allclose(length, brute, atol=2e-4)
+
+
+def test_windows_at_a_tiny_tau_keep_the_inner_edge():
+    # tau << s: sqrt(tau^2 + s^2) - s cancels and once read 2.4158e-13 for
+    # the true edge 2.4125e-13, which put rho = 1.001 x edge on the inner
+    # branch with the window [-1.05e-9, 2.101e-6]
+    s, tau = 9.14, 2.1e-6
+    edge = branch_curves(s, tau)[0]
+    assert self_window(s, 1.001 * edge, tau) == [(0.0, tau)]
+    assert cross_window(s, 0.999 * edge, tau, t_cap=1.0) == []
+    (a, b), = cross_window(s, 1.001 * edge, tau, t_cap=1.0)
+    assert 0.0 == a < b < tau
+
+
+def test_cross_window_one_ulp_beyond_the_support_edge_starts_at_zero():
+    # there 1 + 4 s^2 / (tau^2 - rho^2) rounds below 0, the half width to 0,
+    # and the window used to start at t_b = -tau/2
+    s, tau = 1.8108694352693044, 3.2115966561837844e-08
+    rho = float(np.nextafter(branch_curves(s, tau)[2], np.inf))
+    (a, b), = cross_window(s, rho, tau, t_cap=1.0)
+    assert 0.0 <= a < b == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(0.0, 10.0), log_tau=st.floats(-9.0, 3.0),
+       which=st.sampled_from([0, 1, 2]),
+       rel=st.one_of(st.floats(-1e-6, 1e-6), st.sampled_from([-1e-15, 0.0, 1e-15])),
+       anywhere=st.one_of(st.none(), st.floats(0.0, 1.5)), cap=st.floats(0.1, 10.0))
+def test_windows_stay_inside_their_range(s, log_tau, which, rel, anywhere, cap):
+    # tau from 1e-9 s up (1e-12 at s = 0); rho next to a branch curve, or
+    # anywhere below 1.5 x the support edge
+    tau = 10.0 ** log_tau * max(s, 1e-3)
+    lo, mid, hi = branch_curves(s, tau)
+    rho = (1.0 + rel) * (lo, mid, hi)[which] if anywhere is None else anywhere * hi
+    t_cap = cap * tau
+    win = self_window(s, rho, tau)
+    assert all(0.0 <= a < b <= tau for a, b in win)
+    assert all(0.0 <= a < b <= t_cap for a, b in cross_window(s, rho, tau, t_cap))
+    # the inner/middle switch sits on branch_curves' inner edge
+    if rho < lo:
+        w = self_half_width(s, rho, tau)
+        a, b = 0.5 * tau - w, 0.5 * tau + w
+        assert win == ([(a, b)] if b > a else [])
+    elif rho <= mid:
+        assert win == [(0.0, tau)]
 
 
 def test_half_width_inversion_matches_window():

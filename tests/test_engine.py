@@ -11,6 +11,8 @@ from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, rho_pair_from_w,
                               rho_weights, row_values)
 from hyperconv.convolution import self_half_width
 
+DEFAULT_A_GRID = np.geomspace(0.05, 2.0, 40)  # trial_family_scan's default
+
 
 def test_rho_pair_inverts_half_width():
     rng = np.random.default_rng(2)
@@ -252,3 +254,25 @@ def test_engine_memory_stays_packed():
 def test_engine_names_a_bad_node_count(n):
     with pytest.raises(ValueError, match="n must be an integer >= 8"):
         SliceEngine(1.0, n, 10.0)
+
+
+def reference_trial_scan(engine, a_grid):
+    """Q of every trial profile, one full q_ratio per decay rate (the oracle)."""
+    return np.array([engine.q_ratio(engine.trial_values(a)) for a in a_grid])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 700), s=st.floats(0.0, 10.0), u_max=st.floats(0.5, 20.0),
+       a_grid=st.one_of(st.none(), st.lists(st.floats(0.01, 20.0), min_size=1, max_size=8)))
+def test_trial_q_ratios_match_the_per_profile_scan(n, s, u_max, a_grid):
+    eng = SliceEngine(s, n, u_max)
+    a_grid = DEFAULT_A_GRID if a_grid is None else a_grid
+    np.testing.assert_allclose(eng.trial_q_ratios(a_grid), reference_trial_scan(eng, a_grid),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("a_grid", [[0.3, float("nan")], [0.0], [0.5, -0.1], [],
+                                    [[0.1, 0.2]], [float("inf")]])
+def test_trial_q_ratios_name_a_bad_a_grid(a_grid):
+    with pytest.raises(ValueError, match="a_grid"):
+        SliceEngine(1.0, 64, 10.0).trial_q_ratios(a_grid)

@@ -502,3 +502,46 @@ def test_sheet_pair_l2_norm_squares_the_interpolant():
     grid = Conv2DField.template(8.0, -7.0, 7.0, 21, 31)
     _, br = full_q_ratio(pair, grid=grid)
     np.testing.assert_allclose(br["denominator_sq"], want ** 2, rtol=2e-7)
+
+
+def reference_trial_family_scan(engine, a_grid=None):
+    """The per-profile scan, one engine.q_ratio per decay rate (the oracle)."""
+    if a_grid is None:
+        a_grid = np.geomspace(0.05, 2.0, 40)
+    table = [(float(a), float(engine.q_ratio(engine.trial_values(a)))) for a in a_grid]
+    best = max(table, key=lambda t: t[1])
+    return best[0], best[1], table
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 700), s=st.floats(0.0, 10.0), u_max=st.floats(0.5, 20.0),
+       a_grid=st.one_of(st.none(), st.lists(st.floats(0.01, 20.0), min_size=1, max_size=8)))
+def test_trial_family_scan_matches_the_per_profile_scan(n, s, u_max, a_grid):
+    eng = SliceEngine(s, n, u_max)
+    a_star, q_best, table = trial_family_scan(eng, a_grid)
+    ref_a, ref_q, ref_table = reference_trial_family_scan(eng, a_grid)
+    assert [a for a, _ in table] == [a for a, _ in ref_table]
+    q, ref = np.array([q for _, q in table]), np.array([q for _, q in ref_table])
+    np.testing.assert_allclose(q, ref, rtol=1e-13, atol=0.0)
+    assert q_best == q.max()
+    if a_grid is None:
+        assert a_star == ref_a
+    else:  # drawn rates may lie ulps apart, so the best is unique only to rounding
+        assert ref[[a for a, _ in table].index(a_star)] >= ref_q * (1.0 - 1e-13)
+
+
+def test_maximize_radial_is_unchanged_by_the_one_pass_scan(monkeypatch):
+    kwargs = dict(s=1.0, grid_size=600, r_max=40.0, restarts=1, iters=30)
+    fast = maximize_radial(**kwargs)
+    monkeypatch.setattr(extremizer, "trial_family_scan", reference_trial_family_scan)
+    slow = maximize_radial(**kwargs)
+    assert fast.trial_best_a == slow.trial_best_a
+    assert fast.q_star == slow.q_star and fast.q_refined == slow.q_refined
+    assert fast.trace == slow.trace
+    np.testing.assert_allclose(fast.trial_best_q, slow.trial_best_q, rtol=1e-13)
+
+
+@pytest.mark.parametrize("a_grid", [[float("nan")], [0.0], [-1.0], []])
+def test_trial_family_scan_names_a_bad_a_grid(a_grid):
+    with pytest.raises(ValueError, match="a_grid"):
+        trial_family_scan(SliceEngine(1.0, 64, 10.0), a_grid)

@@ -62,6 +62,12 @@ def test_spec_rejects_bad_fields_by_name(field, value):
         QuadratureSpec(**{field: value})
 
 
+@pytest.mark.parametrize("rule", ["Simpson", "GK", "trapezoid", ""])
+def test_spec_rejects_an_unknown_rule(rule):
+    with pytest.raises(ValueError, match=r"rule must be one of \('gk', 'simpson'\)"):
+        QuadratureSpec(rule=rule)
+
+
 def test_spec_accepts_zero_abs_tol_and_depth():
     spec = QuadratureSpec(abs_tol=0.0, max_depth=0)
     assert spec.abs_tol == 0.0 and spec.max_depth == 0
