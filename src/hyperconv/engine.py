@@ -19,9 +19,14 @@ On the grid, tau nodes are sums of u nodes, so the window integrands align
 with grid nodes.  Row k of a window table is tau = k*delta; its window j
 pairs the nodes hi = k//2 + j and lo = k - hi at half width
 w_j = (j - (k%2)/2)*delta, clipped to [0, tau/2], which it reaches at
-j_end = (k+1)//2.  The pair sums P_j = g_lo + g_hi of the product integrand
-(P_0 = 2 g_c on even rows, 0 on odd rows, whose j = 0 window is empty) make
-S one cumulative trapezoid sum per row.  Pairs off the stored nodes point
+j_end = (k+1)//2.  The half pair sums q_j = (g_lo + g_hi)/2 of the
+product integrand g(t) = F(t) G(tau - t), which is F_lo F_hi when F = G
+(q_0 = g_c on even rows, 0 on odd rows, whose j = 0 window is empty), give
+S by the trapezoid rule as
+
+    S_0 = 0,    S_j = delta sum_{1 <= i <= j} (q_i + q_{i-1}),
+
+one add and one cumulative sum per row.  Pairs off the stored nodes point
 at the sentinel index n, where the node vectors carry an appended zero.
 
 A row is stored as (k, j_first, j_last): only its windows j_first .. j_last,
@@ -36,14 +41,31 @@ that repeat the last width (trapezoid weight 0) and hold sentinel pairs.
 ``SliceEngine`` stores the rows k = 0 .. 2n-2, ``extremizer.shell_pair_norm_sq``
 the rows of one shell pair.  The numerator
 
-    ||f mu * g mu||_2^2 = 16 pi^3 int d tau int H^2 d rho
+    ||f mu * g mu||_2^2 = 16 pi^3 delta sum_rows V
 
-becomes a quadratic form in the per-row cumulative sums with fixed,
-profile-independent coefficients (``rho_weights``, applied per row by
-``row_values``), and its exact gradient is the reverse cumulative chain
-(the adjoint of the slice quadrature).  All tables come from one block
-builder (``row_blocks``) and go through one evaluator (``_block_values``:
-the window sums, then the per-row values of ``row_values``).
+takes per row the trapezoid rule in rho of int H^2 d rho, with the weights
+(alpha_in, alpha_out, mid_len) of ``rho_weights``:
+V = sum_j alpha_in_j S_j^2 + mid_len C^2 + sum_j alpha_out_j (C - S_j)^2
+(``row_values``).  Expanding the outer branch makes V a quadratic form with
+fixed, profile-independent coefficients, stored per row at build.  In the
+units the evaluator carries, S and C divided by delta,
+
+    V = sum_j a_j S_j^2 - 2 C sum_j b_j S_j + c C^2,
+    a = (alpha_in + alpha_out) delta^2,  b = alpha_out delta^2,
+    c = (mid_len + sum_j alpha_out_j) delta^2,
+
+two row-wise dot products per row.  The expansion rounds at about
+eps C^2 sum_j alpha_out_j.  That sum is the length of the row's outer
+branch, which never exceeds its middle branch (the ratio tends to 1 as
+tau/s grows), and V holds mid_len C^2, so the rounding stays at eps V.
+
+The exact gradient is the adjoint of this chain.  With T = (dV/dS)/2 =
+a S - C b, plus c C - sum_j b_j S_j in the saturation column, and the
+suffix sums R_j = sum_{j' >= j} T_j', taken as the row total minus the
+prefix sums, dV/dq_i = 2 (R_i + R_{i+1}) for i >= 1 and 2 R_1 for i = 0
+(q_0 enters S_1 only); dq/dF_lo = F_hi.  All tables come from one block
+builder (``row_blocks``) and every evaluation, numerator, gradient and
+trial pass alike, goes through one evaluator (``_block_values``).
 
 The exponential trial profiles are geometric on the grid: F_i = e^{-a u_i/2}
 = r^i with r = e^{-a delta/2}.  Every stored pair of row k has lo + hi = k,
@@ -68,15 +90,28 @@ BLOCK_ENTRIES = 2 ** 15  # stored entries per block, at most: bounds each block'
 
 
 def rho_pair_from_w(s: float, w, tau):
-    """(rho_inner, rho_outer) whose centered window has half width w at tau."""
+    """(rho_inner, rho_outer) whose centered window has half width w at tau.
+
+    rho_outer = |(tau/2 - w, s)| + |(tau/2 + w, s)| and rho_inner, the
+    difference of the two lengths, is taken as 2 w tau / rho_outer; neither
+    form cancels, also at s = 0 and w -> tau/2.
+    """
     w = np.asarray(w, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    b = tau * tau + 4.0 * s * s + 4.0 * w * w
-    disc = np.sqrt(np.maximum(b * b - 16.0 * w * w * tau * tau, 0.0))
-    x_plus = 0.5 * (b + disc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_minus = np.where(x_plus > 0.0, 4.0 * w * w * tau * tau / x_plus, 0.0)
-    return np.sqrt(x_minus), np.sqrt(x_plus)
+    h = 0.5 * np.asarray(tau, dtype=float)
+    ss = s * s
+    shape = np.broadcast_shapes(w.shape, h.shape)
+    r_out = np.subtract(h, w, out=np.empty(shape))
+    r_out *= r_out
+    r_out += ss
+    np.sqrt(r_out, out=r_out)
+    r_in = np.add(h, w, out=np.empty(shape))
+    r_in *= r_in
+    r_in += ss
+    np.sqrt(r_in, out=r_in)
+    r_out += r_in
+    np.multiply(w, 4.0 * h, out=r_in)
+    np.divide(r_in, r_out, out=r_in, where=r_out > 0.0)  # r_out = 0 only at tau = s = 0
+    return r_in, r_out
 
 
 def rho_weights(s: float, w, tau):
@@ -111,15 +146,16 @@ def row_values(S, j_end, alpha_in, alpha_out, mid_len):
 
 
 class _Block(NamedTuple):
-    """Consecutive rows of a window table, padded to one width; the tau
-    trapezoid weight of each row is folded into its rho weights."""
+    """Consecutive rows of a window table, padded to one width, with the
+    coefficients of their quadratic forms (module docstring); the tau
+    trapezoid weight of each row is folded into a, b and c."""
 
-    lo: np.ndarray         # (rows, width) int32 node indices, sentinel n
+    lo: np.ndarray   # (rows, width) int32 node indices, sentinel n
     hi: np.ndarray
-    sat: np.ndarray        # (rows,) column holding the saturation value C
-    alpha_in: np.ndarray   # (rows, width) rho weights, from rho_weights
-    alpha_out: np.ndarray
-    mid_len: np.ndarray    # (rows,)
+    sat: np.ndarray  # (rows,) column holding the saturation value C
+    a: np.ndarray    # (rows, width) (alpha_in + alpha_out) delta^2
+    b: np.ndarray    # (rows, width) alpha_out delta^2
+    c: np.ndarray    # (rows,) (mid_len + sum_j alpha_out) delta^2
 
 
 def row_blocks(s: float, delta: float, n: int, k, j_first, j_last, origin: int = 0):
@@ -139,48 +175,96 @@ def row_blocks(s: float, delta: float, n: int, k, j_first, j_last, origin: int =
 
 def _row_block(s, delta, n, origin, k, j_first, sat) -> _Block:
     """One block of ``row_blocks``, from its rows' (rows, 1) descriptors."""
-    c = np.arange(int(sat.max()) + 1, dtype=np.int32)[None, :]
-    j = np.minimum(c, sat) + j_first               # padding repeats window j_last
+    col = np.arange(int(sat.max()) + 1, dtype=np.int32)[None, :]
+    j = np.minimum(col, sat) + j_first             # padding repeats window j_last
     hi = k // 2 + j
     lo = k - hi
     hi -= origin
     lo -= origin
-    off = (c > sat) | (lo > hi) | (lo < 0) | (hi >= n)
+    off = (col > sat) | (lo > hi) | (lo < 0) | (hi >= n)
     hi[off] = n
     lo[off] = n
     tau = delta * k
     w = j - 0.5 * (k % 2)
     w *= delta
     np.clip(w, 0.0, 0.5 * tau, out=w)
-    return _Block(lo, hi, sat[:, 0], *rho_weights(s, w, tau[:, 0]))
+    alpha_in, alpha_out, mid_len = rho_weights(s, w, tau[:, 0])
+    d2 = delta * delta
+    alpha_out *= d2
+    alpha_in *= d2
+    alpha_in += alpha_out
+    mid_len *= d2
+    mid_len += alpha_out.sum(axis=1)
+    return _Block(lo, hi, sat[:, 0], alpha_in, alpha_out, mid_len)
 
 
-def _block_values(blk: _Block, P, delta: float):
-    """(window sums S, per-row values) of one block from its pair sums P.
+class _Scratch:
+    """Flat buffers that hold every block's temporaries in turn, sized for
+    ``BLOCK_ENTRIES`` entries and regrown for a larger block.  Fresh
+    block-sized arrays would come from new pages on each block, and those
+    page faults cost about as much as the arithmetic."""
 
-    P (overwritten) holds P_j = g_lo + g_hi with the center pair P_0 = 2 g_c
-    counted once per side, so S_j = S_{j-1} + delta (P_j + P_{j-1})/2 holds
-    uniformly and S is one cumulative sum per row.
+    def __init__(self, count: int):
+        self._float = np.empty((count, 0))
+        self._index = np.empty((2, 0), dtype=np.intp)
+
+    @staticmethod
+    def _views(bufs, blk):
+        return [buf[:blk.lo.size].reshape(blk.lo.shape) for buf in bufs]
+
+    def floats(self, blk: _Block):
+        """The float buffers, each of the block's shape."""
+        if self._float.shape[1] < blk.lo.size:
+            self._float = np.empty((len(self._float), max(blk.lo.size, BLOCK_ENTRIES)))
+        return self._views(self._float, blk)
+
+    def indices(self, blk: _Block):
+        """The block's (lo, hi) as intp: a gather converts int32 indices on every call."""
+        if self._index.shape[1] < blk.lo.size:
+            self._index = np.empty((2, max(blk.lo.size, BLOCK_ENTRIES)), dtype=np.intp)
+        lo, hi = self._views(self._index, blk)
+        np.copyto(lo, blk.lo)
+        np.copyto(hi, blk.hi)
+        return lo, hi
+
+
+def _block_values(blk: _Block, q, S, aS):
+    """Per-row values V of one block from its half pair sums q, and what the adjoint reuses.
+
+    Fills S with the window sums over delta and aS with a*S, and returns
+    (V, C, bS): the row values, the saturation values C and sum_j b_j S_j.
     """
-    S = np.cumsum(P, axis=1)
-    P += P[:, :1]
-    P *= 0.5
-    S -= P
-    S *= delta
-    return S, row_values(S, blk.sat, blk.alpha_in, blk.alpha_out, blk.mid_len)
+    S[:, 0] = 0.0
+    np.add(q[:, 1:], q[:, :-1], out=S[:, 1:])
+    np.cumsum(S, axis=1, out=S)
+    C = S[np.arange(S.shape[0]), blk.sat]
+    np.multiply(blk.a, S, out=aS)
+    bS = np.vecdot(blk.b, S)
+    V = blk.c * C
+    V -= 2.0 * bS
+    V *= C
+    V += np.vecdot(aS, S)
+    return V, C, bS
 
 
 def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None = None) -> float:
     """||f mu * g mu||_2^2 over the rows of blocks; F and G end in the sentinel zero."""
     total = 0.0
+    scratch = _Scratch(3)
     for blk in blocks:
+        lo, hi = scratch.indices(blk)
+        q, x, aS = scratch.floats(blk)
+        F.take(lo, out=q, mode="clip")
         if G is None:
-            P = 2.0 * F.take(blk.lo) * F.take(blk.hi)
-        else:
-            P = F.take(blk.lo) * G.take(blk.hi) + G.take(blk.lo) * F.take(blk.hi)
-        total += _block_values(blk, P, delta)[1].sum()
-        del blk, P  # a generator of blocks builds the next one without these
-    return SIXTEEN_PI3 * delta * float(total)
+            q *= F.take(hi, out=x, mode="clip")
+        else:  # twice the half pair sums: the values carry a factor 4
+            q *= G.take(hi, out=x, mode="clip")
+            G.take(lo, out=x, mode="clip")
+            x *= F.take(hi, out=aS, mode="clip")
+            q += x
+        total += _block_values(blk, q, x, aS)[0].sum()
+        del blk  # a generator of blocks builds the next one without this one
+    return SIXTEEN_PI3 * delta * float(total if G is None else 0.25 * total)
 
 
 class SliceEngine:
@@ -210,9 +294,9 @@ class SliceEngine:
         j_last = np.minimum(n - k // 2, (k + 1) // 2)
         self._blocks = list(row_blocks(s, self.delta, n, k, np.zeros_like(k), j_last))
         for blk, r in ((self._blocks[0], 0), (self._blocks[-1], -1)):  # tau trapezoid ends
-            blk.alpha_in[r] *= 0.5
-            blk.alpha_out[r] *= 0.5
-            blk.mid_len[r] *= 0.5
+            blk.a[r] *= 0.5
+            blk.b[r] *= 0.5
+            blk.c[r] *= 0.5
 
         # denominator weights: 4 pi int F^2 phi(u) du by trapezoid
         wts = np.full(n, self.delta)
@@ -238,9 +322,14 @@ class SliceEngine:
         if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0.0)):
             raise ValueError("a_grid must be a nonempty 1-D array of finite positive "
                              f"decay rates, got {a_grid!r}")
-        # the all-ones pair sums: 2 on the grid, 0 at the sentinel (lo = hi = n)
-        V = np.concatenate([_block_values(blk, np.where(blk.lo < self.n, 2.0, 0.0),
-                                          self.delta)[1] for blk in self._blocks])
+        # the all-ones half pair sums: 1 on the grid, 0 at the sentinel (lo = hi = n)
+        scratch = _Scratch(3)
+        V = []
+        for blk in self._blocks:
+            q, S, aS = scratch.floats(blk)
+            np.copyto(q, blk.lo < self.n)
+            V.append(_block_values(blk, q, S, aS)[0])
+        V = np.concatenate(V)
         tau = self.delta * np.arange(V.size)
         num = SIXTEEN_PI3 * self.delta * (np.exp(-np.outer(a, tau)) @ V)
         den = np.exp(-np.outer(a, self.u)) @ self.den_weights
@@ -259,34 +348,36 @@ class SliceEngine:
         Fz = np.append(F, 0.0)
         total = 0.0
         grad = np.zeros(n + 1)
+        scratch = _Scratch(5)
         for blk in self._blocks:
-            F_lo, F_hi = Fz.take(blk.lo), Fz.take(blk.hi)
-            P = F_lo * F_hi
-            P *= 2.0
-            S, values = _block_values(blk, P, self.delta)
-            total += values.sum()
+            lo, hi = scratch.indices(blk)
+            F_lo, F_hi, q, S, T = scratch.floats(blk)
+            Fz.take(lo, out=F_lo, mode="clip")
+            Fz.take(hi, out=F_hi, mode="clip")
+            np.multiply(F_lo, F_hi, out=q)
+            V, C, bS = _block_values(blk, q, S, T)
+            total += V.sum()
 
-            # T = (dV/dS)/2 for the row values V, the saturation C = S[sat] folded in
-            rows = np.arange(S.shape[0])
-            C = S[rows, blk.sat]
-            D = C[:, None] - S
-            D *= blk.alpha_out
-            T = blk.alpha_in * S
-            T -= D
-            T[rows, blk.sat] += blk.mid_len * C + D.sum(axis=1)
+            # T = (dV/dS)/2 = a S - C b, the saturation C = S[sat] folded in
+            np.multiply(blk.b, C[:, None], out=q)
+            T -= q
+            T[np.arange(T.shape[0]), blk.sat] += blk.c * C - bS
 
-            # adjoint of the cumulative sums: suffix sums R_j = sum_{j' >= j} T_j';
-            # dV/dP_i = 2 delta (R_i - T_i/2 - [i = 0] R_0/2), and dP/dF_lo = 2 F_hi
-            dP = np.cumsum(T[:, ::-1], axis=1)[:, ::-1]
-            dP[:, 0] *= 0.5
-            T *= 0.5
-            dP -= T
-            F_hi *= dP
-            F_lo *= dP
-            grad += np.bincount(blk.lo.ravel(), weights=F_hi.ravel(), minlength=n + 1)
-            grad += np.bincount(blk.hi.ravel(), weights=F_lo.ravel(), minlength=n + 1)
+            # suffix sums R_j = tot - U_{j-1} from the prefix sums U = cumsum(T):
+            # dV/dq_i = 2 D_i with D_i = R_i + R_{i+1} = 2 tot - U_i - U_{i-1}
+            # for i >= 1 and D_0 = R_1 = tot - U_0 (q_0 enters S_1 only)
+            U = np.cumsum(T, axis=1, out=S)
+            tot = U[:, -1:]
+            D = T
+            np.add(U[:, 1:], U[:, :-1], out=D[:, 1:])
+            np.add(U[:, :1], tot, out=D[:, :1])
+            np.subtract(2.0 * tot, D, out=D)
+            F_hi *= D
+            F_lo *= D
+            grad += np.bincount(lo.ravel(), weights=F_hi.ravel(), minlength=n + 1)
+            grad += np.bincount(hi.ravel(), weights=F_lo.ravel(), minlength=n + 1)
         grad = grad[:n]
-        grad *= 4.0 * SIXTEEN_PI3 * self.delta ** 2
+        grad *= 2.0 * SIXTEEN_PI3 * self.delta
         return SIXTEEN_PI3 * self.delta * float(total), grad
 
     # ---- the functional ----

@@ -180,8 +180,10 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
+    grid_size = check_count("grid_size", grid_size, 64)
+    restarts = check_count("restarts", restarts, 1)
+    iters = check_count("iters", iters, 1)
+    seed = check_count("seed", seed, 0)  # SeedSequence's own error names no parameter
     engine = SliceEngine(s, grid_size, psi(r_max, s))
     a_star, q_trial, _ = trial_family_scan(engine)
     seeds = np.random.SeedSequence(seed).spawn(max(restarts - 1, 0))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from .fields import Conv2DField
-from .geometry import phi
+from .geometry import phi, psi
 from .profiles import RadialProfile
 from .quadrature import QuadratureSpec, integrate
 
@@ -21,10 +21,11 @@ def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> f
     In the time chart the weight is smooth:
     ||f||_p^p = 4*pi * int_0^inf |f(phi(u))|^p phi(u) du; the substitution
     u = psi(r) removes the endpoint weight singularity 1/sqrt(r^2-s^2)
-    exactly, so plain adaptive quadrature applies.  If the spec's rule does
-    not converge, the integral is retried with the Simpson rule at the same
-    tolerances and depth, and the fallback is logged as a warning on the
-    "hyperconv" logger.
+    exactly, so plain adaptive quadrature applies.  The node times
+    psi(grid) are passed as breakpoints, since the interpolant has a kink at
+    each.  If the spec's rule does not converge, the integral is retried
+    with the Simpson rule at the same tolerances and depth, and the fallback
+    is logged as a warning on the "hyperconv" logger.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -37,7 +38,7 @@ def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> f
     def integrand(u):
         return np.abs(f.at_time(u)) ** p * phi(u, s)
 
-    res = integrate(integrand, u0, u1, spec, strict=False)
+    res = integrate(integrand, u0, u1, spec, points=psi(f.grid, s), strict=False)
     if not res.converged:
         log.warning("lp_norm: rule %r did not converge on [%g, %g]; retrying with simpson",
                     spec.rule, u0, u1)

@@ -101,8 +101,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec,
             # convergence is judged from the returned error estimate below;
             # kinked piecewise-linear integrands trip the roundoff warning
             warnings.simplefilter("ignore", IntegrationWarning)
+            # each breakpoint takes one subinterval before any bisection
             val, err = _scipy_quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                   limit=200, points=pts)
+                                   limit=200 + len(pts or ()), points=pts)
         res = QuadResult(val, err, err <= spec.rel_tol * abs(val) + 10 * spec.abs_tol + 1e-300)
     else:
         raise ValueError(f"unknown quadrature rule {spec.rule!r}")

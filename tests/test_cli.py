@@ -31,6 +31,13 @@ def test_maximize_rejects_bad_input_by_name(capsys):
     assert "grid_size" in capsys.readouterr().err
 
 
+def test_maximize_rejects_a_negative_seed_by_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["maximize", "--grid-size", "64", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_scan_prints_one_json_run_record(capsys):
     assert main(["scan", "--s", "1", "--k-max", "4", "--nodes-per-shell", "16"]) == 0
     record = json.loads(capsys.readouterr().out)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hyperconv.closedforms import mu_self_conv_grid
 from hyperconv.comparison import II_of_a, full_numerator
-from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, rho_pair_from_w,
-                              rho_weights, row_values)
+from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, blocks_numerator,
+                              rho_pair_from_w, rho_weights, row_blocks, row_values)
 from hyperconv.convolution import self_half_width
 
 DEFAULT_A_GRID = np.geomspace(0.05, 2.0, 40)  # trial_family_scan's default
@@ -29,6 +29,24 @@ def test_rho_pair_inverts_half_width():
     r_in, r_out = rho_pair_from_w(0.0, 0.3, 2.0)
     np.testing.assert_allclose(r_in, 0.6, rtol=1e-12)
     np.testing.assert_allclose(r_out, 2.0, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(0.01, 10.0), tau=st.floats(1e-3, 50.0), frac=st.floats(0.0, 1.0))
+def test_rho_pair_inverts_half_width_property(s, tau, frac):
+    # w = frac * tau/2 spans [0, tau/2].  The inner branch inverts to
+    # rounding.  The outer branch squeezes [0, tau/2] into rho in
+    # [sqrt(tau^2 + 4s^2), s + sqrt(tau^2 + s^2)], of length L, and rho(w)
+    # is even in w, so a rounded rho fixes w only to about
+    # sqrt(eps rho/L) tau; self_half_width's radicand 1 + 4s^2/(tau^2 - rho^2)
+    # adds sqrt(eps) tau^2/s.  Both tolerances are relative to tau.
+    eps = np.finfo(float).eps
+    w = frac * tau / 2
+    r_in, r_out = rho_pair_from_w(s, w, tau)
+    assert abs(self_half_width(s, r_in, tau) - w) <= 1e-14 * tau
+    length = s - 3.0 * s * s / (np.hypot(tau, s) + np.hypot(tau, 2.0 * s))
+    tol = 4.0 * np.sqrt(eps) * tau * (np.sqrt(r_out / length) + tau / s)
+    assert abs(self_half_width(s, r_out, tau) - w) <= tol
 
 
 def test_numerator_constant_profile_self_consistent():
@@ -276,3 +294,66 @@ def test_trial_q_ratios_match_the_per_profile_scan(n, s, u_max, a_grid):
 def test_trial_q_ratios_name_a_bad_a_grid(a_grid):
     with pytest.raises(ValueError, match="a_grid"):
         SliceEngine(1.0, 64, 10.0).trial_q_ratios(a_grid)
+
+
+def direct_rows_numerator(s, delta, n, origin, rows, F, G):
+    """The numerator of the rows (k, j_first, j_last), one row at a time.
+
+    Each row takes its window sums S from the full pair sums P and its value
+    from ``rho_weights`` and ``row_values``, the (C - S)^2 form of the
+    outer branch.
+    """
+    Fz, Gz = np.append(F, 0.0), np.append(G, 0.0)
+    total = 0.0
+    for k, j_first, j_last in rows:
+        j = np.arange(j_first, j_last + 1)
+        hi = k // 2 + j
+        lo = k - hi
+        off = (lo > hi) | (lo < origin) | (hi >= origin + n)
+        lo = np.where(off, n, lo - origin)
+        hi = np.where(off, n, hi - origin)
+        P = Fz[lo] * Gz[hi] + Gz[lo] * Fz[hi]
+        S = delta * (np.cumsum(P) - 0.5 * (P + P[0]))
+        tau = delta * k
+        w = np.clip((j - 0.5 * (k % 2)) * delta, 0.0, 0.5 * tau)
+        weights = rho_weights(s, w[None, :], np.array([tau]))
+        total += row_values(S[None, :], np.array([j_last - j_first]), *weights)[0]
+    return SIXTEEN_PI3 * delta * total
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_min=True)),
+       delta=st.floats(0.01, 2.0), n=st.integers(2, 30), origin=st.integers(1, 20),
+       kind=st.sampled_from(["random", "one-node spike", "two-node spike"]),
+       n_rows=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocks_numerator_matches_direct_rows(s, delta, n, origin, kind, n_rows, seed):
+    # the coefficient form sum a S^2 - 2 C sum b S + c C^2 expands the outer
+    # branch's (C - S)^2; on a spike S = C over the whole outer branch, so
+    # the expansion cancels to 0 there while the direct form is exactly 0
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        F, G = rng.uniform(-1.0, 1.0, (2, n))
+    else:
+        width = 1 if kind == "one-node spike" else 2
+        i = int(rng.integers(0, n - width + 1))
+        F = np.zeros(n)
+        F[i:i + width] = rng.uniform(0.5, 1.5, width)
+        G = F
+    # shell-pair style rows: random ones, and the rows through the support
+    # of F with every window from j = 0 kept
+    k = rng.integers(2 * origin, 2 * (origin + n), n_rows)
+    support = np.flatnonzero(F) + origin
+    k = np.concatenate([k, np.arange(2 * support[0], 2 * support[-1] + 1)])
+    j_end = (k + 1) // 2
+    j_first = rng.integers(0, j_end + 1)
+    j_first[n_rows:] = 0
+    j_last = rng.integers(j_first, j_end + 1)
+    j_last[n_rows:] = j_end[n_rows:]
+    blocks = list(row_blocks(s, delta, n, k, j_first, j_last, origin))
+    rows = list(zip(k, j_first, j_last))
+    want = direct_rows_numerator(s, delta, n, origin, rows, F, F)
+    got = blocks_numerator(blocks, delta, np.append(F, 0.0))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    want = direct_rows_numerator(s, delta, n, origin, rows, F, G)
+    got = blocks_numerator(blocks, delta, np.append(F, 0.0), np.append(G, 0.0))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)

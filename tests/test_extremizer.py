@@ -186,6 +186,15 @@ def test_maximize_radial_small():
     assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
 
 
+@pytest.mark.parametrize("name, value", [("seed", -2), ("seed", 1.5), ("seed", True),
+                                         ("grid_size", 100.5), ("grid_size", 32),
+                                         ("restarts", 0), ("iters", -1)])
+def test_maximize_radial_names_a_bad_input(name, value):
+    kwargs = {"grid_size": 64, "restarts": 1, "iters": 3, name: value}
+    with pytest.raises(ValueError, match=name):
+        maximize_radial(1, r_max=10, **kwargs)
+
+
 def test_maximize_scaling_invariance():
     r1 = maximize_radial(1.0, grid_size=128, r_max=20.0, restarts=1, iters=150)
     # map the argmax to mass 2 on the matched grid: Q agrees to 1e-10

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hyperconv.norms as norms
+from hyperconv.convolution import profile_measure_integral
 from hyperconv.fields import Conv2DField
 from hyperconv.norms import TruncationWarning, l2_field_norm, lp_norm
 from hyperconv.profiles import RadialProfile, trial_profile
@@ -98,3 +99,15 @@ def test_lp_norm_fallback_is_logged_and_keeps_the_callers_spec(monkeypatch, capl
     assert [r.name for r in caplog.records] == ["hyperconv"]
     assert "simpson" in caplog.records[0].getMessage()
     np.testing.assert_allclose(got ** 2, 6.0 * np.pi, rtol=1e-9)
+
+
+def test_lp_norm_breaks_at_the_profile_nodes(caplog):
+    # the interpolant has a kink at every node time psi(r_i); without those
+    # breakpoints gk missed rel_tol 1e-13 here and fell back to simpson
+    r = np.linspace(1.0, 1.5, 20)
+    f = RadialProfile(1.0, r, np.cos(r))
+    with caplog.at_level(logging.DEBUG, logger="hyperconv"):
+        got = lp_norm(f, 2, QuadratureSpec(rel_tol=1e-13))
+    assert caplog.records == []
+    np.testing.assert_allclose(got ** 2, profile_measure_integral(f, power=2),
+                               rtol=1e-12, atol=0)
