@@ -5,6 +5,7 @@
     hyperconv scan --s 1 --k-max 6 --profile-kind bump --nodes-per-shell 48
     hyperconv study --s 1 --r-max 40 --n 400,800,1600 --n 3200
     hyperconv q --a 0.3 --s 1 --r-max 40 --n 500 --grid-n 1000
+    hyperconv field --a 1 --s 1 --r-max 20 --n 400 --n-rho 161 --n-tau 243
 
 Every record holds the command, its inputs, the package versions and the
 total wall time.  ``maximize`` runs ``extremizer.maximize_radial`` and adds
@@ -19,6 +20,12 @@ truncation run and one row per n with its wall time.  ``q`` runs
 ``extremizer.q_ratio`` on ``profiles.trial_profile(a, s, r_max, n)`` with
 ``grid_n`` engine nodes (null: the default) and adds ``q`` and the report
 (grid size, error estimate, tail mass fraction, sharp-constant bound).
+``field`` runs ``extremizer.full_q_ratio`` on the even pair (f, f) with
+f = ``profiles.trial_profile(a, s, r_max, n)``, sampled on
+``extremizer.pair_template`` with ``n_rho`` x ``n_tau`` nodes, and adds
+``qbar`` and the breakdown: numerator, squared denominator, the six
+expansion terms, the expansion gap, the six-term floor, the kept terms and
+the quadrature levels of the three sampled fields.
 """
 from __future__ import annotations
 
@@ -31,7 +38,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .extremizer import bilinear_dyadic_scan, extremal_study, maximize_radial, q_ratio
+from .extremizer import (SheetPair, bilinear_dyadic_scan, extremal_study, full_q_ratio,
+                         maximize_radial, pair_template, q_ratio)
 from .geometry import check_count
 from .profiles import trial_profile
 from .quadrature import DEFAULT_SEED
@@ -74,6 +82,14 @@ def _q(args):
     return inputs, {"q": q, "report": report}
 
 
+def _field(args):
+    inputs = {"a": args.a, "s": args.s, "r_max": args.r_max, "n": args.n,
+              "n_rho": args.n_rho, "n_tau": args.n_tau}
+    pair = SheetPair(*2 * [trial_profile(args.a, args.s, args.r_max, args.n)])
+    qbar, breakdown = full_q_ratio(pair, grid=pair_template(pair, args.n_rho, args.n_tau))
+    return inputs, {"qbar": qbar, "breakdown": breakdown}
+
+
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
@@ -111,6 +127,14 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=400, help="profile nodes (>= 2)")
     p.add_argument("--grid-n", type=int, default=None,
                    help="engine grid nodes (>= 16; default max(256, 2 * profile nodes))")
+    p = sub.add_parser("field", help="Qbar of the even exponential pair (full_q_ratio)")
+    p.set_defaults(run=_field)
+    p.add_argument("--a", type=float, default=1.0, help="decay rate a > 0 of exp(-a u/2)")
+    p.add_argument("--s", type=float, default=1.0, help="mass parameter s >= 0")
+    p.add_argument("--r-max", type=float, default=20.0, help="truncation radius (> s)")
+    p.add_argument("--n", type=int, default=400, help="profile nodes (>= 2)")
+    p.add_argument("--n-rho", type=int, default=161, help="template rho nodes (>= 2)")
+    p.add_argument("--n-tau", type=int, default=243, help="template tau nodes (>= 2)")
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

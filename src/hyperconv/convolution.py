@@ -15,14 +15,27 @@ integrals over the slice times:
 where k is the sphere-pair kernel; the kernel's annulus constraint carves
 an explicit window out of the time axis, computed in closed form below.
 
-``hyperbolic_conv`` and ``cross_conv`` integrate one tau row at a time: the
-windows of all rho cells come as arrays, each window is cut at the profile
-kinks inside it, and every segment gets 8-point Gauss on 2**L equal pieces
-(end segments batched, whole-kink segments from per-row prefix sums).  A
-cell is accepted at the first level L = 1..4 whose value moved by at most
-rel_tol * max(|value|, 1e-3 * int |integrand|) + abs_tol from level L - 1.
-``meta["quad_levels"]`` counts the cells accepted at each level; cells
-still open after level 4 raise ``CellConvergenceError``.
+``hyperbolic_conv`` and ``cross_conv`` integrate blocks of tau rows, at
+most ``BLOCK_CELLS`` grid cells (rows x rho nodes, at least one row) per
+block, which bounds a block's temporaries whatever the template.  Within
+a block the windows of all cells come from one broadcast of the window
+formulas over the block's tau column, each row's kinks are one row of a
+(rows x kinks) array, and every window is cut at the kinks of its own row:
+its two end segments and the whole-kink segments between them get 8-point
+Gauss on 2**L equal pieces, all windows of the block in one pass per
+level.  The whole-kink part of a window is a difference of prefix sums
+taken along its own row, starting at the row's first kink inside any of
+its windows, so that its rounding is bounded by the row's total and never
+by the block's; a block returns bit for bit what its rows return one at a
+time.  A cell is accepted at the first level L = 1..4 whose value moved
+by at most rel_tol * max(|value|, 1e-3 * int |integrand|) + abs_tol from
+level L - 1.  ``meta["quad_levels"]`` counts the cells accepted at each
+level; cells still open after level 4 raise ``CellConvergenceError``.
+
+A cross row at tau < 0 is the row at |tau| of the swapped pair
+(cross(f, g)(rho, tau) = cross(g, f)(rho, -tau)), so ``cross_conv`` runs
+its rows as two groups, tau >= 0 and tau < 0 with the sheets swapped,
+each with a single integrand and the windows of ``cross_window`` at |tau|.
 """
 from __future__ import annotations
 
@@ -57,30 +70,43 @@ def self_half_width(s: float, rho, tau):
 
     w = (rho/2) * sqrt(1 + 4 s^2/(tau^2 - rho^2)); on the inner branch the
     window is [tau/2 - w, tau/2 + w], on the outer branch its complement in
-    [0, tau].
+    [0, tau].  The radicand is taken in the factored form
+    (m^2 - rho^2) / ((tau - rho)(tau + rho)), m^2 = tau^2 + 4 s^2, with
+    m^2 - rho^2 = a^2 - (rho - b)(rho + b) for b = max(tau, 2 s),
+    a = min(tau, 2 s).  On the outer branch rho - b is exact, so the radicand
+    does not cancel next to the branch curves: for s, tau, rho taken exactly
+    its error stays below 3e-15 tau on the outer branch, where
+    1 + 4 s^2/(tau^2 - rho^2) (or m - rho with m rounded) loses up to 1e-3
+    tau once tau << s.
     """
     rho = np.asarray(rho, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    b = np.maximum(tau, 2.0 * s)
+    a = np.minimum(tau, 2.0 * s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = 0.5 * rho * np.sqrt(np.maximum(1.0 + 4.0 * s * s / (tau * tau - rho * rho), 0.0))
+        val = 0.5 * rho * np.sqrt(np.maximum(
+            (a * a - (rho - b) * (rho + b)) / ((tau - rho) * (tau + rho)), 0.0))
     return val if val.ndim else float(val)
 
 
-def _branch_edges(s: float, tau: float):
+def _branch_edges(s: float, tau):
     """The rho edges (inner|middle, middle|outer, support) of the branches at tau.
 
     The inner edge sqrt(tau^2 + s^2) - s is taken as
     tau^2 / (sqrt(tau^2 + s^2) + s), which does not cancel when tau << s.
+    ``tau`` may be an array (a column of rows); the edges then come as arrays.
     """
     root = np.sqrt(tau * tau + s * s)
-    lo_edge = tau * tau / (root + s) if root > 0.0 else 0.0
+    lo_edge = np.divide(tau * tau, root + s, out=np.zeros_like(root), where=root > 0.0)
     return lo_edge, np.sqrt(tau * tau + 4.0 * s * s), root + s
 
 
-def _self_windows(s: float, rho: np.ndarray, tau: float):
-    """(lo, hi) of shape (2, rho.size): every rho's ``self_window`` at tau > 0.
+def _self_windows(s: float, rho: np.ndarray, tau):
+    """(lo, hi), each of shape (2,) + broadcast(rho, tau): every ``self_window``.
 
-    Unused slots are empty (lo == hi); rho = 0 gets the empty window w = 0.
+    One slot pair per (rho, tau) with tau > 0; a tau column against a rho
+    row gives a block of rows.  Unused slots are empty (lo == hi); rho = 0
+    gets the empty window w = 0.
     """
     lo_edge, mid_edge, hi_edge = _branch_edges(s, tau)
     inner = rho < lo_edge
@@ -110,8 +136,11 @@ def self_window(s: float, rho: float, tau: float):
     return _intervals(*_self_windows(s, np.array([float(rho)]), float(tau)))
 
 
-def _cross_windows(s: float, rho: np.ndarray, tau: float, t_cap: float):
-    """(lo, hi) of shape (1, rho.size): every rho's ``cross_window`` at tau >= 0."""
+def _cross_windows(s: float, rho: np.ndarray, tau, t_cap):
+    """(lo, hi), each of shape (1,) + broadcast(rho, tau, t_cap): every ``cross_window``.
+
+    Takes tau >= 0, and broadcasts like ``_self_windows``.
+    """
     lo_edge, _, hi_edge = _branch_edges(s, tau)
     # the constraint becomes active at t_b = w - tau/2 >= 0 (w: the self half
     # width); clamped, since w cancels where the outer branch is below rho's ulp
@@ -122,7 +151,7 @@ def _cross_windows(s: float, rho: np.ndarray, tau: float, t_cap: float):
     far = live & ~short & ~full
     lo = np.where(far, t_b, 0.0)
     hi = np.select([short, full, far], [np.minimum(t_b, t_cap), t_cap, t_cap], 0.0)
-    return lo[None, :], hi[None, :]
+    return lo[None], hi[None]
 
 
 def cross_window(s: float, rho: float, tau: float, t_cap: float):
@@ -145,23 +174,34 @@ class CellConvergenceError(RuntimeError):
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 MAX_LEVEL = 4
+BLOCK_CELLS = 2 ** 10  # grid cells (rows x rho nodes) per row block: bounds its temporaries
 
 
-def _gauss_sums(integrand, lo: np.ndarray, hi: np.ndarray, level: int):
-    """Signed and absolute 8-point Gauss sums on 2**level equal pieces of each [lo, hi]."""
+def _gauss_sums(integrand, lo: np.ndarray, hi: np.ndarray, tau: np.ndarray, level: int):
+    """Signed and absolute 8-point Gauss sums on 2**level equal pieces of each [lo, hi].
+
+    ``tau[i]`` is the row parameter handed to the integrand with interval i.
+    """
     pieces = 2 ** level
     half = 0.5 * (hi - lo) / pieces
     centers = lo[:, None] + half[:, None] * (2.0 * np.arange(pieces) + 1.0)
     t = centers[:, :, None] + half[:, None, None] * _GL8_X
-    terms = half[:, None, None] * _GL8_W * integrand(t)
+    terms = half[:, None, None] * _GL8_W * integrand(t, tau[:, None, None])
     return terms.sum(axis=(1, 2)), np.abs(terms).sum(axis=(1, 2))
 
 
-def _window_sums(ends: np.ndarray, segs: np.ndarray, first, last) -> np.ndarray:
+def _row_prefix(segs: np.ndarray) -> np.ndarray:
+    """Prefix sums along each row, 0 first: acc[r, j] = sum of segs[r, :j]."""
+    acc = np.zeros((segs.shape[0], segs.shape[1] + 1), dtype=segs.dtype)
+    np.cumsum(segs, axis=1, out=acc[:, 1:])
+    return acc
+
+
+def _window_sums(ends: np.ndarray, segs: np.ndarray, row, first, last) -> np.ndarray:
     """Both end segments of each window plus its whole-kink segments first..last-1."""
-    acc = np.concatenate([np.zeros(1, dtype=segs.dtype), np.cumsum(segs)])
+    acc = _row_prefix(segs)
     k = ends.size // 2
-    return ends[:k] + ends[k:] + (acc[last] - acc[first])
+    return ends[:k] + ends[k:] + (acc[row, last] - acc[row, first])
 
 
 def _cell_sums(cell: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
@@ -170,51 +210,90 @@ def _cell_sums(cell: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cell, x, n)
 
 
-def _row_integrals(integrand, kinks, lo, hi, support, rho, quad: QuadratureSpec):
-    """(2 pi / rho) * window integral, and acceptance level, of every rho cell.
+def _block_integrals(integrand, tau, kinks, lo, hi, support, rho, quad: QuadratureSpec):
+    """(2 pi / rho) * window integral, and acceptance level, of every cell of a row block.
 
-    ``lo``/``hi`` hold the row's window slots, clipped here to ``support``.
-    The level is -1 for a cell with no window and MAX_LEVEL + 1 for a cell
+    Row r has the integrand parameter ``tau[r]``, the kink times
+    ``kinks[r]`` and the window slots ``lo[:, r]``/``hi[:, r]``, clipped
+    here to ``support[:, r]``.  Values and levels come as (rows, rho.size);
+    the level is -1 for a cell with no window and MAX_LEVEL + 1 for a cell
     that never met the tolerance.
     """
-    n = rho.size
-    lo = np.maximum(lo, support[0])
-    hi = np.minimum(hi, support[1])
-    slot, cell = np.nonzero(hi > lo)
-    level = np.full(n, -1)
-    if cell.size == 0:
-        return np.zeros(n), level
-    lo, hi = lo[slot, cell], hi[slot, cell]
-    kinks = np.sort(kinks)
-    kinks = kinks[(kinks > lo.min()) & (kinks < hi.max())]
-    # kinks[first:last + 1] are the kinks strictly inside a window; the two
-    # end segments reach them from lo and hi, and a kink-free window is one
-    # segment [lo, hi] plus an empty one
-    first = np.searchsorted(kinks, lo, side="right")
-    last = np.searchsorted(kinks, hi, side="left") - 1
+    rows, n = tau.size, rho.size
+    lo = np.maximum(lo, support[0][:, None])
+    hi = np.minimum(hi, support[1][:, None])
+    slot, row, col = np.nonzero(hi > lo)
+    level = np.full(rows * n, -1)
+    if row.size == 0:
+        return np.zeros((rows, n)), level.reshape(rows, n)
+    lo, hi = lo[slot, row, col], hi[slot, row, col]
+    cell = row * n + col
+    kinks = np.sort(kinks, axis=1)
+    # each kink's rank among the block's kinks, offset by its row: one sorted
+    # key array, so one search places a value among the kinks of its row
+    uniq = np.unique(kinks)
+    width = uniq.size + 1
+    keys = (np.arange(rows)[:, None] * width + np.searchsorted(uniq, kinks)).ravel()
+
+    def count(r, x, side):  # np.searchsorted(kinks[r[i]], x[i], side) for every i
+        at = np.searchsorted(keys, r * width + np.searchsorted(uniq, x, side))
+        return at - r * kinks.shape[1]
+
+    # a row's kinks strictly inside (min lo, max hi) of its windows are
+    # kinks[r, span_lo[r]:span_hi[r]], and its whole-kink segments join
+    # them; its prefix sums start at the span, as for the row alone
+    lo_min = np.full(rows, np.inf)
+    np.minimum.at(lo_min, row, lo)
+    hi_max = np.full(rows, -np.inf)
+    np.maximum.at(hi_max, row, hi)
+    every = np.arange(rows)
+    span_lo = count(every, lo_min, "right")
+    span_hi = count(every, hi_max, "left")
+    j = np.arange(kinks.shape[1] - 1)
+    in_span = (j >= span_lo[:, None]) & (j + 1 < span_hi[:, None])
+    # kinks[r, first:last + 1] are the kinks strictly inside a window; the
+    # two end segments reach them from lo and hi, and a kink-free window is
+    # one segment [lo, hi] plus an empty one
+    first = count(row, lo, "right")
+    last = count(row, hi, "left") - 1
     inner = last >= first
-    padded = np.append(kinks, 0.0)
-    ends_lo = np.concatenate([lo, np.where(inner, padded[last], hi)])
-    ends_hi = np.concatenate([np.where(inner, padded[first], hi), hi])
     first = np.where(inner, first, 0)
     last = np.where(inner, last, 0)
+    ends_lo = np.concatenate([lo, np.where(inner, kinks[row, last], hi)])
+    ends_hi = np.concatenate([np.where(inner, kinks[row, first], hi), hi])
+    ends_tau = np.concatenate([tau[row], tau[row]])
 
-    seg, _ = _gauss_sums(integrand, kinks[:-1], kinks[1:], 0)
-    end, _ = _gauss_sums(integrand, ends_lo, ends_hi, 0)
-    out = np.zeros(n, dtype=end.dtype)
+    def segment_sums(lev, open_rows):
+        # the whole-kink segments of the open rows, zero elsewhere: zeros
+        # ahead of a row's span leave its prefix sums exact
+        r, k = np.nonzero(in_span & open_rows[:, None])
+        val, mag = _gauss_sums(integrand, kinks[r, k], kinks[r, k + 1], tau[r], lev)
+        segs = np.zeros((rows, j.size), dtype=val.dtype)
+        segs_abs = np.zeros((rows, j.size))
+        segs[r, k] = val
+        segs_abs[r, k] = mag
+        return segs, segs_abs
+
+    seg, _ = segment_sums(0, np.ones(rows, dtype=bool))
+    end, _ = _gauss_sums(integrand, ends_lo, ends_hi, ends_tau, 0)
+    out = np.zeros(rows * n, dtype=end.dtype)
     level[cell] = MAX_LEVEL + 1
     open_cells = level > MAX_LEVEL
     for lev in range(1, MAX_LEVEL + 1):
         sel = open_cells[cell]
         sel2 = np.concatenate([sel, sel])
-        c, a, b = cell[sel], first[sel], last[sel]
-        new_seg, seg_abs = _gauss_sums(integrand, kinks[:-1], kinks[1:], lev)
-        new_end, end_abs = _gauss_sums(integrand, ends_lo[sel2], ends_hi[sel2], lev)
-        fine = _cell_sums(c, _window_sums(new_end, new_seg, a, b), n)
+        c, r, a, b = cell[sel], row[sel], first[sel], last[sel]
+        open_rows = np.zeros(rows, dtype=bool)
+        open_rows[r] = True
+        new_seg, seg_abs = segment_sums(lev, open_rows)
+        new_end, end_abs = _gauss_sums(integrand, ends_lo[sel2], ends_hi[sel2],
+                                       ends_tau[sel2], lev)
+        fine = _cell_sums(c, _window_sums(new_end, new_seg, r, a, b), out.size)
         # the change from the previous level, summed segment by segment, so
         # that its rounding scales with the change and not with the row total
-        change = _cell_sums(c, _window_sums(new_end - end[sel2], new_seg - seg, a, b), n)
-        scale = np.bincount(c, _window_sums(end_abs, seg_abs, a, b), n)
+        change = _cell_sums(c, _window_sums(new_end - end[sel2], new_seg - seg, r, a, b),
+                            out.size)
+        scale = np.bincount(c, _window_sums(end_abs, seg_abs, r, a, b), out.size)
         ok = open_cells & (np.abs(change) <= quad.rel_tol * np.maximum(
             np.abs(fine), 1e-3 * scale) + quad.abs_tol)
         out[ok] = fine[ok]
@@ -224,9 +303,15 @@ def _row_integrals(integrand, kinks, lo, hi, support, rho, quad: QuadratureSpec)
             break
         seg = new_seg
         end[sel2] = new_end
-    live = level >= 0
-    out[live] *= TWO_PI / rho[live]
-    return out, level
+    live = np.flatnonzero(level >= 0)
+    out[live] *= TWO_PI / rho[live % n]
+    return out.reshape(rows, n), level.reshape(rows, n)
+
+
+def _blocks(count: int, n_rho: int):
+    """Slices of at most BLOCK_CELLS // n_rho (at least one) of ``count`` rows."""
+    step = max(1, BLOCK_CELLS // n_rho)
+    return [slice(r, r + step) for r in range(0, count, step)]
 
 
 def _checked_field(grid: Conv2DField, out: np.ndarray, level: np.ndarray) -> Conv2DField:
@@ -244,31 +329,37 @@ def hyperbolic_conv(f: RadialProfile, g: RadialProfile, grid: Conv2DField,
                     quad: QuadratureSpec) -> Conv2DField:
     """Self-sheet convolution (f mu_s * g mu_s) sampled on the grid template.
 
-    Rows are integrated as the module docstring describes, with the kinks
-    psi(f.grid) and tau - psi(g.grid); rho = 0 takes the closed-form axis
-    value.  ``meta["quad_levels"]`` maps each level 1..4 to the number of
-    cells accepted there; ``CellConvergenceError.cells`` lists the (i, j)
-    cells that never converged.
+    The tau rows inside the support, tau in [fu_lo + gu_lo, fu_hi + gu_hi]
+    with tau > 0, are integrated in blocks as the module docstring
+    describes, with the kinks psi(f.grid) and tau - psi(g.grid) and the
+    support f(t) g(tau - t) != 0; rho = 0 takes the closed-form axis value.
+    ``meta["quad_levels"]`` maps each level 1..4 to the number of cells
+    accepted there; ``CellConvergenceError.cells`` lists the (i, j) cells
+    that never converged.
     """
     if f.s != g.s:
         raise ValueError("profiles must share the mass parameter")
     s = f.s
     fu, gu = f.u_support(), g.u_support()
     f_kinks, g_kinks = psi(f.grid, s), psi(g.grid, s)
-    rho = grid.rho_grid
-    out = np.zeros((rho.size, grid.tau_grid.size),
+    rho, tau = grid.rho_grid, grid.tau_grid
+    out = np.zeros((rho.size, tau.size),
                    dtype=complex if (f.is_complex or g.is_complex) else float)
     level = np.full(out.shape, -1)
-    for j, tau in enumerate(grid.tau_grid):
-        if tau <= 0 or tau < fu[0] + gu[0] or tau > fu[1] + gu[1]:
-            continue
-        support = (max(fu[0], tau - gu[1]), min(fu[1], tau - gu[0]))
-        lo, hi = _self_windows(s, rho, tau)
-        out[:, j], level[:, j] = _row_integrals(
-            lambda t: f.at_time(t) * g.at_time(tau - t),
-            np.concatenate([f_kinks, tau - g_kinks]), lo, hi, support, rho, quad)
-        mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
-        out[rho == 0.0, j] = TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (tau * tau)) * mid
+    cols = np.flatnonzero((tau > 0) & (tau >= fu[0] + gu[0]) & (tau <= fu[1] + gu[1]))
+    for block in _blocks(cols.size, rho.size):
+        j = cols[block]
+        t = tau[j]
+        support = np.stack([np.maximum(fu[0], t - gu[1]), np.minimum(fu[1], t - gu[0])])
+        lo, hi = _self_windows(s, rho, t[:, None])
+        kinks = np.concatenate([np.broadcast_to(f_kinks, (t.size, f_kinks.size)),
+                                t[:, None] - g_kinks], axis=1)
+        vals, levs = _block_integrals(lambda x, tau: f.at_time(x) * g.at_time(tau - x),
+                                      t, kinks, lo, hi, support, rho, quad)
+        out[:, j], level[:, j] = vals.T, levs.T
+    t = tau[cols]
+    mid = f.at_time(0.5 * t) * g.at_time(0.5 * t)
+    out[np.ix_(rho == 0.0, cols)] = TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (t * t)) * mid
     return _checked_field(grid, out, level)
 
 
@@ -277,28 +368,37 @@ def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField,
     """Cross-sheet convolution (f+ mu_+ * f- mu_-) sampled on the grid template.
 
     tau may take either sign; the field obeys
-    cross(f, g)(rho, tau) = cross(g, f)(rho, -tau).  Rows, levels and
-    errors are handled as in ``hyperbolic_conv``.
+    cross(f, g)(rho, tau) = cross(g, f)(rho, -tau).  A row at tau < 0 is
+    therefore the row at |tau| of the swapped pair, so the rows run as two
+    groups, tau >= 0 with (fa, fb) = (f+, f-) and tau < 0 with (f-, f+),
+    each in blocks with the integrand fa(|tau| + t) fb(t) in the lower
+    sheet's time t, the kinks psi(fa.grid) - |tau| and psi(fb.grid), and
+    the support where both factors live.  Levels and errors are handled as
+    in ``hyperbolic_conv``.
     """
     if f_plus.s != f_minus.s:
         raise ValueError("profiles must share the mass parameter")
     s = f_plus.s
-    rho = grid.rho_grid
-    out = np.zeros((rho.size, grid.tau_grid.size),
+    rho, tau = grid.rho_grid, grid.tau_grid
+    out = np.zeros((rho.size, tau.size),
                    dtype=complex if (f_plus.is_complex or f_minus.is_complex) else float)
     level = np.full(out.shape, -1)
-    for j, tau in enumerate(grid.tau_grid):
-        fa, fb = (f_plus, f_minus) if tau >= 0 else (f_minus, f_plus)
-        t_abs = abs(tau)
+    for fa, fb, group in ((f_plus, f_minus, tau >= 0), (f_minus, f_plus, tau < 0)):
         au, bu = fa.u_support(), fb.u_support()
-        support = (max(bu[0], au[0] - t_abs), min(bu[1], au[1] - t_abs))
-        if support[1] <= support[0]:
-            continue
-        lo, hi = _cross_windows(s, rho, t_abs, support[1])
-        out[:, j], level[:, j] = _row_integrals(
-            lambda t: fa.at_time(t_abs + t) * fb.at_time(t),
-            np.concatenate([psi(fa.grid, s) - t_abs, psi(fb.grid, s)]),
-            lo, hi, support, rho, quad)
+        a_kinks, b_kinks = psi(fa.grid, s), psi(fb.grid, s)
+        t_abs = np.abs(tau)
+        support = np.stack([np.maximum(bu[0], au[0] - t_abs), np.minimum(bu[1], au[1] - t_abs)])
+        cols = np.flatnonzero(group & (support[1] > support[0]))
+        for block in _blocks(cols.size, rho.size):
+            j = cols[block]
+            t = t_abs[j]
+            lo, hi = _cross_windows(s, rho, t[:, None], support[1, j, None])
+            kinks = np.concatenate([a_kinks - t[:, None],
+                                    np.broadcast_to(b_kinks, (t.size, b_kinks.size))], axis=1)
+            vals, levs = _block_integrals(
+                lambda x, tau: fa.at_time(tau + x) * fb.at_time(x),
+                t, kinks, lo, hi, support[:, j], rho, quad)
+            out[:, j], level[:, j] = vals.T, levs.T
     return _checked_field(grid, out, level)
 
 

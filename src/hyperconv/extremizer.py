@@ -180,6 +180,12 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
     """
+    s = check_mass(s)
+    r_max, rel_stop = float(r_max), float(rel_stop)
+    if not (np.isfinite(r_max) and r_max > s):
+        raise ValueError(f"r_max must be finite and > s = {s}, got {r_max}")
+    if not (np.isfinite(rel_stop) and rel_stop >= 0.0):
+        raise ValueError(f"rel_stop must be finite and >= 0, got {rel_stop}")
     grid_size = check_count("grid_size", grid_size, 64)
     restarts = check_count("restarts", restarts, 1)
     iters = check_count("iters", iters, 1)
@@ -386,6 +392,20 @@ def pair_convolution_field(pair: SheetPair, grid: Conv2DField,
     return grid.like(vals)
 
 
+def pair_template(pair: SheetPair, n_rho: int = 161, n_tau: int = 243) -> Conv2DField:
+    """``full_q_ratio``'s default grid: every tau row and rho cell the pair's fields reach.
+
+    tau spans [-2.02 u_hi, 2.02 u_hi] and rho [0, 1.01 (sqrt(4 u_hi^2 + s^2) + s)],
+    with u_hi the larger sheet's time support.
+    """
+    n_rho = check_count("n_rho", n_rho, 2)
+    n_tau = check_count("n_tau", n_tau, 2)
+    s = pair.s
+    u_hi = max(psi(pair.f_plus.r_max, s), psi(pair.f_minus.r_max, s))
+    rho_hi = np.sqrt((2 * u_hi) ** 2 + s ** 2) + s
+    return Conv2DField.template(rho_hi * 1.01, -2.02 * u_hi, 2.02 * u_hi, n_rho, n_tau)
+
+
 def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
                  quad: QuadratureSpec | None = None):
     """Full-surface Q with the five-term expansion breakdown.
@@ -393,15 +413,14 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     Q = ||f mubar * f mubar||_2^2 / ||f||_{L2(mubar)}^4 assembled from the
     sheet self-convolutions, the cross convolution and reflections.  The
     breakdown reports the expansion terms; for nonnegative even pairs the
-    kept terms certify the >= 6 x (upper-sheet term) inequality.
+    kept terms certify the >= 6 x (upper-sheet term) inequality.  Its
+    ``quad_levels`` holds each sampled field's ``meta["quad_levels"]``
+    (upper_self, lower_self, cross).  ``grid`` defaults to ``pair_template``.
     """
     quad = quad or QuadratureSpec()
     fp, fm = pair.f_plus, pair.f_minus
     if grid is None:
-        u_hi = max(psi(fp.r_max, pair.s), psi(fm.r_max, pair.s))
-        rho_hi = np.sqrt((2 * u_hi) ** 2 + pair.s ** 2) + pair.s
-        grid = Conv2DField.template(rho_hi * 1.01, -2.02 * u_hi, 2.02 * u_hi,
-                                    161, 243)
+        grid = pair_template(pair)
     A = hyperbolic_conv(fp, fp, grid, quad)
     Ap = hyperbolic_conv(fm, fm, grid, quad)
     B = cross_conv(fp, fm, grid, quad)
@@ -425,6 +444,9 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
         "expansion_gap": num - sum(terms.values()),
         "six_term_floor": 6.0 * terms["upper_self"],
         "kept_terms": terms["upper_self"] + terms["lower_self"] + terms["cross_sq"],
+        "quad_levels": {"upper_self": A.meta["quad_levels"],
+                        "lower_self": Ap.meta["quad_levels"],
+                        "cross": B.meta["quad_levels"]},
     }
     return qbar, breakdown
 

@@ -38,6 +38,13 @@ def test_maximize_rejects_a_negative_seed_by_name(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_maximize_rejects_an_r_max_inside_the_mass_by_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["maximize", "--grid-size", "64", "--r-max", "0.5"])
+    assert exc.value.code == 2
+    assert "r_max" in capsys.readouterr().err
+
+
 def test_scan_prints_one_json_run_record(capsys):
     assert main(["scan", "--s", "1", "--k-max", "4", "--nodes-per-shell", "16"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -130,5 +137,40 @@ def test_q_defaults_the_engine_grid(capsys):
 def test_q_rejects_bad_input_by_name(capsys, argv, name):
     with pytest.raises(SystemExit) as exc:
         main(["q"] + argv)
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+
+
+def test_field_prints_the_even_pair_record(capsys):
+    # the a = 1 exponential pair at s = 1, r_max = 20 on the 161 x 243
+    # template: Qbar = 12.4897, a third above the double cone's 3 pi
+    assert main(["field", "--a", "1", "--s", "1", "--r-max", "20", "--n", "400",
+                 "--n-rho", "161", "--n-tau", "243"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["command"] == "field"
+    assert record["inputs"] == {"a": 1.0, "s": 1.0, "r_max": 20.0, "n": 400,
+                                "n_rho": 161, "n_tau": 243}
+    assert set(record["versions"]) == {"hyperconv", "numpy", "scipy"}
+    assert record["wall_s"] > 0.0
+    assert abs(record["qbar"] - 12.4897) <= 1e-4
+    breakdown = record["breakdown"]
+    assert breakdown["numerator"] / breakdown["denominator_sq"] == record["qbar"]
+    assert breakdown["terms"]["upper_self"] == breakdown["terms"]["lower_self"]
+    levels = breakdown["quad_levels"]
+    assert set(levels) == {"upper_self", "lower_self", "cross"}
+    assert all(set(counts) == {"1", "2", "3", "4"} for counts in levels.values())
+    assert levels["upper_self"] == levels["lower_self"]
+    assert all(sum(counts.values()) > 0 for counts in levels.values())
+
+
+@pytest.mark.parametrize("argv, name", [(["--a", "0"], "decay rate a"),
+                                        (["--s", "nan"], "mass parameter s"),
+                                        (["--r-max", "0.5"], "r_max"),
+                                        (["--n", "1"], "n must be"),
+                                        (["--n-rho", "1"], "n_rho"),
+                                        (["--n-tau", "0"], "n_tau")])
+def test_field_rejects_bad_input_by_name(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--n", "20", "--n-rho", "9", "--n-tau", "9"] + argv)
     assert exc.value.code == 2
     assert name in capsys.readouterr().err

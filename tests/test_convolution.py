@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperconv import convolution
 from hyperconv.closedforms import ConvPoint, branch_curves, mu_self_conv, mu_self_conv_grid
 from hyperconv.convolution import (CellConvergenceError, cross_conv,
                                    cross_window, field_mass, hyperbolic_conv,
@@ -131,6 +132,47 @@ def test_windows_stay_inside_their_range(s, log_tau, which, rel, anywhere, cap):
         assert win == ([(a, b)] if b > a else [])
     elif rho <= mid:
         assert win == [(0.0, tau)]
+
+
+def _window_length(s, rho, tau):
+    return sum(b - a for a, b in self_window(s, rho, tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(0.0, 10.0), log_tau=st.floats(-9.0, 3.0), theta=st.floats(1e-12, 1.0))
+def test_window_length_is_continuous_across_the_branch_curves(s, log_tau, theta):
+    # the length L(rho) rises to tau on the inner branch, is tau on the
+    # middle one and falls to 0 on the outer one; each probe is bounded by
+    # the mean value theorem: L' <= 2 sqrt(tau^2 + s^2) / tau on the inner
+    # branch, tau - L(m + h) = 2 w <= rho sqrt(h (2 m + h)) / (2 s) on the
+    # outer one, and L' = tau / R + R / tau at the support edge R
+    tau = 10.0 ** log_tau * max(s, 1e-3)
+    lo, mid, hi = (float(e) for e in convolution._branch_edges(s, tau))
+    tol = 1e-14 * tau
+    if lo <= mid:  # rounding can swap them at s = 0, where all three edges meet
+        assert _window_length(s, lo, tau) == _window_length(s, mid, tau) == tau
+    rho = lo * (1.0 - theta)
+    if 0.0 < rho < lo:
+        gap = tau - _window_length(s, rho, tau)
+        assert -tol <= gap <= 2.0 * np.hypot(tau, s) / tau * (lo - rho) + tol
+    rho = mid + theta * (hi - mid)
+    if s > 0.0 and mid < rho <= hi:
+        h = rho - mid + np.spacing(mid)
+        gap = tau - _window_length(s, rho, tau)
+        assert -tol <= gap <= rho * np.sqrt(h * (2.0 * mid + h)) / (2.0 * s) + tol
+    if s > 0.0 and hi - mid >= 16.0 * np.spacing(hi):
+        slope = tau / hi + hi / tau
+        assert 0.0 <= _window_length(s, hi, tau) <= 4.0 * slope * np.spacing(hi) + tol
+    if mid <= hi:  # rounding can swap them when tau^2 / (4 s) is below an ulp of 2 s
+        assert _window_length(s, np.nextafter(hi, np.inf), tau) == 0.0
+
+
+def test_half_width_is_accurate_on_a_narrow_outer_branch():
+    # tau = 1e-6 s: the outer branch is 2.5e-13 wide; the reference is the
+    # same closed form in 60-digit arithmetic on these double inputs (the
+    # unfactored radicand 1 + 4 s^2 / (tau^2 - rho^2) was off by 8.9e-5)
+    w = self_half_width(1.0, 2.000000000000375, 1e-6)
+    np.testing.assert_allclose(w, 3.532864179578931879159148e-7, rtol=1e-14)
 
 
 def test_half_width_inversion_matches_window():
@@ -350,6 +392,174 @@ def test_unconverged_cells_raise_and_levels_are_reported():
             i, j = cell
             assert 0 <= i < 20 and 0 <= j < 21
             assert integrated[i, j]
+
+
+# ---- block sampler against the per-row reference ----
+
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+
+
+def _ref_gauss_sums(integrand, lo, hi, level):
+    pieces = 2 ** level
+    half = 0.5 * (hi - lo) / pieces
+    centers = lo[:, None] + half[:, None] * (2.0 * np.arange(pieces) + 1.0)
+    t = centers[:, :, None] + half[:, None, None] * _GL8_X
+    terms = half[:, None, None] * _GL8_W * integrand(t)
+    return terms.sum(axis=(1, 2)), np.abs(terms).sum(axis=(1, 2))
+
+
+def _ref_window_sums(ends, segs, first, last):
+    acc = np.concatenate([np.zeros(1, dtype=segs.dtype), np.cumsum(segs)])
+    k = ends.size // 2
+    return ends[:k] + ends[k:] + (acc[last] - acc[first])
+
+
+def _ref_cell_sums(cell, x, n):
+    if np.iscomplexobj(x):
+        return np.bincount(cell, x.real, n) + 1j * np.bincount(cell, x.imag, n)
+    return np.bincount(cell, x, n)
+
+
+def _ref_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
+    """One tau row at a time: the sampler's rows before they ran in blocks."""
+    n = rho.size
+    lo = np.maximum(lo, support[0])
+    hi = np.minimum(hi, support[1])
+    slot, cell = np.nonzero(hi > lo)
+    level = np.full(n, -1)
+    if cell.size == 0:
+        return np.zeros(n), level
+    lo, hi = lo[slot, cell], hi[slot, cell]
+    kinks = np.sort(kinks)
+    kinks = kinks[(kinks > lo.min()) & (kinks < hi.max())]
+    first = np.searchsorted(kinks, lo, side="right")
+    last = np.searchsorted(kinks, hi, side="left") - 1
+    inner = last >= first
+    padded = np.append(kinks, 0.0)
+    ends_lo = np.concatenate([lo, np.where(inner, padded[last], hi)])
+    ends_hi = np.concatenate([np.where(inner, padded[first], hi), hi])
+    first = np.where(inner, first, 0)
+    last = np.where(inner, last, 0)
+    seg, _ = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], 0)
+    end, _ = _ref_gauss_sums(integrand, ends_lo, ends_hi, 0)
+    out = np.zeros(n, dtype=end.dtype)
+    level[cell] = convolution.MAX_LEVEL + 1
+    open_cells = level > convolution.MAX_LEVEL
+    for lev in range(1, convolution.MAX_LEVEL + 1):
+        sel = open_cells[cell]
+        sel2 = np.concatenate([sel, sel])
+        c, a, b = cell[sel], first[sel], last[sel]
+        new_seg, seg_abs = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], lev)
+        new_end, end_abs = _ref_gauss_sums(integrand, ends_lo[sel2], ends_hi[sel2], lev)
+        fine = _ref_cell_sums(c, _ref_window_sums(new_end, new_seg, a, b), n)
+        change = _ref_cell_sums(c, _ref_window_sums(new_end - end[sel2], new_seg - seg, a, b), n)
+        scale = np.bincount(c, _ref_window_sums(end_abs, seg_abs, a, b), n)
+        ok = open_cells & (np.abs(change) <= quad.rel_tol * np.maximum(
+            np.abs(fine), 1e-3 * scale) + quad.abs_tol)
+        out[ok] = fine[ok]
+        level[ok] = lev
+        open_cells &= ~ok
+        if not open_cells.any():
+            break
+        seg = new_seg
+        end[sel2] = new_end
+    live = level >= 0
+    out[live] *= 2 * np.pi / rho[live]
+    return out, level
+
+
+def _ref_hyperbolic_conv(f, g, grid, quad):
+    s = f.s
+    fu, gu = f.u_support(), g.u_support()
+    f_kinks, g_kinks = psi(f.grid, s), psi(g.grid, s)
+    rho = grid.rho_grid
+    out = np.zeros((rho.size, grid.tau_grid.size),
+                   dtype=complex if (f.is_complex or g.is_complex) else float)
+    level = np.full(out.shape, -1)
+    for j, tau in enumerate(grid.tau_grid):
+        if tau <= 0 or tau < fu[0] + gu[0] or tau > fu[1] + gu[1]:
+            continue
+        support = (max(fu[0], tau - gu[1]), min(fu[1], tau - gu[0]))
+        lo, hi = convolution._self_windows(s, rho, tau)
+        out[:, j], level[:, j] = _ref_row_integrals(
+            lambda t: f.at_time(t) * g.at_time(tau - t),
+            np.concatenate([f_kinks, tau - g_kinks]), lo, hi, support, rho, quad)
+        mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
+        out[rho == 0.0, j] = 2 * np.pi * np.sqrt(1.0 + 4.0 * s * s / (tau * tau)) * mid
+    return convolution._checked_field(grid, out, level)
+
+
+def _ref_cross_conv(f_plus, f_minus, grid, quad):
+    s = f_plus.s
+    rho = grid.rho_grid
+    out = np.zeros((rho.size, grid.tau_grid.size),
+                   dtype=complex if (f_plus.is_complex or f_minus.is_complex) else float)
+    level = np.full(out.shape, -1)
+    for j, tau in enumerate(grid.tau_grid):
+        fa, fb = (f_plus, f_minus) if tau >= 0 else (f_minus, f_plus)
+        t_abs = abs(tau)
+        au, bu = fa.u_support(), fb.u_support()
+        support = (max(bu[0], au[0] - t_abs), min(bu[1], au[1] - t_abs))
+        if support[1] <= support[0]:
+            continue
+        lo, hi = convolution._cross_windows(s, rho, t_abs, support[1])
+        out[:, j], level[:, j] = _ref_row_integrals(
+            lambda t: fa.at_time(t_abs + t) * fb.at_time(t),
+            np.concatenate([psi(fa.grid, s) - t_abs, psi(fb.grid, s)]),
+            lo, hi, support, rho, quad)
+    return convolution._checked_field(grid, out, level)
+
+
+def _sampled(conv, *args):
+    """(values, quad_levels) of a sampled field, or the cells that did not converge."""
+    try:
+        h = conv(*args)
+    except CellConvergenceError as err:
+        return "unconverged", err.cells
+    return h.values, h.meta["quad_levels"]
+
+
+@st.composite
+def _profile(draw, s, complex_values):
+    u_lo = draw(st.floats(0.0, 3.0))
+    u_hi = u_lo + draw(st.floats(0.05, 3.0))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.uniform(-1.0, 2.0, n)
+    if complex_values:
+        vals = vals * np.exp(1j * rng.uniform(0.0, 6.0, n))
+    return RadialProfile(s, np.sqrt(np.linspace(u_lo, u_hi, n) ** 2 + s * s), vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       complex_values=st.booleans(), rho_min=st.sampled_from([0.0, 0.013]),
+       n_rho=st.integers(2, 30), n_tau=st.integers(2, 30), reach=st.floats(0.3, 1.5),
+       quad=st.sampled_from([SPEC, QuadratureSpec(rel_tol=1e-13),
+                             QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)]),
+       bound=st.sampled_from([1, convolution.BLOCK_CELLS, 10 ** 9]))
+def test_block_sampler_matches_per_row_reference(data, s, complex_values, rho_min, n_rho,
+                                                 n_tau, reach, quad, bound):
+    # values, level counts and unconverged cells bit for bit; reach < 1 or
+    # > 1 leaves tau rows and rho cells outside the support
+    f = data.draw(_profile(s, complex_values))
+    g = data.draw(_profile(s, False))
+    u_hi = max(f.u_support()[1], g.u_support()[1])
+    rho_hi = reach * (np.sqrt(4 * u_hi ** 2 + s * s) + s) + 0.1
+    grid = Conv2DField(np.linspace(rho_min, rho_hi, n_rho),
+                       np.linspace(-2.0 * reach * u_hi, 2.0 * reach * u_hi + 0.01, n_tau),
+                       np.zeros((n_rho, n_tau)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convolution, "BLOCK_CELLS", bound)
+        for conv, ref in ((hyperbolic_conv, _ref_hyperbolic_conv),
+                          (cross_conv, _ref_cross_conv)):
+            got, want = _sampled(conv, f, g, grid, quad), _sampled(ref, f, g, grid, quad)
+            if isinstance(want[0], str):
+                assert got == want
+            else:
+                assert got[0].dtype == want[0].dtype
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1] == want[1]
 
 
 # ---- cross convolution ----

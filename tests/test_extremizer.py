@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconv import extremizer
+from hyperconv.convolution import cross_conv, hyperbolic_conv
 from hyperconv.engine import BLOCK_ENTRIES, SliceEngine, row_blocks
 from hyperconv.extremizer import (CONE_Q, DOUBLE_CONE_Q, SheetPair,
                                   bilinear_dyadic_scan, cone_limit_scan,
                                   dyadic_pieces, dyadic_refinement_check,
                                   dyadic_shell_values,
                                   even_pair_certificate, full_q_ratio,
-                                  maximize_radial, pair_convolution_field,
+                                  maximize_radial, pair_convolution_field, pair_template,
                                   q_ratio, shell_pair_norm_sq, symmetrize,
                                   tail_bound_check, trial_family_scan)
 from hyperconv.fields import Conv2DField
@@ -195,6 +196,21 @@ def test_maximize_radial_names_a_bad_input(name, value):
         maximize_radial(1, r_max=10, **kwargs)
 
 
+@pytest.mark.parametrize("name, value", [("r_max", np.nan), ("r_max", np.inf),
+                                         ("r_max", 0.5), ("r_max", 1.0),
+                                         ("rel_stop", np.nan), ("rel_stop", np.inf),
+                                         ("rel_stop", -1.0)])
+def test_maximize_radial_names_a_bad_range_before_building_an_engine(monkeypatch, name,
+                                                                     value):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(extremizer, "SliceEngine", no_engine)
+    kwargs = {"r_max": 10.0, "grid_size": 64, "restarts": 1, "iters": 3, name: value}
+    with pytest.raises(ValueError, match=name):
+        maximize_radial(1.0, **kwargs)
+
+
 def test_maximize_scaling_invariance():
     r1 = maximize_radial(1.0, grid_size=128, r_max=20.0, restarts=1, iters=150)
     # map the argmax to mass 2 on the matched grid: Q agrees to 1e-10
@@ -301,6 +317,24 @@ def test_full_q_even_pair_expansion():
     # Qbar >= 1.5 Q(f) with equal denominators
     q_single, _ = q_ratio(f)
     assert qbar >= 1.5 * q_single * (1 - 5e-3)
+
+
+def test_full_q_breakdown_reports_the_fields_quadrature_levels():
+    # zigzag sheets near the tip of a small mass: some cells need level 2 to 4
+    s = 0.01
+    f = RadialProfile(s, np.linspace(s, 2.0, 6), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]))
+    g = RadialProfile(s, f.grid, 1.0 - f.values)
+    pair = SheetPair(f, g)
+    grid = Conv2DField.template(5.0, -4.0, 4.0, 21, 31)
+    spec = QuadratureSpec(rel_tol=1e-9)
+    _, br = full_q_ratio(pair, grid=grid, quad=spec)
+    assert br["quad_levels"] == {
+        "upper_self": hyperbolic_conv(f, f, grid, spec).meta["quad_levels"],
+        "lower_self": hyperbolic_conv(g, g, grid, spec).meta["quad_levels"],
+        "cross": cross_conv(f, g, grid, spec).meta["quad_levels"]}
+    assert br["quad_levels"]["upper_self"] != br["quad_levels"]["lower_self"]
+    # the default grid is pair_template's
+    assert full_q_ratio(pair)[0] == full_q_ratio(pair, grid=pair_template(pair))[0]
 
 
 def test_even_pair_certificate_exceeds_double_cone():
