@@ -85,7 +85,8 @@ def _q(args):
 def _field(args):
     inputs = {"a": args.a, "s": args.s, "r_max": args.r_max, "n": args.n,
               "n_rho": args.n_rho, "n_tau": args.n_tau}
-    pair = SheetPair(*2 * [trial_profile(args.a, args.s, args.r_max, args.n)])
+    f = trial_profile(args.a, args.s, args.r_max, args.n)
+    pair = SheetPair(f, f)
     qbar, breakdown = full_q_ratio(pair, grid=pair_template(pair, args.n_rho, args.n_tau))
     return inputs, {"qbar": qbar, "breakdown": breakdown}
 

@@ -74,10 +74,11 @@ def self_half_width(s: float, rho, tau):
     (m^2 - rho^2) / ((tau - rho)(tau + rho)), m^2 = tau^2 + 4 s^2, with
     m^2 - rho^2 = a^2 - (rho - b)(rho + b) for b = max(tau, 2 s),
     a = min(tau, 2 s).  On the outer branch rho - b is exact, so the radicand
-    does not cancel next to the branch curves: for s, tau, rho taken exactly
-    its error stays below 3e-15 tau on the outer branch, where
-    1 + 4 s^2/(tau^2 - rho^2) (or m - rho with m rounded) loses up to 1e-3
-    tau once tau << s.
+    does not cancel next to the branch curves.  Against the closed form in
+    60-digit arithmetic (s in [0, 10], tau/s in [1e-9, 1e3]) w is off by at
+    most 2.1e-15 tau on the outer branch, where 1 + 4 s^2/(tau^2 - rho^2)
+    was off by up to 1.3e-3 tau and (m - rho)(m + rho) with m rounded by
+    2.9e-3 tau, both once tau << s.
     """
     rho = np.asarray(rho, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -190,16 +191,13 @@ def _gauss_sums(integrand, lo: np.ndarray, hi: np.ndarray, tau: np.ndarray, leve
     return terms.sum(axis=(1, 2)), np.abs(terms).sum(axis=(1, 2))
 
 
-def _row_prefix(segs: np.ndarray) -> np.ndarray:
-    """Prefix sums along each row, 0 first: acc[r, j] = sum of segs[r, :j]."""
+def _window_sums(ends: np.ndarray, segs: np.ndarray, row, first, last) -> np.ndarray:
+    """Both end segments of each window plus its whole-kink segments first..last-1.
+
+    ``segs`` holds each row's segment sums; acc[r, j] = sum of segs[r, :j].
+    """
     acc = np.zeros((segs.shape[0], segs.shape[1] + 1), dtype=segs.dtype)
     np.cumsum(segs, axis=1, out=acc[:, 1:])
-    return acc
-
-
-def _window_sums(ends: np.ndarray, segs: np.ndarray, row, first, last) -> np.ndarray:
-    """Both end segments of each window plus its whole-kink segments first..last-1."""
-    acc = _row_prefix(segs)
     k = ends.size // 2
     return ends[:k] + ends[k:] + (acc[row, last] - acc[row, first])
 
@@ -222,10 +220,13 @@ def _block_integrals(integrand, tau, kinks, lo, hi, support, rho, quad: Quadratu
     rows, n = tau.size, rho.size
     lo = np.maximum(lo, support[0][:, None])
     hi = np.minimum(hi, support[1][:, None])
-    slot, row, col = np.nonzero(hi > lo)
+    live = hi > lo
+    slot, row, col = np.nonzero(live)
     level = np.full(rows * n, -1)
     if row.size == 0:
         return np.zeros((rows, n)), level.reshape(rows, n)
+    lo_min = np.where(live, lo, np.inf).min(axis=(0, 2))
+    hi_max = np.where(live, hi, -np.inf).max(axis=(0, 2))
     lo, hi = lo[slot, row, col], hi[slot, row, col]
     cell = row * n + col
     kinks = np.sort(kinks, axis=1)
@@ -242,10 +243,6 @@ def _block_integrals(integrand, tau, kinks, lo, hi, support, rho, quad: Quadratu
     # a row's kinks strictly inside (min lo, max hi) of its windows are
     # kinks[r, span_lo[r]:span_hi[r]], and its whole-kink segments join
     # them; its prefix sums start at the span, as for the row alone
-    lo_min = np.full(rows, np.inf)
-    np.minimum.at(lo_min, row, lo)
-    hi_max = np.full(rows, -np.inf)
-    np.maximum.at(hi_max, row, hi)
     every = np.arange(rows)
     span_lo = count(every, lo_min, "right")
     span_hi = count(every, hi_max, "left")
@@ -303,8 +300,8 @@ def _block_integrals(integrand, tau, kinks, lo, hi, support, rho, quad: Quadratu
             break
         seg = new_seg
         end[sel2] = new_end
-    live = np.flatnonzero(level >= 0)
-    out[live] *= TWO_PI / rho[live % n]
+    done = np.flatnonzero(level >= 0)
+    out[done] *= TWO_PI / rho[done % n]
     return out.reshape(rows, n), level.reshape(rows, n)
 
 
@@ -383,10 +380,10 @@ def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField,
     out = np.zeros((rho.size, tau.size),
                    dtype=complex if (f_plus.is_complex or f_minus.is_complex) else float)
     level = np.full(out.shape, -1)
+    t_abs = np.abs(tau)
     for fa, fb, group in ((f_plus, f_minus, tau >= 0), (f_minus, f_plus, tau < 0)):
         au, bu = fa.u_support(), fb.u_support()
         a_kinks, b_kinks = psi(fa.grid, s), psi(fb.grid, s)
-        t_abs = np.abs(tau)
         support = np.stack([np.maximum(bu[0], au[0] - t_abs), np.minimum(bu[1], au[1] - t_abs)])
         cols = np.flatnonzero(group & (support[1] > support[0]))
         for block in _blocks(cols.size, rho.size):
