@@ -39,7 +39,7 @@ II_LIMIT = 16.0 * np.pi ** 2  # lim a^4 II(a)
 
 
 def _piecewise(f, edges, rel_tol: float, rule: str = "gk") -> float:
-    """Sum of the integrals of f over the pieces of ``edges`` (strict)."""
+    """Sum of the integrals of f over the pieces of ``edges``; raises if one is unmet."""
     spec = QuadratureSpec(rule, rel_tol, abs_tol=1e-300, max_depth=24)
     return integrate_pieces(f, edges, spec).value
 

@@ -386,7 +386,7 @@ def pair_convolution_field(pair: SheetPair, grid: Conv2DField,
     upper = hyperbolic_conv(fp, gp, grid, quad)           # supported tau >= 0
     lower = hyperbolic_conv(fm, gm, grid, quad)           # reflect to tau <= 0
     cross_pm = cross_conv(fp, gm, grid, quad)             # f+ mu+ * g- mu-
-    cross_mp = cross_conv(gp, fm, grid, quad)             # g+ mu+ * f- mu-
+    cross_mp = cross_conv(gp, fm, grid, quad) if reflected else cross_pm  # g+ mu+ * f- mu-
     vals = (upper.values + lower.values[:, ::-1]
             + cross_pm.values + cross_mp.values)
     return grid.like(vals)
@@ -416,13 +416,14 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     kept terms certify the >= 6 x (upper-sheet term) inequality.  Its
     ``quad_levels`` holds each sampled field's ``meta["quad_levels"]``
     (upper_self, lower_self, cross).  ``grid`` defaults to ``pair_template``.
+    Sheets with equal node values (even pairs) share one self field.
     """
     quad = quad or QuadratureSpec()
     fp, fm = pair.f_plus, pair.f_minus
     if grid is None:
         grid = pair_template(pair)
     A = hyperbolic_conv(fp, fp, grid, quad)
-    Ap = hyperbolic_conv(fm, fm, grid, quad)
+    Ap = A if np.array_equal(fp.values, fm.values) else hyperbolic_conv(fm, fm, grid, quad)
     B = cross_conv(fp, fm, grid, quad)
     Ap_ref = grid.like(Ap.values[:, ::-1])
     total = grid.like(A.values + Ap_ref.values + 2.0 * B.values)

@@ -1,49 +1,26 @@
-"""Lp norms of radial profiles and weighted L2 norms of sampled fields."""
+"""Lp norms of radial profiles by ``convolution``'s profile rule; L2 norms of sampled fields."""
 from __future__ import annotations
 
-import logging
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
+from .convolution import _profile_integral
 from .fields import Conv2DField
-from .geometry import phi, psi
 from .profiles import RadialProfile
-from .quadrature import QuadratureSpec, integrate
-
-log = logging.getLogger("hyperconv")
+from .quadrature import QuadratureSpec
 
 
 def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> float:
-    """Lp norm of a radial profile against the surface measure.
+    """Lp norm of a radial profile against the surface measure; ``p`` finite and >= 1.
 
-    In the time chart the weight is smooth:
-    ||f||_p^p = 4*pi * int_0^inf |f(phi(u))|^p phi(u) du; the substitution
-    u = psi(r) removes the endpoint weight singularity 1/sqrt(r^2-s^2)
-    exactly, so plain adaptive quadrature applies.  The node times
-    psi(grid) are passed as breakpoints, since the interpolant has a kink at
-    each.  If the spec's rule does not converge, the integral is retried
-    with the Simpson rule at the same tolerances and depth, and the fallback
-    is logged as a warning on the "hyperconv" logger.
+    ||f||_p^p = 4*pi * int |f(phi(u))|^p phi(u) du: 8-point Gauss between cuts at the node
+    times, the interpolant's zeros and u = s 2**k (each graded), levels doubling until the
+    spec's rel_tol and abs_tol are met, else ``QuadratureError`` names the u-range.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    spec = spec or QuadratureSpec()
-    u0, u1 = f.u_support()
-    if u1 <= u0 or not np.any(f.values):
-        return 0.0
-    s = f.s
-
-    def integrand(u):
-        return np.abs(f.at_time(u)) ** p * phi(u, s)
-
-    res = integrate(integrand, u0, u1, spec, points=psi(f.grid, s), strict=False)
-    if not res.converged:
-        log.warning("lp_norm: rule %r did not converge on [%g, %g]; retrying with simpson",
-                    spec.rule, u0, u1)
-        res = integrate(integrand, u0, u1, replace(spec, rule="simpson"))
-    return float((4.0 * np.pi * res.value) ** (1.0 / p))
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    return float(_profile_integral(f, p, spec or QuadratureSpec()) ** (1.0 / p))
 
 
 class TruncationWarning(UserWarning):

@@ -6,7 +6,9 @@ a depth cap; it is deliberately independent of scipy so that closed forms
 can be checked against two dissimilar integrators.  ``integrate_pieces`` runs
 either route over consecutive pieces and is the package's one piece loop.
 ``QuadratureSpec`` rejects any other rule name.
-Integrands must accept numpy arrays.
+Integrands must accept numpy arrays.  These routes serve the oracles
+(``comparison``, ``montecarlo``, the tests); the profile integrals and the
+field samplers use ``convolution``'s Gauss rule and read only the tolerances.
 """
 from __future__ import annotations
 
@@ -29,22 +31,19 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Rule id, tolerances, truncation radius and RNG seed for all integrals."""
+    """Rule id, tolerances, depth cap and RNG seed for all integrals."""
 
     rule: str = "gk"
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     max_depth: int = 20
-    r_max: float = 40.0
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
-        for name in ("rel_tol", "r_max"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if not (np.isfinite(self.abs_tol) and self.abs_tol >= 0):
             raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
         check_count("max_depth", self.max_depth, 0)
@@ -59,7 +58,6 @@ class QuadResult:
     value: float
     error: float
     converged: bool
-    depth: int = 0
 
 
 def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
@@ -68,7 +66,7 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
     """Composite Simpson with panel doubling until the doubling update is small."""
     a, b = float(a), float(b)
     if b <= a:
-        return QuadResult(0.0, 0.0, True, 0)
+        return QuadResult(0.0, 0.0, True)
     prev = None
     n = 2
     for depth in range(max_depth + 1):
@@ -79,35 +77,29 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
         if prev is not None and depth >= min_depth:
             err = abs(val - prev) / 15.0
             if err <= rel_tol * abs(val) + abs_tol:
-                return QuadResult(val, err, True, depth)
+                return QuadResult(val, err, True)
         prev = val
         n *= 2
-    return QuadResult(prev, abs(val - prev) if prev is not None else np.inf, False, max_depth)
+    return QuadResult(prev, abs(val - prev) if prev is not None else np.inf, False)
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec,
-              points=None, strict: bool = True) -> QuadResult:
-    """Integrate f on [a, b] with the spec's rule; report non-convergence."""
+def integrate(f, a: float, b: float, spec: QuadratureSpec, points=None) -> QuadResult:
+    """Integrate f on [a, b] with the spec's rule; raise QuadratureError if unmet."""
     if b <= a:
         return QuadResult(0.0, 0.0, True)
     if spec.rule == "simpson":
         res = simpson_adaptive(f, a, b, spec.rel_tol, spec.abs_tol, spec.max_depth)
-    elif spec.rule == "gk":
-        pts = None
-        if points is not None:
-            pts = [p for p in points if a < p < b]
-            pts = pts or None
+    else:
+        pts = [p for p in points if a < p < b] if points is not None else []
         with warnings.catch_warnings():
             # convergence is judged from the returned error estimate below;
             # kinked piecewise-linear integrands trip the roundoff warning
             warnings.simplefilter("ignore", IntegrationWarning)
             # each breakpoint takes one subinterval before any bisection
             val, err = _scipy_quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                   limit=200 + len(pts or ()), points=pts)
+                                   limit=200 + len(pts), points=pts or None)
         res = QuadResult(val, err, err <= spec.rel_tol * abs(val) + 10 * spec.abs_tol + 1e-300)
-    else:
-        raise ValueError(f"unknown quadrature rule {spec.rule!r}")
-    if strict and not res.converged:
+    if not res.converged:
         raise QuadratureError(
             f"integral on [{a}, {b}] did not reach rel_tol={spec.rel_tol} "
             f"(value={res.value}, err={res.error})")

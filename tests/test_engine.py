@@ -357,3 +357,20 @@ def test_blocks_numerator_matches_direct_rows(s, delta, n, origin, kind, n_rows,
     want = direct_rows_numerator(s, delta, n, origin, rows, F, G)
     got = blocks_numerator(blocks, delta, np.append(F, 0.0), np.append(G, 0.0))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_cone_limit_exponential_converges_to_two_pi_at_second_order():
+    # on the cone every exponential is an extremizer (Foschi, JEMS 2007), so
+    # the discrete Q of e^{-u} tends to 2*pi at the engines' O(delta^2) rate
+    qs, deltas = [], []
+    for n in (400, 800, 1600, 3200):
+        eng = SliceEngine(0.0, n, 40.0)
+        qs.append(eng.q_ratio(eng.trial_values(1.0)))
+        deltas.append(eng.delta)
+    excess = np.array(qs) - 2.0 * np.pi
+    assert np.all(excess > 0)
+    ratios = excess[:-1] / excess[1:]
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+    r = (deltas[-2] / deltas[-1]) ** 2
+    limit = (r * qs[-1] - qs[-2]) / (r - 1.0)
+    assert abs(limit - 2.0 * np.pi) <= 1e-5

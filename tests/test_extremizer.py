@@ -337,6 +337,35 @@ def test_full_q_breakdown_reports_the_fields_quadrature_levels():
     assert full_q_ratio(pair)[0] == full_q_ratio(pair, grid=pair_template(pair))[0]
 
 
+def test_even_pair_samples_each_field_once(monkeypatch):
+    # equal node values on both sheets: one self field and one cross field,
+    # assembled exactly as from separately sampled fields
+    f = shell_indicator(1.2, 2.4, 1.0, n=40, smooth=True)
+    pair = SheetPair(f, RadialProfile(1.0, f.grid, f.values.copy()))
+    grid = Conv2DField.template(7.0, -6.0, 6.0, 31, 45)
+    spec = QuadratureSpec(rel_tol=1e-9)
+    A, B = hyperbolic_conv(f, f, grid, spec), cross_conv(f, f, grid, spec)
+    calls = []
+    for name in ("hyperbolic_conv", "cross_conv"):
+        real = getattr(extremizer, name)
+        monkeypatch.setattr(extremizer, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    qbar, br = full_q_ratio(pair, grid=grid, quad=spec)
+    assert calls == ["hyperbolic_conv", "cross_conv"]
+    total = grid.like(A.values + A.values[:, ::-1] + 2.0 * B.values)
+    num = l2_field_norm(total, warn_boundary=False)[0] ** 2
+    assert br["numerator"] == num
+    assert qbar == num / pair.l2_norm_sq() ** 2
+    assert br["terms"]["upper_self"] == br["terms"]["lower_self"]
+    assert br["quad_levels"] == {"upper_self": A.meta["quad_levels"],
+                                 "lower_self": A.meta["quad_levels"],
+                                 "cross": B.meta["quad_levels"]}
+    # the unreflected pair field samples its cross field once as well
+    calls.clear()
+    pair_convolution_field(small_pair(3), grid, spec)
+    assert calls == ["hyperbolic_conv", "hyperbolic_conv", "cross_conv"]
+
+
 def test_even_pair_certificate_exceeds_double_cone():
     res = maximize_radial(1.0, grid_size=160, r_max=25.0, restarts=1, iters=200)
     cert = even_pair_certificate(res, engine_n=400)

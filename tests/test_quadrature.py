@@ -43,8 +43,6 @@ def test_spec_validation_and_profiles():
     assert spec.with_profile("paranoid").rel_tol == 1e-10
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(r_max=-1.0)
 
 
 def test_gauss_legendre_weights_sum():
@@ -55,7 +53,7 @@ def test_gauss_legendre_weights_sum():
 
 @pytest.mark.parametrize("field, value", [
     ("rel_tol", np.nan), ("rel_tol", np.inf), ("rel_tol", -1e-8),
-    ("r_max", np.nan), ("r_max", np.inf), ("abs_tol", np.nan), ("abs_tol", -1.0),
+    ("abs_tol", np.nan), ("abs_tol", -1.0),
     ("max_depth", -3), ("max_depth", 2.5), ("max_depth", True)])
 def test_spec_rejects_bad_fields_by_name(field, value):
     with pytest.raises(ValueError, match=field):
