@@ -99,11 +99,15 @@ def _reference_lp_norm(f, p, spec):
     # It took the node times only, in one call; the zero crossings of a
     # signed interpolant are kinks of |f|^p as well, and one call then
     # missed rel_tol 1e-12 (and was off by up to 4e-6) on signed profiles,
-    # so here every piece between node times and zero crossings is its own call
+    # so here every piece between node times and zero crossings is its own
+    # call.  The piece at the tip is also cut at u = s, where phi bends:
+    # without that cut gk missed rel_tol 1e-12 on 6 of 1500 random profiles
+    # with s near 1e-6
     r, v = f.grid, f.values
     i = np.flatnonzero(np.isrealobj(v) & (np.sign(v[:-1].real) * np.sign(v[1:].real) < 0))
     zeros = r[i] + (r[i + 1] - r[i]) * (v[i] / (v[i] - v[i + 1])).real
     edges = psi(np.sort(np.concatenate([r, zeros])), f.s)
+    edges = np.unique(np.append(edges, np.clip(f.s, edges[0], edges[-1])))
     res = integrate_pieces(lambda u: np.abs(f.at_time(u)) ** p * phi(u, f.s), edges, spec)
     return float((4.0 * np.pi * res.value) ** (1.0 / p))
 
