@@ -5,6 +5,9 @@ adjoint-restriction inequality on the one-sheeted hyperboloid family
 (mass parameter s > 0) and its cone limit (s = 0): exact convolution
 densities, cap and boost geometry, trial-function comparisons against the
 cone constant, a radial extremizer search, and dyadic bilinear diagnostics.
+Importing the package, or any of its modules, loads numpy and the bare
+``scipy`` package but no scipy submodule: ``scipy.integrate`` and
+``scipy.optimize`` load on the first call that needs them.
 """
 
 __version__ = "0.1.0"

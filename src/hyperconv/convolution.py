@@ -95,11 +95,17 @@ def _branch_edges(s: float, tau):
 
     The inner edge sqrt(tau^2 + s^2) - s is taken as
     tau^2 / (sqrt(tau^2 + s^2) + s), which does not cancel when tau << s.
-    ``tau`` may be an array (a column of rows); the edges then come as arrays.
+    The edges are clamped to lo <= mid <= hi: rounding can put the middle
+    edge an ulp beyond the support edge (tau^2 / (4 s) below an ulp of 2 s)
+    and, at s = 0 where all three meet at tau, the inner edge an ulp beyond
+    the others.  ``tau`` may be an array (a column of rows); the edges then
+    come as arrays.
     """
     root = np.sqrt(tau * tau + s * s)
-    lo_edge = np.divide(tau * tau, root + s, out=np.zeros_like(root), where=root > 0.0)
-    return lo_edge, np.sqrt(tau * tau + 4.0 * s * s), root + s
+    hi_edge = root + s
+    mid_edge = np.minimum(np.sqrt(tau * tau + 4.0 * s * s), hi_edge)
+    lo_edge = np.divide(tau * tau, hi_edge, out=np.zeros_like(root), where=root > 0.0)
+    return np.minimum(lo_edge, mid_edge), mid_edge, hi_edge
 
 
 def _self_windows(s: float, rho: np.ndarray, tau):
@@ -446,9 +452,12 @@ def _profile_integral(f: RadialProfile, power, quad: QuadratureSpec):
     raise QuadratureError(f"profile integral on u in [{lo[0]}, {hi[-1]}] missed {quad.rel_tol=}")
 
 
-def profile_measure_integral(f: RadialProfile, power: int = 1) -> float:
-    """int f d(mu_s), or of |f|^power if power != 1, by ``_profile_integral`` at rel_tol 1e-8."""
-    return float(_profile_integral(f, None if power == 1 else power, QuadratureSpec()))
+def profile_measure_integral(f: RadialProfile, power: int = 1) -> float | complex:
+    """int f d(mu_s), or of |f|^power if power != 1, by ``_profile_integral`` at rel_tol 1e-8.
+
+    A float, or a complex for int f d(mu_s) of a complex profile.
+    """
+    return _profile_integral(f, None if power == 1 else power, QuadratureSpec()).item()
 
 
 def field_mass(h: Conv2DField) -> float:

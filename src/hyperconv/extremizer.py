@@ -10,9 +10,10 @@ Each ascent is scipy's L-BFGS-B on -Q with the bounds F >= 0 (Byrd, Lu,
 Nocedal and Zhu, SIAM J. Sci. Comput. 1995); its exits map to the stop
 reasons "iters" (maxiter), "rel_stop" (a callback halts once an improving
 iterate gains less than rel_stop) and "stalled" (converged or line-search
-failure).  ``extremal_study`` repeats the ascent on refined grids, each
-warm-started from the coarser optimum, and extrapolates q*(delta) to
-delta -> 0 with an error bar.
+failure).  ``_ascend`` imports ``scipy.optimize`` on its first call, so
+importing this module loads no scipy submodule.  ``extremal_study``
+repeats the ascent on refined grids, each warm-started from the coarser
+optimum, and extrapolates q*(delta) to delta -> 0 with an error bar.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
@@ -127,6 +127,8 @@ def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float,
     rel_stop relative) or "stalled" (converged, or the line search failed).
     A ``counts`` dict receives "evaluations", scipy's count of Q evaluations.
     """
+    from scipy.optimize import minimize
+
     F = np.maximum(F0, 0.0)
     F = F / np.sqrt(engine.norm_sq(F))
     trace, stop = [], None

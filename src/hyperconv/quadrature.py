@@ -1,10 +1,12 @@
 """Quadrature specs and the two 1-D integration routes used for dual checks.
 
-Route A ("gk") wraps scipy's adaptive Gauss-Kronrod rule.  Route B
-("simpson") is an in-house composite Simpson rule with panel doubling up to
-a depth cap; it is deliberately independent of scipy so that closed forms
-can be checked against two dissimilar integrators.  ``integrate_pieces`` runs
-either route over consecutive pieces and is the package's one piece loop.
+Route A ("gk") wraps scipy's adaptive Gauss-Kronrod rule; ``scipy.integrate``
+is imported on the first gk call, so importing this module loads no scipy
+submodule.  Route B ("simpson") is an in-house composite Simpson rule with
+panel doubling up to a depth cap; it is deliberately independent of scipy so
+that closed forms can be checked against two dissimilar integrators.
+``integrate_pieces`` runs either route over consecutive pieces and is the
+package's one piece loop.
 ``QuadratureSpec`` rejects any other rule name.
 Integrands must accept numpy arrays.  These routes serve the oracles
 (``comparison``, ``montecarlo``, the tests); the profile integrals and the
@@ -16,8 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
-from scipy.integrate import quad as _scipy_quad
 
 from .geometry import check_count
 
@@ -90,14 +90,16 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec, points=None) -> QuadR
     if spec.rule == "simpson":
         res = simpson_adaptive(f, a, b, spec.rel_tol, spec.abs_tol, spec.max_depth)
     else:
+        from scipy.integrate import IntegrationWarning, quad
+
         pts = [p for p in points if a < p < b] if points is not None else []
         with warnings.catch_warnings():
             # convergence is judged from the returned error estimate below;
             # kinked piecewise-linear integrands trip the roundoff warning
             warnings.simplefilter("ignore", IntegrationWarning)
             # each breakpoint takes one subinterval before any bisection
-            val, err = _scipy_quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                   limit=200 + len(pts), points=pts or None)
+            val, err = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                            limit=200 + len(pts), points=pts or None)
         res = QuadResult(val, err, err <= spec.rel_tol * abs(val) + 10 * spec.abs_tol + 1e-300)
     if not res.converged:
         raise QuadratureError(

@@ -125,13 +125,31 @@ def test_windows_stay_inside_their_range(s, log_tau, which, rel, anywhere, cap):
     win = self_window(s, rho, tau)
     assert all(0.0 <= a < b <= tau for a, b in win)
     assert all(0.0 <= a < b <= t_cap for a, b in cross_window(s, rho, tau, t_cap))
-    # the inner/middle switch sits on branch_curves' inner edge
-    if rho < lo:
+    # the inner/middle switch sits on branch_curves' inner edge and the
+    # middle branch ends at its middle edge, both clamped to lo <= mid <= hi
+    if rho < min(lo, mid, hi):
         w = self_half_width(s, rho, tau)
         a, b = 0.5 * tau - w, 0.5 * tau + w
         assert win == ([(a, b)] if b > a else [])
-    elif rho <= mid:
+    elif rho <= min(mid, hi):
         assert win == [(0.0, tau)]
+
+
+def test_branch_edges_keep_their_order_under_rounding():
+    # tau^2 / (4 s) below an ulp of 2 s: the middle edge rounds to
+    # 1.6250000000000002 against the support edge 1.625, and the rho between
+    # them lies beyond the support
+    s, tau = 0.8125, 1.55e-8
+    lo, mid, hi = convolution._branch_edges(s, tau)
+    assert lo <= mid <= hi == 1.625
+    assert self_window(s, np.nextafter(1.625, 2.0), tau) == []
+    assert self_window(s, 1.625, tau) == [(0.0, tau)]
+    # at s = 0 all three edges meet at tau; this tau rounds tau^2 / tau one
+    # ulp above tau, and rho = tau, where w is 0/0, is on the middle branch
+    tau = 1.5788163903634936e-12
+    lo, mid, hi = convolution._branch_edges(0.0, tau)
+    assert lo == mid == hi == tau
+    assert self_window(0.0, tau, tau) == [(0.0, tau)]
 
 
 def _window_length(s, rho, tau):

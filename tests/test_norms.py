@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ def test_lp_norm_breaks_at_the_profile_nodes(caplog):
     assert caplog.records == []
     np.testing.assert_allclose(got ** 2, profile_measure_integral(f, power=2),
                                rtol=1e-12, atol=0)
+
+
+def test_profile_mass_of_a_complex_profile_keeps_its_phase():
+    # a purely imaginary profile has a purely imaginary mass, returned as a
+    # complex without a ComplexWarning; a real profile's mass stays a float
+    grid = np.linspace(1.0, 2.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = profile_measure_integral(RadialProfile(1.0, grid, 1j * np.ones(5)))
+        real = profile_measure_integral(RadialProfile(1.0, grid, np.ones(5)))
+    assert type(got) is complex and type(real) is float
+    assert got == 1j * real
 
 
 def _reference_lp_norm(f, p, spec):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,3 +104,37 @@ def test_only_the_quadrature_module_imports_scipy_integrate():
             if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
                 importers.add(path.name)
     assert importers == {"quadrature.py"}
+
+
+_IMPORT_PROBE = """
+import importlib, pkgutil, sys
+import numpy as np
+import hyperconv
+from hyperconv import quadrature
+from hyperconv.extremizer import (SheetPair, bilinear_dyadic_scan, full_q_ratio,
+                                  maximize_radial)
+from hyperconv.fields import Conv2DField
+from hyperconv.profiles import shell_indicator
+
+for mod in pkgutil.walk_packages(hyperconv.__path__, "hyperconv."):
+    importlib.import_module(mod.name)
+f = shell_indicator(1.2, 2.4, 1.0, n=40, smooth=True)
+full_q_ratio(SheetPair(f, f), grid=Conv2DField.template(7.0, -6.0, 6.0, 31, 45))
+bilinear_dyadic_scan(1.0, k_max=4)
+heavy = ("integrate", "optimize", "special", "linalg", "sparse")
+print(sorted(m for m in sys.modules if m.startswith(tuple(f"scipy.{h}" for h in heavy))))
+maximize_radial(1.0, 64, restarts=1, iters=3)
+print(quadrature.integrate(np.exp, 0.0, 1.0, quadrature.QuadratureSpec(rule="gk")).value)
+"""
+
+
+def test_importing_the_package_loads_no_scipy_submodule():
+    # scipy.integrate and scipy.optimize load on the first gk integral and the
+    # first ascent; every module import and the field, engine and dyadic
+    # routes run without them, in a fresh interpreter
+    src = Path(quadrature.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "[]"
+    np.testing.assert_allclose(float(out[1]), np.e - 1.0, rtol=1e-12)
