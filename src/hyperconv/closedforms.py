@@ -17,7 +17,12 @@ Branch geometry for the self convolution at fixed tau > 0:
 
 Branch boundaries evaluate by the interior branch (measure-zero choice,
 fixed for determinism); rho = 0 uses the analytic limit
-2*pi*sqrt(1 + 4 s^2/tau^2).
+2*pi*sqrt(1 + 4 s^2/tau^2).  ``branch_curves`` clamps the three edges to
+lo <= mid <= hi, so rounding never puts a rho beyond the support on the
+middle branch, nor rho = tau at s = 0 on the inner one.  The window
+integrals of ``convolution`` read these same edges; only the edges are
+shared, and the densities here (and ``mu_self_conv_casewise`` with its own
+tau-partitioned edges) stay independent checks of those integrals.
 
 ``mu_cone_conv_sup`` does NOT use the printed middle-regime formula of the
 source derivation, which is inconsistent with the density itself (it is
@@ -68,14 +73,22 @@ class BranchTag:
 
 
 def branch_curves(s: float, tau):
-    """The three rho boundaries (inner|middle, middle|outer, support edge) at tau.
+    """The rho edges (inner|middle, middle|outer, support) of the branches at tau.
 
-    The inner edge sqrt(tau^2 + s^2) - s is taken as tau^2 / (sqrt(tau^2 + s^2) + s),
-    which does not cancel when tau << s.
+    The inner edge sqrt(tau^2 + s^2) - s is taken as
+    tau^2 / (sqrt(tau^2 + s^2) + s), which does not cancel when tau << s.
+    The edges are clamped to lo <= mid <= hi: rounding can put the middle
+    edge an ulp beyond the support edge (tau^2 / (4 s) below an ulp of 2 s)
+    and, at s = 0 where all three meet at tau, the inner edge an ulp beyond
+    the others.  ``tau`` may be an array (a column of rows); the edges then
+    come as arrays.
     """
     tau = np.asarray(tau, dtype=float)
     root = np.sqrt(tau * tau + s * s)
-    return tau * tau / (root + s), np.sqrt(tau * tau + 4.0 * s * s), root + s
+    hi_edge = root + s
+    mid_edge = np.minimum(np.sqrt(tau * tau + 4.0 * s * s), hi_edge)
+    lo_edge = np.divide(tau * tau, hi_edge, out=np.zeros_like(root), where=root > 0.0)
+    return np.minimum(lo_edge, mid_edge), mid_edge, hi_edge
 
 
 def classify(p: ConvPoint) -> BranchTag:

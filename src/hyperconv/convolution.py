@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closedforms import branch_curves as _branch_edges
 from .fields import Conv2DField
 from .geometry import phi, psi
 from .profiles import RadialProfile
@@ -88,24 +89,6 @@ def self_half_width(s: float, rho, tau):
         val = 0.5 * rho * np.sqrt(np.maximum(
             (a * a - (rho - b) * (rho + b)) / ((tau - rho) * (tau + rho)), 0.0))
     return val if val.ndim else float(val)
-
-
-def _branch_edges(s: float, tau):
-    """The rho edges (inner|middle, middle|outer, support) of the branches at tau.
-
-    The inner edge sqrt(tau^2 + s^2) - s is taken as
-    tau^2 / (sqrt(tau^2 + s^2) + s), which does not cancel when tau << s.
-    The edges are clamped to lo <= mid <= hi: rounding can put the middle
-    edge an ulp beyond the support edge (tau^2 / (4 s) below an ulp of 2 s)
-    and, at s = 0 where all three meet at tau, the inner edge an ulp beyond
-    the others.  ``tau`` may be an array (a column of rows); the edges then
-    come as arrays.
-    """
-    root = np.sqrt(tau * tau + s * s)
-    hi_edge = root + s
-    mid_edge = np.minimum(np.sqrt(tau * tau + 4.0 * s * s), hi_edge)
-    lo_edge = np.divide(tau * tau, hi_edge, out=np.zeros_like(root), where=root > 0.0)
-    return np.minimum(lo_edge, mid_edge), mid_edge, hi_edge
 
 
 def _self_windows(s: float, rho: np.ndarray, tau):

@@ -27,7 +27,7 @@ from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
 from .engine import SliceEngine, blocks_numerator, row_blocks
 from .fields import Conv2DField
-from .geometry import check_count, check_mass, phi, psi
+from .geometry import check_count, check_mass, check_r_max, phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
 from .profiles import RadialProfile
 from .quadrature import DEFAULT_SEED, QuadratureSpec
@@ -183,9 +183,7 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
     """
     s = check_mass(s)
-    r_max, rel_stop = float(r_max), float(rel_stop)
-    if not (np.isfinite(r_max) and r_max > s):
-        raise ValueError(f"r_max must be finite and > s = {s}, got {r_max}")
+    r_max, rel_stop = check_r_max(r_max, s), float(rel_stop)
     if not (np.isfinite(rel_stop) and rel_stop >= 0.0):
         raise ValueError(f"rel_stop must be finite and >= 0, got {rel_stop}")
     grid_size = check_count("grid_size", grid_size, 64)
@@ -259,9 +257,7 @@ def extremal_study(s: float, r_max: float, n_list) -> dict:
     each ascent's iterations, Q evaluations, stop reason and wall time.
     """
     s = check_mass(s)
-    r_max = float(r_max)
-    if not (np.isfinite(r_max) and r_max > s):
-        raise ValueError(f"r_max must be finite and > s = {s}, got {r_max}")
+    r_max = check_r_max(r_max, s)
     n_list = [check_count(f"n_list[{i}]", n, 64) for i, n in enumerate(n_list)]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must hold at least 3 strictly increasing sizes, got {n_list}")
@@ -317,7 +313,10 @@ def extremal_study(s: float, r_max: float, n_list) -> dict:
 
 @dataclass
 class SheetPair:
-    """Profiles on the upper and lower sheet (domains identified radially)."""
+    """Profiles on the upper and lower sheet (domains identified radially).
+
+    ``l2_norm_sq``, the norm of the interpolants, is what Qbar divides by.
+    """
 
     f_plus: RadialProfile
     f_minus: RadialProfile
@@ -332,20 +331,6 @@ class SheetPair:
     def s(self):
         return self.f_plus.s
 
-    def norm_sq(self):
-        """Sheet sum of int interp(|f|^2) d(mu_s), linear in the node values |f_i|^2.
-
-        ``symmetrize`` preserves this exactly.  By convexity it is at least
-        ``l2_norm_sq``, the norm of the interpolated profiles that the field
-        route convolves: 29.1261 against 28.9332 for the upper sheet
-        ``shell_indicator(1, 2, 1, n=200)``, far more on complex profiles
-        whose phase turns between nodes.
-        """
-        sq_p = RadialProfile(self.s, self.f_plus.grid, np.abs(self.f_plus.values) ** 2)
-        sq_m = RadialProfile(self.s, self.f_minus.grid, np.abs(self.f_minus.values) ** 2)
-        return (convolution.profile_measure_integral(sq_p)
-                + convolution.profile_measure_integral(sq_m))
-
     def l2_norm_sq(self):
         """||f_plus||^2 + ||f_minus||^2 in L2(mu_s) of the interpolated profiles."""
         # looked up on the module at call time, so a patched (traced) version is used
@@ -357,15 +342,38 @@ def symmetrize(pair: SheetPair) -> SheetPair:
     """Nonnegative even symmetrization sqrt((|f(p)|^2 + |f(-p)|^2)/2).
 
     For radial sheets the antipodal reflection swaps the sheets, so both
-    output sheets carry sqrt((|f_plus|^2 + |f_minus|^2)/2) at the nodes.
-    This preserves the nodal ``SheetPair.norm_sq`` exactly; the interpolant
-    of the node values dominates the pointwise symmetrization of the
-    interpolants (Minkowski), so ``l2_norm_sq`` may grow.
+    output sheets carry Sf_i = sqrt((|f_plus_i|^2 + |f_minus_i|^2)/2) at the
+    nodes: 2 |Sf_i|^2 = |f_plus_i|^2 + |f_minus_i|^2 node by node.  It acts
+    on the node values, because the pointwise symmetrization of two
+    interpolants is not piecewise linear on the grid.  The interpolant of
+    Sf dominates that pointwise symmetrization (Minkowski), so
+    ``l2_norm_sq`` can only grow.
     """
     vals = np.sqrt(0.5 * (np.abs(pair.f_plus.values) ** 2
                           + np.abs(pair.f_minus.values) ** 2))
     f = RadialProfile(pair.s, pair.f_plus.grid, vals)
     return SheetPair(f, f)
+
+
+def _sheet_fields(pair: SheetPair, grid: Conv2DField, quad: QuadratureSpec,
+                  reflected: bool = False):
+    """Unreflected fields f+ * g+, f- * g-, f+ * g- and g+ * f- of a pair field.
+
+    g is the pair or, if reflected, its reflection (the sheets swapped).
+    Equal sheets share one self and one cross field.  The lower field is
+    reflected by reversing tau, so the tau grid must be symmetric about 0.
+    """
+    tau = grid.tau_grid
+    if not np.allclose(tau, -tau[::-1], rtol=0.0, atol=1e-12 * np.max(np.abs(tau))):
+        raise ValueError(f"grid needs a tau grid symmetric about 0, got [{tau[0]}, {tau[-1]}]")
+    fp, fm = pair.f_plus, pair.f_minus
+    gp, gm = (fm, fp) if reflected else (fp, fm)
+    even = np.array_equal(fp.values, fm.values)
+    upper = hyperbolic_conv(fp, gp, grid, quad)
+    lower = upper if even else hyperbolic_conv(fm, gm, grid, quad)
+    cross = cross_conv(fp, gm, grid, quad)
+    cross2 = cross_conv(gp, fm, grid, quad) if reflected and not even else cross
+    return upper, lower, cross, cross2
 
 
 def pair_convolution_field(pair: SheetPair, grid: Conv2DField,
@@ -374,24 +382,12 @@ def pair_convolution_field(pair: SheetPair, grid: Conv2DField,
 
     reflected=False gives f mubar * f mubar; reflected=True gives
     f mubar * (reflection of f) mubar, the object the symmetrization
-    inequality bounds pointwise.  Requires a tau grid symmetric about 0.
+    inequality bounds pointwise.  The fields come from ``_sheet_fields``:
+    the tau grid must be symmetric about 0, or a ValueError names ``grid``,
+    and an even pair samples one self field and one cross field.
     """
-    tau = grid.tau_grid
-    if not np.allclose(tau, -tau[::-1]):
-        raise ValueError("pair fields need a tau grid symmetric about 0")
-    fp, fm = pair.f_plus, pair.f_minus
-    if reflected:
-        # reflection swaps the sheets (radial profiles): g+ = f-, g- = f+
-        gp, gm = fm, fp
-    else:
-        gp, gm = fp, fm
-    upper = hyperbolic_conv(fp, gp, grid, quad)           # supported tau >= 0
-    lower = hyperbolic_conv(fm, gm, grid, quad)           # reflect to tau <= 0
-    cross_pm = cross_conv(fp, gm, grid, quad)             # f+ mu+ * g- mu-
-    cross_mp = cross_conv(gp, fm, grid, quad) if reflected else cross_pm  # g+ mu+ * f- mu-
-    vals = (upper.values + lower.values[:, ::-1]
-            + cross_pm.values + cross_mp.values)
-    return grid.like(vals)
+    upper, lower, cross, cross2 = _sheet_fields(pair, grid, quad, reflected)
+    return grid.like(upper.values + lower.values[:, ::-1] + cross.values + cross2.values)
 
 
 def pair_template(pair: SheetPair, n_rho: int = 161, n_tau: int = 243) -> Conv2DField:
@@ -417,16 +413,15 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     breakdown reports the expansion terms; for nonnegative even pairs the
     kept terms certify the >= 6 x (upper-sheet term) inequality.  Its
     ``quad_levels`` holds each sampled field's ``meta["quad_levels"]``
-    (upper_self, lower_self, cross).  ``grid`` defaults to ``pair_template``.
-    Sheets with equal node values (even pairs) share one self field.
+    (upper_self, lower_self, cross).  ``grid`` defaults to ``pair_template``;
+    its tau grid must be symmetric about 0, or a ValueError names ``grid``.
+    The fields come from ``_sheet_fields``, so sheets with equal node values
+    (even pairs) share one self field.
     """
     quad = quad or QuadratureSpec()
-    fp, fm = pair.f_plus, pair.f_minus
     if grid is None:
         grid = pair_template(pair)
-    A = hyperbolic_conv(fp, fp, grid, quad)
-    Ap = A if np.array_equal(fp.values, fm.values) else hyperbolic_conv(fm, fm, grid, quad)
-    B = cross_conv(fp, fm, grid, quad)
+    A, Ap, B, _ = _sheet_fields(pair, grid, quad)
     Ap_ref = grid.like(Ap.values[:, ::-1])
     total = grid.like(A.values + Ap_ref.values + 2.0 * B.values)
     num = l2_field_norm(total, warn_boundary=False)[0] ** 2
@@ -467,10 +462,7 @@ def even_pair_certificate(result: AscentResult, engine_n: int = 800):
     """
     f = result.profile
     eng = SliceEngine(f.s, engine_n, psi(f.r_max, f.s))
-    F = eng.sample(f)
-    n_self = eng.numerator(F)
-    den = eng.norm_sq(F)
-    q = n_self / den ** 2
+    q = eng.q_ratio(eng.sample(f))
     qbar_floor = 1.5 * q
     return {
         "q_single": q,

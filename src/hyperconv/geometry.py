@@ -18,6 +18,14 @@ def check_mass(s: float) -> float:
     return s
 
 
+def check_r_max(r_max, s: float) -> float:
+    """Validate a truncation radius: finite and beyond the tip radius s."""
+    r_max = float(r_max)
+    if not (np.isfinite(r_max) and r_max > s):
+        raise ValueError(f"r_max must be finite and > s = {s}, got {r_max}")
+    return r_max
+
+
 def check_count(name: str, value, minimum: int) -> int:
     """Validate an integer parameter (no bool, no float) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_count, check_mass, phi, psi
+from .geometry import check_count, check_mass, check_r_max, phi, psi
 
 
 @dataclass
@@ -91,11 +91,10 @@ def tip_refined_time_grid(s: float, r_max: float, n: int,
 def trial_profile(a: float, s: float = 1.0, r_max: float = 40.0,
                   n: int = 400) -> RadialProfile:
     """Exponential trial profile exp(-(a/2) * psi(r, s)), tip-refined sampling."""
-    a, s, r_max = float(a), check_mass(s), float(r_max)
+    a, s = float(a), check_mass(s)
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError(f"decay rate a must be finite and positive, got {a}")
-    if not (np.isfinite(r_max) and r_max > s):
-        raise ValueError(f"r_max must be finite and > s = {s}, got {r_max}")
+    r_max = check_r_max(r_max, s)
     n = check_count("n", n, 2)
     grid = tip_refined_time_grid(s, r_max, n, tip_nodes=max(64, n // 8))
     vals = np.exp(-0.5 * a * psi(grid, s))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,24 @@ def test_support_predicate_consistency_scan():
 def test_support_predicate_examples():
     assert support_predicate(ConvPoint(1.0, 2.0, np.sqrt(3.0)), "self")
     assert not support_predicate(ConvPoint(1.0, 0.5, -1e-9), "self")
+
+
+def test_closed_forms_follow_the_support_at_rounded_branch_edges():
+    # the edges are clamped to lo <= mid <= hi, as the windows' edges are
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert branch_curves(0.0, 0.0) == (0.0, 0.0, 0.0)
+        # s = 0: tau^2 / tau rounds one ulp above tau, and rho = tau is middle
+        tau = 1.5788163903634936e-12
+        p = ConvPoint(0.0, tau, tau)
+        assert mu_self_conv(p) == TWO_PI
+        assert classify(p).branch is Branch.MIDDLE
+        assert support_predicate(p)
+        # the middle edge rounds one ulp beyond the support edge 1.625
+        p = ConvPoint(0.8125, float(np.nextafter(1.625, 2.0)), 1.55e-8)
+        assert mu_self_conv(p) == 0.0
+        assert classify(p).branch is Branch.OUTSIDE
+        assert not support_predicate(p)
 
 
 def test_branch_tags():

@@ -250,7 +250,10 @@ def small_pair(seed=0, n=28, complex_vals=True):
 def test_symmetrize_preserves_norm_and_fixes_even():
     pair = small_pair(1)
     sym = symmetrize(pair)
-    np.testing.assert_allclose(sym.norm_sq(), pair.norm_sq(), rtol=1e-12)
+    np.testing.assert_allclose(2.0 * np.abs(sym.f_plus.values) ** 2,
+                               np.abs(pair.f_plus.values) ** 2 + np.abs(pair.f_minus.values) ** 2,
+                               rtol=1e-12)
+    assert sym.l2_norm_sq() >= pair.l2_norm_sq() * (1 - 1e-7)
     np.testing.assert_array_equal(sym.f_plus.values, sym.f_minus.values)
     # an already even nonnegative pair is a fixed point
     again = symmetrize(sym)
@@ -364,6 +367,45 @@ def test_even_pair_samples_each_field_once(monkeypatch):
     calls.clear()
     pair_convolution_field(small_pair(3), grid, spec)
     assert calls == ["hyperbolic_conv", "hyperbolic_conv", "cross_conv"]
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+def test_even_pair_field_samples_each_field_once(monkeypatch, reflected):
+    pair = symmetrize(small_pair(3))
+    f = pair.f_plus
+    grid = Conv2DField.template(7.2, -6.3, 6.3, 31, 41)
+    spec = QuadratureSpec(rel_tol=1e-9)
+    A, B = hyperbolic_conv(f, f, grid, spec), cross_conv(f, f, grid, spec)
+    calls = []
+    for name in ("hyperbolic_conv", "cross_conv"):
+        real = getattr(extremizer, name)
+        monkeypatch.setattr(extremizer, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    h = pair_convolution_field(pair, grid, spec, reflected=reflected)
+    assert calls == ["hyperbolic_conv", "cross_conv"]
+    np.testing.assert_array_equal(h.values, A.values + A.values[:, ::-1] + B.values + B.values)
+
+
+@pytest.mark.parametrize("grid", [
+    Conv2DField.template(7.0, -6.0, 9.0, 61, 113),
+    # a 0.1 % shift of a span of 1e-5, inside np.allclose's absolute 1e-8
+    Conv2DField.template(1e-5, -1e-5, 1.001e-5, 5, 9)])
+def test_pair_fields_reject_an_asymmetric_tau_grid(grid):
+    pair = small_pair(3)
+    spec = QuadratureSpec(rel_tol=1e-9)
+    with pytest.raises(ValueError, match="^grid"):
+        full_q_ratio(pair, grid=grid, quad=spec)
+    with pytest.raises(ValueError, match="^grid"):
+        pair_convolution_field(pair, grid, spec)
+
+
+def test_even_pair_certificate_rejects_a_zero_profile():
+    zero = RadialProfile(1.0, np.linspace(1.0, 5.0, 40), np.zeros(40))
+    result = extremizer.AscentResult(profile=zero, q_star=0.0, q_refined=0.0,
+                                     trial_best_a=1.0, trial_best_q=0.0, trace=[],
+                                     restarts=[], stagnated=False)
+    with pytest.raises(ValueError, match="zero L2 norm"):
+        even_pair_certificate(result, engine_n=64)
 
 
 def test_even_pair_certificate_exceeds_double_cone():
@@ -564,7 +606,6 @@ def test_sheet_pair_l2_norm_squares_the_interpolant():
     zero = RadialProfile(1.0, f.grid, np.zeros(f.grid.size))
     np.testing.assert_allclose(SheetPair(f, zero).l2_norm_sq(), lp_norm(f, 2.0) ** 2,
                                rtol=1e-7)
-    assert SheetPair(f, zero).norm_sq() > 1.006 * lp_norm(f, 2.0) ** 2  # nodal, by convexity
     x = np.linspace(-1.0, 1.0, f.grid.size)
     g = RadialProfile(1.0, f.grid, np.sin(5.0 * x) * (1.0 + x))
     pair = SheetPair(g, f)
