@@ -162,7 +162,14 @@ class CellConvergenceError(RuntimeError):
         super().__init__(f"{len(cells)} grid cells did not reach the quadrature tolerance")
 
 
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
+# np.polynomial.legendre.leggauss(8); literals keep numpy.polynomial unloaded
+_GL8_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                   -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                   0.7966664774136267, 0.9602898564975362])
+_GL8_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                   0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                   0.22238103445337443, 0.10122853629037706])
 MAX_LEVEL = 4
 BLOCK_CELLS = 2 ** 10  # grid cells (rows x rho nodes) per row block: bounds its temporaries
 

@@ -26,8 +26,7 @@ S by the trapezoid rule as
 
     S_0 = 0,    S_j = delta sum_{1 <= i <= j} (q_i + q_{i-1}),
 
-one add and one cumulative sum per row.  Pairs off the stored nodes point
-at the sentinel index n, where the node vectors carry an appended zero.
+one add and one cumulative sum per row.
 
 A row is stored as (k, j_first, j_last): only its windows j_first .. j_last,
 where S = 0 up to j_first and S = C from j_last on (the first window with
@@ -37,9 +36,30 @@ hold C^2, the other branch 0.  So the middle branch, measured from
 r_in(w_{j_last}) to r_out(w_{j_first}), takes in both stretches exactly.
 Each row records the column of window j_last, whose S is C.  Rows are
 stored in blocks of at most ``BLOCK_ENTRIES`` entries, padded with columns
-that repeat the last width (trapezoid weight 0) and hold sentinel pairs.
-``SliceEngine`` stores the rows k = 0 .. 2n-2, ``extremizer.shell_pair_norm_sq``
-the rows of one shell pair.  The numerator
+that repeat the last width.  Those columns need no mask: their trapezoid
+weights make a = b = 0, so V sees none of the products their pairs read,
+and the adjoint D is exactly 0 there (T = 0 past the saturation column, so
+the prefix sums U stay at the row total).  ``SliceEngine`` stores the rows
+k = 0 .. 2n-2, ``extremizer.shell_pair_norm_sq`` the rows of one shell pair.
+
+A row stores no pair indices.  Column col holds window j = j_first + col,
+so hi = base_hi + col and lo = base_lo - col with base_hi = k//2 + j_first
+and base_lo = j_end - j_first (less ``origin`` where the nodes are counted
+from there): each side of a row pairs a run of consecutive nodes, and a
+block keeps one base index per row and side (``_Runs``).  The evaluators
+copy each run's node values whole, as a row of the matrix of the windows
+of the nodes the block reaches, padded with zeros where that stretch runs
+off the nodes (``_take_runs``); so a pair off the nodes reads zero, and the
+copies cost less than a gather by one index per entry.  The gradient
+scatters through index arrays written the same way, over bins that hold
+the nodes between two margins of n + 1 bins: SliceEngine's rows keep every
+pair within one block width (at most n/2 + 2 columns) of the nodes, so a
+pair off the nodes lands in a margin, which is dropped.  The one stored
+pair that must not count lies on the nodes: the empty j = 0 window of an
+odd row with j_first = 0, whose q and adjoint D are zeroed through a
+per-block list of those rows.
+
+The numerator
 
     ||f mu * g mu||_2^2 = 16 pi^3 delta sum_rows V
 
@@ -69,7 +89,7 @@ trial pass alike, goes through one evaluator (``_block_values``).
 
 The exponential trial profiles are geometric on the grid: F_i = e^{-a u_i/2}
 = r^i with r = e^{-a delta/2}.  Every stored pair of row k has lo + hi = k,
-and pairs off the grid hit the sentinel zero, so row k's pair sums are r^k
+and pairs off the grid read zero, so row k's pair sums are r^k
 times those of the all-ones profile and its value is e^{-a tau_k} V_k, where
 V_k is the all-ones row value with the tau trapezoid end weights folded in.
 Hence N(a) = 16 pi^3 delta sum_k e^{-a tau_k} V_k and
@@ -145,45 +165,66 @@ def row_values(S, j_end, alpha_in, alpha_out, mid_len):
             + np.sum(alpha_out * (C - S) ** 2, axis=1))
 
 
+class _Runs(NamedTuple):
+    """One side of a block's pairs, in runs of consecutive nodes: row r,
+    column col pairs node start + sign (rows[r] + col), where sign is -1 on
+    the lo side and +1 on the hi side."""
+
+    start: int
+    sign: int
+    rows: np.ndarray  # (rows,) each row's run, as its offset from start: 0 .. count-1
+    count: int
+
+    def indices(self, width: int) -> np.ndarray:
+        """The (rows, width) node indices of the runs."""
+        return self.start + self.sign * (self.rows[:, None] + np.arange(width))
+
+
 class _Block(NamedTuple):
     """Consecutive rows of a window table, padded to one width, with the
     coefficients of their quadratic forms (module docstring); the tau
     trapezoid weight of each row is folded into a, b and c."""
 
-    lo: np.ndarray   # (rows, width) int32 node indices, sentinel n
-    hi: np.ndarray
-    sat: np.ndarray  # (rows,) column holding the saturation value C
-    a: np.ndarray    # (rows, width) (alpha_in + alpha_out) delta^2
-    b: np.ndarray    # (rows, width) alpha_out delta^2
-    c: np.ndarray    # (rows,) (mid_len + sum_j alpha_out) delta^2
+    lo_runs: _Runs     # lo = base_lo - col, counted from origin
+    hi_runs: _Runs     # hi = base_hi + col
+    empty: np.ndarray  # rows whose column 0 is the empty j = 0 window of an odd row
+    sat: np.ndarray    # (rows,) column holding the saturation value C
+    a: np.ndarray      # (rows, width) (alpha_in + alpha_out) delta^2
+    b: np.ndarray      # (rows, width) alpha_out delta^2
+    c: np.ndarray      # (rows,) (mid_len + sum_j alpha_out) delta^2
+
+    @property
+    def lo(self) -> np.ndarray:
+        """(rows, width) node indices lo, derived; pairs off the nodes are kept."""
+        return self.lo_runs.indices(self.a.shape[1])
+
+    @property
+    def hi(self) -> np.ndarray:
+        """(rows, width) node indices hi, derived like ``lo``."""
+        return self.hi_runs.indices(self.a.shape[1])
 
 
 def row_blocks(s: float, delta: float, n: int, k, j_first, j_last, origin: int = 0):
     """Blocks of the rows (k[r], j_first[r], j_last[r]) of the module docstring.
 
-    Node indices are counted from ``origin``, and pairs off the nodes
-    0 .. n-1 so counted point at the sentinel n.  A block holds at most
-    ``BLOCK_ENTRIES`` entries, or 8 rows when one row is wider.
+    Node indices are counted from ``origin``, over the nodes 0 .. n-1.  A
+    block stores per row the base indices of its pairs, not the pairs
+    (module docstring), and marks no pair off the nodes, since those read
+    zero when evaluated; so n does not enter the blocks.  A block holds at
+    most ``BLOCK_ENTRIES`` entries, or 8 rows when one row is wider.
     """
     k, j_first, j_last = (np.asarray(a, dtype=np.int32)[:, None] for a in (k, j_first, j_last))
     sat = j_last - j_first                         # column of window j_last
     step = max(8, BLOCK_ENTRIES // (int(sat.max(initial=0)) + 1))
     for r in range(0, k.size, step):
         rows = slice(r, r + step)
-        yield _row_block(s, delta, n, origin, k[rows], j_first[rows], sat[rows])
+        yield _row_block(s, delta, origin, k[rows], j_first[rows], sat[rows])
 
 
-def _row_block(s, delta, n, origin, k, j_first, sat) -> _Block:
+def _row_block(s, delta, origin, k, j_first, sat) -> _Block:
     """One block of ``row_blocks``, from its rows' (rows, 1) descriptors."""
     col = np.arange(int(sat.max()) + 1, dtype=np.int32)[None, :]
     j = np.minimum(col, sat) + j_first             # padding repeats window j_last
-    hi = k // 2 + j
-    lo = k - hi
-    hi -= origin
-    lo -= origin
-    off = (col > sat) | (lo > hi) | (lo < 0) | (hi >= n)
-    hi[off] = n
-    lo[off] = n
     tau = delta * k
     w = j - 0.5 * (k % 2)
     w *= delta
@@ -195,7 +236,22 @@ def _row_block(s, delta, n, origin, k, j_first, sat) -> _Block:
     alpha_in += alpha_out
     mid_len *= d2
     mid_len += alpha_out.sum(axis=1)
-    return _Block(lo, hi, sat[:, 0], alpha_in, alpha_out, mid_len)
+    k, j_first = k[:, 0].astype(np.intp), j_first[:, 0]
+    base_lo = (k + 1) // 2 - j_first - origin
+    base_hi = k // 2 + j_first - origin
+    lo_start, hi_start = int(base_lo.max()), int(base_hi.min())
+    lo_runs = _Runs(lo_start, -1, lo_start - base_lo, lo_start - int(base_lo.min()) + 1)
+    hi_runs = _Runs(hi_start, 1, base_hi - hi_start, int(base_hi.max()) - hi_start + 1)
+    empty = np.flatnonzero((k % 2 == 1) & (j_first == 0))
+    return _Block(lo_runs, hi_runs, empty, sat[:, 0], alpha_in, alpha_out, mid_len)
+
+
+def _node_values(F, n: int, name: str) -> np.ndarray:
+    """F as a float array of n node values, or a ValueError naming it."""
+    F = np.asarray(F, dtype=float)
+    if F.shape != (n,):
+        raise ValueError(f"{name} must hold one value per node, n = {n}, got shape {F.shape}")
+    return F
 
 
 class _Scratch:
@@ -207,25 +263,51 @@ class _Scratch:
     def __init__(self, count: int):
         self._float = np.empty((count, 0))
         self._index = np.empty((2, 0), dtype=np.intp)
+        self._windows = np.empty(0)
 
     @staticmethod
     def _views(bufs, blk):
-        return [buf[:blk.lo.size].reshape(blk.lo.shape) for buf in bufs]
+        return [buf[:blk.a.size].reshape(blk.a.shape) for buf in bufs]
 
     def floats(self, blk: _Block):
         """The float buffers, each of the block's shape."""
-        if self._float.shape[1] < blk.lo.size:
-            self._float = np.empty((len(self._float), max(blk.lo.size, BLOCK_ENTRIES)))
+        if self._float.shape[1] < blk.a.size:
+            self._float = np.empty((len(self._float), max(blk.a.size, BLOCK_ENTRIES)))
         return self._views(self._float, blk)
 
     def indices(self, blk: _Block):
-        """The block's (lo, hi) as intp: a gather converts int32 indices on every call."""
-        if self._index.shape[1] < blk.lo.size:
-            self._index = np.empty((2, max(blk.lo.size, BLOCK_ENTRIES)), dtype=np.intp)
-        lo, hi = self._views(self._index, blk)
-        np.copyto(lo, blk.lo)
-        np.copyto(hi, blk.hi)
-        return lo, hi
+        """The two intp buffers, each of the block's shape."""
+        if self._index.shape[1] < blk.a.size:
+            self._index = np.empty((2, max(blk.a.size, BLOCK_ENTRIES)), dtype=np.intp)
+        return self._views(self._index, blk)
+
+    def windows(self, count: int, width: int, dtype) -> np.ndarray:
+        """A (count, width) buffer of dtype, float or intp (both 8 bytes)."""
+        if self._windows.size < count * width:
+            self._windows = np.empty(max(count * width, BLOCK_ENTRIES))
+        return self._windows[:count * width].view(dtype).reshape(count, width)
+
+
+def _take_runs(vec, runs: _Runs, out, scratch: _Scratch, shift: int = 0):
+    """out[r, col] = vec[shift + start + sign (rows[r] + col)], reading 0 off vec.
+
+    Each row of out is a run of vec, so it is copied whole, as a row of the
+    matrix of the windows of the stretch of vec that the runs cover; one
+    index per entry would be several times slower to write and to gather by.
+    """
+    width = out.shape[1]
+    size = runs.count + width - 1
+    first = shift + runs.start - (0 if runs.sign > 0 else size - 1)
+    stretch = np.zeros(size, dtype=vec.dtype)
+    lo, hi = max(first, 0), min(first + size, vec.size)
+    if lo < hi:
+        stretch[lo - first:hi - first] = vec[lo:hi]
+    step = runs.sign * stretch.itemsize
+    windows = np.ndarray((runs.count, width), vec.dtype, stretch,
+                         0 if runs.sign > 0 else -step * (size - 1), (step, step))
+    buf = scratch.windows(runs.count, width, vec.dtype)
+    np.copyto(buf, windows)
+    np.take(buf, runs.rows, axis=0, out=out, mode="clip")
 
 
 def _block_values(blk: _Block, q, S, aS):
@@ -247,31 +329,46 @@ def _block_values(blk: _Block, q, S, aS):
     return V, C, bS
 
 
-def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None = None) -> float:
-    """||f mu * g mu||_2^2 over the rows of blocks; F and G end in the sentinel zero."""
-    total = 0.0
+def _row_values(blocks, F, G=None):
+    """Each block's row values V in turn, from node values F and G.
+
+    G = None pairs F with itself; otherwise the half pair sums are doubled
+    and V carries a factor 4.
+    """
     scratch = _Scratch(3)
     for blk in blocks:
-        lo, hi = scratch.indices(blk)
         q, x, aS = scratch.floats(blk)
-        F.take(lo, out=q, mode="clip")
-        if G is None:
-            q *= F.take(hi, out=x, mode="clip")
-        else:  # twice the half pair sums: the values carry a factor 4
-            q *= G.take(hi, out=x, mode="clip")
-            G.take(lo, out=x, mode="clip")
-            x *= F.take(hi, out=aS, mode="clip")
+        _take_runs(F, blk.lo_runs, q, scratch)
+        _take_runs(F if G is None else G, blk.hi_runs, x, scratch)
+        q *= x
+        if G is not None:
+            _take_runs(G, blk.lo_runs, x, scratch)
+            _take_runs(F, blk.hi_runs, aS, scratch)
+            x *= aS
             q += x
-        total += _block_values(blk, q, x, aS)[0].sum()
+        q[blk.empty, 0] = 0.0
+        V = _block_values(blk, q, x, aS)[0]
         del blk  # a generator of blocks builds the next one without this one
+        yield V
+
+
+def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None = None) -> float:
+    """||f mu * g mu||_2^2 over the rows of blocks, for node values counted from their origin.
+
+    F and G hold the same nodes, any number of them: pairs off the nodes
+    read zero.
+    """
+    F = np.asarray(F, dtype=float)
+    G = None if G is None else _node_values(G, F.size, "G")
+    total = sum(V.sum() for V in _row_values(blocks, F, G))
     return SIXTEEN_PI3 * delta * float(total if G is None else 0.25 * total)
 
 
 class SliceEngine:
     """Quartic-functional evaluator on a uniform time grid for mass s.
 
-    The window table (pair indices and rho weights of the rows
-    tau = k*delta, k = 0 .. 2n-2, in blocks from ``row_blocks``) depends
+    The window table (per-row base indices and the rho coefficients of the
+    rows tau = k*delta, k = 0 .. 2n-2, in blocks from ``row_blocks``) depends
     only on (s, n, u_max) and is built once; each numerator or gradient
     evaluation is pure array arithmetic, one block at a time.
     """
@@ -322,14 +419,7 @@ class SliceEngine:
         if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0.0)):
             raise ValueError("a_grid must be a nonempty 1-D array of finite positive "
                              f"decay rates, got {a_grid!r}")
-        # the all-ones half pair sums: 1 on the grid, 0 at the sentinel (lo = hi = n)
-        scratch = _Scratch(3)
-        V = []
-        for blk in self._blocks:
-            q, S, aS = scratch.floats(blk)
-            np.copyto(q, blk.lo < self.n)
-            V.append(_block_values(blk, q, S, aS)[0])
-        V = np.concatenate(V)
+        V = np.concatenate(list(_row_values(self._blocks, np.ones(self.n))))
         tau = self.delta * np.arange(V.size)
         num = SIXTEEN_PI3 * self.delta * (np.exp(-np.outer(a, tau)) @ V)
         den = np.exp(-np.outer(a, self.u)) @ self.den_weights
@@ -339,22 +429,28 @@ class SliceEngine:
 
     def numerator(self, F: np.ndarray, G: np.ndarray | None = None) -> float:
         """||f mu * g mu||_2^2 for node-value vectors on the engine grid."""
-        return blocks_numerator(self._blocks, self.delta, np.append(F, 0.0),
-                                None if G is None else np.append(G, 0.0))
+        return blocks_numerator(self._blocks, self.delta, _node_values(F, self.n, "F"),
+                                None if G is None else _node_values(G, self.n, "G"))
 
     def numerator_gradient(self, F: np.ndarray):
         """(numerator, gradient wrt the node values), exact for the discrete form."""
-        n = self.n
-        Fz = np.append(F, 0.0)
+        F = _node_values(F, self.n, "F")
+        # the gradient's bins: the nodes between margins wider than any block,
+        # which take the pairs off the nodes (module docstring)
+        margin = self.n + 1
+        bins = np.arange(self.n + 2 * margin)
         total = 0.0
-        grad = np.zeros(n + 1)
+        grad = np.zeros(bins.size)
         scratch = _Scratch(5)
         for blk in self._blocks:
             lo, hi = scratch.indices(blk)
+            _take_runs(bins, blk.lo_runs, lo, scratch, margin)
+            _take_runs(bins, blk.hi_runs, hi, scratch, margin)
             F_lo, F_hi, q, S, T = scratch.floats(blk)
-            Fz.take(lo, out=F_lo, mode="clip")
-            Fz.take(hi, out=F_hi, mode="clip")
+            _take_runs(F, blk.lo_runs, F_lo, scratch)
+            _take_runs(F, blk.hi_runs, F_hi, scratch)
             np.multiply(F_lo, F_hi, out=q)
+            q[blk.empty, 0] = 0.0
             V, C, bS = _block_values(blk, q, S, T)
             total += V.sum()
 
@@ -372,17 +468,19 @@ class SliceEngine:
             np.add(U[:, 1:], U[:, :-1], out=D[:, 1:])
             np.add(U[:, :1], tot, out=D[:, :1])
             np.subtract(2.0 * tot, D, out=D)
+            D[blk.empty, 0] = 0.0  # the empty window's pair lies on the nodes
             F_hi *= D
             F_lo *= D
-            grad += np.bincount(lo.ravel(), weights=F_hi.ravel(), minlength=n + 1)
-            grad += np.bincount(hi.ravel(), weights=F_lo.ravel(), minlength=n + 1)
-        grad = grad[:n]
+            grad += np.bincount(lo.ravel(), weights=F_hi.ravel(), minlength=bins.size)
+            grad += np.bincount(hi.ravel(), weights=F_lo.ravel(), minlength=bins.size)
+        grad = grad[margin:margin + self.n]
         grad *= 2.0 * SIXTEEN_PI3 * self.delta
         return SIXTEEN_PI3 * self.delta * float(total), grad
 
     # ---- the functional ----
 
     def norm_sq(self, F: np.ndarray) -> float:
+        F = _node_values(F, self.n, "F")
         return float(np.sum(self.den_weights * F * F))
 
     def q_ratio(self, F: np.ndarray) -> float:

@@ -18,6 +18,7 @@ optimum, and extrapolates q*(delta) to delta -> 0 with an error bar.
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from dataclasses import dataclass
 
@@ -181,6 +182,8 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
 
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
+    The search's engine is released before the doubled-grid engine is built,
+    so only one table is alive at a time.
     """
     s = check_mass(s)
     r_max, rel_stop = check_r_max(r_max, s), float(rel_stop)
@@ -224,9 +227,11 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
             best = (F, q, trace)
     F_star, q_star, trace = best
 
-    # refined certificate value: resample the optimum on a doubled grid
-    eng2 = SliceEngine(s, 2 * grid_size, psi(r_max, s))
+    # refined certificate value: resample the optimum on a doubled grid, with
+    # the coarse table released first so that one table is alive at a time
     prof = RadialProfile(s, engine.radius_grid, F_star)
+    del engine
+    eng2 = SliceEngine(s, 2 * grid_size, psi(r_max, s))
     q2 = eng2.q_ratio(eng2.sample(prof))
     q_refined = (4.0 * q2 - q_star) / 3.0
     return AscentResult(profile=prof, q_star=float(q_star),
@@ -483,8 +488,8 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
     and both vanish on every other node.  This is the SliceEngine numerator
     (F, G) on the tau rows the pair reaches, built and evaluated in the
     engine's row blocks (``engine.row_blocks``, ``engine.blocks_numerator``)
-    without building an engine; the two shells sit in one zero-padded node
-    vector over the pair's span.  Row k is stored as (k, j_first, j_last):
+    without building an engine; the two shells sit in one node vector over
+    the pair's span, which ``blocks_numerator`` pads with zeros.  Row k is stored as (k, j_first, j_last):
     the product F_i G_{k-i} lives on the nodes iA .. iB, so S = 0 up to
     j_first, the last window that misses the support, and S = C from
     j_last, one past the first window that holds all of it.  The middle
@@ -501,7 +506,7 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
     nf, ng = len(F), len(G)
     origin = min(i0_f, i0_g)
     n = max(i0_f + nf, i0_g + ng) - origin
-    Fz, Gz = np.zeros((2, n + 1))
+    Fz, Gz = np.zeros((2, n))
     Fz[i0_f - origin:i0_f - origin + nf] = F
     Gz[i0_g - origin:i0_g - origin + ng] = G
     k = np.arange(max(i0_f + i0_g, 1), i0_f + nf + i0_g + ng - 1)
@@ -546,14 +551,24 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
     Returns (table, report): table[k][k'] is the norm for unit-normalized
     shell profiles; the report carries the least-squares slope of
     log2(norm) against |k - k'| over the fit range and the on-diagonal
-    constant.  One automatic refinement doubles the grid when the two
-    resolutions disagree beyond 1 percent.
+    constant.  ``fit_range`` = (lo, hi) holds the separations lo <= |k - k'|
+    <= hi that the fit takes; it must keep at least two of 1 .. k_max.  One
+    automatic refinement doubles the grid when the two resolutions disagree
+    beyond 1 percent.
     """
     s = check_mass(s)
     if s == 0.0:
         raise ValueError("mass parameter s must be > 0 for the dyadic scan, got 0.0")
     k_max = check_count("k_max", k_max, 4)
     nodes_per_shell = check_count("nodes_per_shell", nodes_per_shell, 8)
+    try:
+        fit_lo, fit_hi = (operator.index(d) for d in fit_range)
+        fits = min(fit_hi, k_max) - max(fit_lo, 1) >= 1  # a slope needs two separations
+    except (TypeError, ValueError):
+        fits = False
+    if not fits:
+        raise ValueError("fit_range must hold two integers lo <= hi that keep at least two "
+                         f"separations in 1..k_max = {k_max}, got {fit_range!r}")
 
     def compute(delta):
         shells = [dyadic_shell_values(s, k, delta, profile_kind)
@@ -577,7 +592,7 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
     for k in range(k_max + 1):
         for kp in range(k_max + 1):
             d = abs(k - kp)
-            if fit_range[0] <= d <= fit_range[1]:
+            if fit_lo <= d <= fit_hi:
                 seps.append(d)
                 logs.append(np.log2(table[k, kp]))
     A = np.stack([np.ones(len(seps)), np.asarray(seps, dtype=float)], axis=1)

@@ -686,3 +686,9 @@ def test_csv_and_binary_round_trips_are_exact(h):
             # the sign of a zero survives; a NaN's sign is not kept ("nan")
             signed = ~np.isnan(want)
             assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+
+def test_gauss_rule_literals_are_numpys_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert convolution._GL8_X.tobytes() == x.tobytes()
+    assert convolution._GL8_W.tobytes() == w.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperconv import extremizer
 from hyperconv.closedforms import mu_self_conv_grid
 from hyperconv.comparison import II_of_a, full_numerator
 from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, blocks_numerator,
@@ -374,3 +375,104 @@ def test_cone_limit_exponential_converges_to_two_pi_at_second_order():
     r = (deltas[-2] / deltas[-1]) ** 2
     limit = (r * qs[-1] - qs[-2]) / (r - 1.0)
     assert abs(limit - 2.0 * np.pi) <= 1e-5
+
+
+# ---- tables store coefficients, not pair indices ----
+
+def _arrays(obj):
+    """Every array a block holds, its pair runs included."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def assert_entries_take_16_bytes(blocks):
+    """a and b take 16 bytes per entry; every other array is per row, in all 40."""
+    for blk in blocks:
+        rows = blk.a.shape[0]
+        per_entry = per_row = 0
+        for arr in _arrays(blk):
+            if arr.shape == blk.a.shape:
+                per_entry += arr.nbytes
+            else:
+                assert arr.ndim == 1 and arr.size <= rows
+                per_row += arr.nbytes
+        assert per_entry == 16 * blk.a.size
+        assert per_row <= 40 * rows  # pair runs, empty rows, sat and c
+
+
+@pytest.mark.parametrize("n", [600, 1201])
+def test_engine_table_stores_at_most_16_bytes_per_entry(n):
+    assert_entries_take_16_bytes(SliceEngine(1.0, n, 30.0)._blocks)
+
+
+def test_shell_pair_blocks_store_at_most_16_bytes_per_entry(monkeypatch):
+    blocks = []
+
+    def kept(*args):
+        for blk in row_blocks(*args):
+            blocks.append(blk)
+            yield blk
+    monkeypatch.setattr(extremizer, "row_blocks", kept)
+    rng = np.random.default_rng(3)
+    F, G = rng.uniform(-1.0, 1.0, (2, 400))
+    extremizer.shell_pair_norm_sq(0.7, 0.05, 0, F, 250, G)
+    assert len(blocks) >= 3
+    assert_entries_take_16_bytes(blocks)
+
+
+def test_block_pair_indices_are_derived_from_the_row():
+    # lo + hi = k - 2*origin on every column, and hi steps by one per column
+    k = np.arange(6, 30)
+    j_end = (k + 1) // 2
+    j_first = np.where(k % 3 == 0, 0, 2)
+    j_last = np.minimum(j_first + 4, j_end)
+    (blk,) = row_blocks(0.5, 0.1, 10, k, j_first, j_last, origin=3)
+    np.testing.assert_array_equal(blk.lo + blk.hi, np.broadcast_to((k - 6)[:, None], blk.lo.shape))
+    np.testing.assert_array_equal(blk.hi[:, 0], k // 2 + j_first - 3)
+    np.testing.assert_array_equal(np.diff(blk.hi, axis=1), 1)
+    np.testing.assert_array_equal(blk.empty, np.flatnonzero((k % 2 == 1) & (j_first == 0)))
+    np.testing.assert_array_equal(blk.lo[:, 0], (k + 1) // 2 - j_first - 3)
+
+
+def test_rows_whose_padding_reaches_the_nodes_match_direct_rows():
+    # one wide row pads every other row of its block: their padding columns
+    # pair real nodes, and odd rows that start at j = 0 store the empty
+    # window's pair, also on the nodes; both must count for nothing
+    rng = np.random.default_rng(11)
+    s, delta, n, origin = 0.8, 0.07, 40, 2
+    F, G = rng.uniform(-1.0, 1.0, (2, n))
+    k = np.array([2 * origin + n, 45, 47, 30, 31, 60, 61, 9])
+    j_end = (k + 1) // 2
+    j_first = np.array([0, 0, 0, 3, 0, 5, 1, 0])
+    j_last = np.minimum(j_first + np.array([j_end[0], 2, 1, 2, 3, 4, 0, 2]), j_end)
+    blocks = list(row_blocks(s, delta, n, k, j_first, j_last, origin))
+    (blk,) = blocks
+    pad = np.arange(blk.a.shape[1])[None, :] > blk.sat[:, None]
+    on_nodes = (blk.lo >= 0) & (blk.lo < n) & (blk.hi >= 0) & (blk.hi < n)
+    assert np.any(pad & on_nodes) and blk.empty.size >= 3
+    assert np.all(on_nodes[blk.empty, 0])
+    rows = list(zip(k, j_first, j_last))
+    for G_ in (F, G):
+        want = direct_rows_numerator(s, delta, n, origin, rows, F, G_)
+        got = blocks_numerator(blocks, delta, F, None if G_ is F else G_)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("method", ["numerator", "numerator_gradient", "norm_sq",
+                                    "q_ratio", "q_gradient"])
+@pytest.mark.parametrize("size", [10, 63, 65])
+def test_engine_names_a_node_vector_of_the_wrong_length(method, size):
+    eng = SliceEngine(1.0, 64, 10.0)
+    with pytest.raises(ValueError, match=r"^F .*n = 64"):
+        getattr(eng, method)(np.ones(size))
+
+
+def test_engine_numerator_names_a_second_vector_of_the_wrong_length():
+    eng = SliceEngine(1.0, 64, 10.0)
+    with pytest.raises(ValueError, match=r"^G .*n = 64"):
+        eng.numerator(np.ones(64), np.ones(10))
+    with pytest.raises(ValueError, match=r"^F .*n = 64"):
+        eng.numerator(np.ones((64, 1)))

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -658,3 +659,70 @@ def test_maximize_radial_is_unchanged_by_the_one_pass_scan(monkeypatch):
 def test_trial_family_scan_names_a_bad_a_grid(a_grid):
     with pytest.raises(ValueError, match="a_grid"):
         trial_family_scan(SliceEngine(1.0, 64, 10.0), a_grid)
+
+
+# ---- shell-pair tables and the one-table radial search ----
+
+def _capture_blocks(monkeypatch):
+    blocks = []
+
+    def kept(*args):
+        for blk in row_blocks(*args):
+            blocks.append(blk)
+            yield blk
+    monkeypatch.setattr(extremizer, "row_blocks", kept)
+    return blocks
+
+
+@pytest.mark.parametrize("i0_f, nf, i0_g, ng", [(3, 25, 5, 9), (12, 7, 0, 40), (4, 10, 0, 30)])
+def test_shell_pair_rows_whose_padding_reaches_the_nodes(monkeypatch, i0_f, nf, i0_g, ng):
+    # odd rows from j = 0 keep their empty window's pair on the nodes, and the
+    # padding columns of narrow rows pair real nodes: the dense engine agrees
+    blocks = _capture_blocks(monkeypatch)
+    rng = np.random.default_rng(i0_f + nf + i0_g + ng)
+    F, G = rng.uniform(0.2, 1.0, (2, max(nf, ng)))
+    F, G = F[:nf], G[:ng]
+    s, delta = 1.3, 0.04
+    got = shell_pair_norm_sq(s, delta, i0_f, F, i0_g, G)
+    origin = min(i0_f, i0_g)
+    n = max(i0_f + nf, i0_g + ng) - origin
+    on_nodes = [(b.lo >= 0) & (b.lo < n) & (b.hi >= 0) & (b.hi < n) for b in blocks]
+    pad = [np.arange(b.a.shape[1])[None, :] > b.sat[:, None] for b in blocks]
+    assert any(np.any(p & o) for p, o in zip(pad, on_nodes))
+    assert any(np.any(o[b.empty, 0]) for b, o in zip(blocks, on_nodes))
+    np.testing.assert_allclose(got, dense_pair_numerator(s, delta, i0_f, F, i0_g, G),
+                               rtol=1e-12, atol=0)
+
+
+def test_maximize_radial_holds_one_engine_at_a_time(monkeypatch):
+    built, alive_at_build = [], []
+
+    class Tracked(SliceEngine):
+        def __init__(self, *args):
+            alive_at_build.append([ref().n for ref in built if ref() is not None])
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+    monkeypatch.setattr(extremizer, "SliceEngine", Tracked)
+    res = extremizer.maximize_radial(1.0, 64, r_max=20.0, restarts=2, iters=5)
+    assert len(built) == 2 and alive_at_build == [[], []]
+    assert res.profile.grid.size == 64
+
+
+@pytest.mark.parametrize("fit_range", [(7, 9), (3, 1), (4, 4), (1,), (1, 2, 3), (1.5, 3),
+                                       ("1", "3"), None, 5])
+def test_dyadic_scan_names_a_fit_range_without_two_separations(monkeypatch, fit_range):
+    def unreachable(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(extremizer, "shell_pair_norm_sq", unreachable)
+    with pytest.raises(ValueError, match="fit_range"):
+        bilinear_dyadic_scan(1.0, k_max=4, nodes_per_shell=16, fit_range=fit_range)
+
+
+@pytest.mark.parametrize("fit_range", [(0, 2), (3, 9), (np.int64(1), np.int64(6))])
+def test_dyadic_scan_fits_a_range_with_two_separations(fit_range):
+    table, report = bilinear_dyadic_scan(1.0, k_max=4, nodes_per_shell=16, fit_range=fit_range)
+    lo, hi = fit_range
+    seps = np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
+    keep = (seps >= lo) & (seps <= hi)
+    slope, _ = np.polyfit(seps[keep], np.log2(table[keep]), 1)
+    np.testing.assert_allclose(report["slope"], slope, rtol=1e-9)

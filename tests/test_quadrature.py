@@ -138,3 +138,18 @@ def test_importing_the_package_loads_no_scipy_submodule():
                          capture_output=True, text=True).stdout.splitlines()
     assert out[0] == "[]"
     np.testing.assert_allclose(float(out[1]), np.e - 1.0, rtol=1e-12)
+
+
+def test_importing_the_package_loads_no_numpy_polynomial():
+    # the Gauss rules that quadrature and lorentz build call leggauss inside
+    # functions, and convolution keeps its 8-point rule as literals
+    probe = ("import importlib, pkgutil, sys\n"
+             "import hyperconv\n"
+             "for mod in pkgutil.walk_packages(hyperconv.__path__, 'hyperconv.'):\n"
+             "    importlib.import_module(mod.name)\n"
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+    src = Path(quadrature.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]"]
