@@ -173,7 +173,7 @@ class _Runs(NamedTuple):
     start: int
     sign: int
     rows: np.ndarray  # (rows,) each row's run, as its offset from start: 0 .. count-1
-    count: int
+    count: int        # rows.max() + 1, stored to spare a reduction per evaluation
 
     def indices(self, width: int) -> np.ndarray:
         """The (rows, width) node indices of the runs."""

@@ -455,9 +455,9 @@ def test_rows_whose_padding_reaches_the_nodes_match_direct_rows():
     assert np.any(pad & on_nodes) and blk.empty.size >= 3
     assert np.all(on_nodes[blk.empty, 0])
     rows = list(zip(k, j_first, j_last))
-    for G_ in (F, G):
-        want = direct_rows_numerator(s, delta, n, origin, rows, F, G_)
-        got = blocks_numerator(blocks, delta, F, None if G_ is F else G_)
+    for other in (None, G):
+        want = direct_rows_numerator(s, delta, n, origin, rows, F, F if other is None else other)
+        got = blocks_numerator(blocks, delta, F, other)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
