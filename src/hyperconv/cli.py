@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("maximize", help="radial extremizer search (maximize_radial)")
     p.set_defaults(run=_maximize)
-    p.add_argument("--s", type=float, default=1.0, help="mass parameter s >= 0")
+    p.add_argument("--s", type=float, default=1.0, help="mass parameter s > 0")
     p.add_argument("--grid-size", type=int, default=400, help="engine grid nodes (>= 64)")
     p.add_argument("--r-max", type=float, default=40.0, help="truncation radius")
     p.add_argument("--restarts", type=int, default=5, help="number of ascent starts")
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
                    help="grid nodes across the first shell (>= 8)")
     p = sub.add_parser("study", help="extrapolated extremal value q_inf (extremal_study)")
     p.set_defaults(run=_study)
-    p.add_argument("--s", type=float, default=1.0, help="mass parameter s >= 0")
+    p.add_argument("--s", type=float, default=1.0, help="mass parameter s > 0")
     p.add_argument("--r-max", type=float, default=40.0, help="truncation radius")
     p.add_argument("--n", type=_int_list, action="append",
                    help="grid sizes, comma-separated or repeated (default "

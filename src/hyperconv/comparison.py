@@ -15,8 +15,8 @@ central-difference derivatives, including that of the cube-root rescaled
 N(a)/D(a) = ratio(a^{1/3}) (limit 4*pi/3), by least squares in b = a^{1/3}.
 ``IDENTITY_SPECS`` lists the nine small-a identities, each with its
 integrand, leading term and remainder envelope.  ``masked_numerator`` and
-``full_numerator`` recompute I(a) and the full numerator from the
-closed-form density, as a cross-check.
+``full_numerator`` recompute I(a) and the full numerator as tau integrals
+of the closed-form row mass, as a cross-check.
 
 Every one-dimensional integral here runs through
 ``quadrature.integrate_pieces``, so a piece that misses its tolerance
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedforms import branch_curves, mu_self_conv_grid, mu_self_conv_masked
-from .quadrature import (QuadratureError, QuadratureSpec, gauss_legendre_nodes,
-                         integrate_pieces)
+from .closedforms import self_conv_row_mass
+from .quadrature import QuadratureSpec, integrate_pieces
 
 TWO_PI = 2.0 * np.pi
 CONE_CONSTANT = TWO_PI
@@ -314,52 +313,27 @@ def closing_integral(rel_tol: float = 1e-12) -> float:
 
 # ---- cross links to the closed-form density ----
 
-def _exp_weighted_density_mass(a: float, s: float, density, branches: int,
-                               rel_tol: float) -> float:
-    """4 pi int e^{-a tau} int density(rho, tau)^2 rho^2 d rho d tau.
-
-    The rho integral runs over the first ``branches`` pieces cut by
-    ``branch_curves``.  It is smooth in tau, so the outer direction is
-    composite Gauss on panels matched to the decay, at orders 16, 24 and 32
-    until two successive orders agree to 10 rel_tol; QuadratureError
-    otherwise.
-    """
-    def inner(tau):
-        f = lambda rho: density(s, rho, np.full_like(rho, tau)) ** 2 * rho * rho
-        return _piecewise(f, [0.0, *branch_curves(s, tau)[:branches]], rel_tol)
-
-    edges = [0.0, 1.0, 5.0, 10.0, 30.0 / a, 60.0 / a]
-    prev = None
-    for order in (16, 24, 32):
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
-            t, w = gauss_legendre_nodes(lo, hi, order)
-            total += float(np.sum(w * np.exp(-a * t)
-                                  * np.array([inner(tt) for tt in t])))
-        if prev is not None and abs(total - prev) <= 10 * rel_tol * abs(total):
-            return 4.0 * np.pi * total
-        prev, last = total, prev
-    raise QuadratureError(
-        f"density mass at a={a}, s={s}: Gauss orders 24 and 32 differ by "
-        f"{abs(prev - last):.3g}, above 10 rel_tol |value| = {10 * rel_tol * abs(prev):.3g}")
+def _exp_weighted_row_mass(a: float, s: float, part, rel_tol: float) -> float:
+    """4 pi int_0^60/a e^{-a tau} part(self_conv_row_mass(s, tau)) d tau."""
+    if not (np.isfinite(a) and a > 0.0):
+        raise ValueError(f"decay rate a must be finite and > 0, got {a}")
+    f = lambda tau: np.exp(-a * tau) * part(self_conv_row_mass(s, tau))
+    return 4.0 * np.pi * _piecewise(f, sorted({0.0, 1.0, 5.0, 10.0, 30.0 / a, 60.0 / a}), rel_tol)
 
 
 def masked_numerator(a: float, s: float = 1.0, rel_tol: float = 1e-10) -> float:
     """Weighted L2 mass of the exp-weighted inner+middle density branches.
 
-    Equals I(a) exactly at s = 1: the same object computed through the
-    closed-form density instead of the appendix integrand (cross-oracle).
+    Equals I(a) at s = 1: the same object reached through the closed-form
+    row mass instead of the appendix integrand (cross-oracle).
     """
-    return _exp_weighted_density_mass(a, s, mu_self_conv_masked, 2, rel_tol)
+    return _exp_weighted_row_mass(a, s, lambda m: m[0], rel_tol)
 
 
 def full_numerator(a: float, s: float = 1.0, rel_tol: float = 1e-9) -> float:
-    """Weighted L2 mass of the full exp-weighted self-convolution density.
+    """Exact ||f_a mu * f_a mu||_2^2, the tau integral of the full row mass.
 
-    This is the exact value of ||f_a mu * f_a mu||_2^2 (all branches), used
-    as an oracle for the trial-family functional; it strictly dominates the
+    The oracle for the trial-family functional; it strictly dominates the
     masked value I(a).
     """
-    return _exp_weighted_density_mass(a, s, mu_self_conv_grid, 3, rel_tol)
+    return _exp_weighted_row_mass(a, s, sum, rel_tol)

@@ -204,14 +204,14 @@ class _Block(NamedTuple):
         return self.hi_runs.indices(self.a.shape[1])
 
 
-def row_blocks(s: float, delta: float, n: int, k, j_first, j_last, origin: int = 0):
+def row_blocks(s: float, delta: float, k, j_first, j_last, origin: int = 0):
     """Blocks of the rows (k[r], j_first[r], j_last[r]) of the module docstring.
 
-    Node indices are counted from ``origin``, over the nodes 0 .. n-1.  A
-    block stores per row the base indices of its pairs, not the pairs
-    (module docstring), and marks no pair off the nodes, since those read
-    zero when evaluated; so n does not enter the blocks.  A block holds at
-    most ``BLOCK_ENTRIES`` entries, or 8 rows when one row is wider.
+    Node indices are counted from ``origin``.  A block stores per row the
+    base indices of its pairs, not the pairs (module docstring), and marks
+    no pair off the nodes, since those read zero when evaluated; so the
+    node count does not enter the blocks.  A block holds at most
+    ``BLOCK_ENTRIES`` entries, or 8 rows when one row is wider.
     """
     k, j_first, j_last = (np.asarray(a, dtype=np.int32)[:, None] for a in (k, j_first, j_last))
     sat = j_last - j_first                         # column of window j_last
@@ -389,7 +389,7 @@ class SliceEngine:
         # grid; P = 0 beyond it, so the first window with S = C is min(J_k + 1, j_end)
         k = np.arange(2 * n - 1)
         j_last = np.minimum(n - k // 2, (k + 1) // 2)
-        self._blocks = list(row_blocks(s, self.delta, n, k, np.zeros_like(k), j_last))
+        self._blocks = list(row_blocks(s, self.delta, k, np.zeros_like(k), j_last))
         for blk, r in ((self._blocks[0], 0), (self._blocks[-1], -1)):  # tau trapezoid ends
             blk.a[r] *= 0.5
             blk.b[r] *= 0.5

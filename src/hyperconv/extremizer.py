@@ -35,6 +35,14 @@ from .quadrature import DEFAULT_SEED, QuadratureSpec
 
 log = logging.getLogger("hyperconv")
 
+
+def _check_positive_mass(s, routine: str) -> float:
+    """``check_mass``, refusing the cone s = 0 too, with the routine named."""
+    s = check_mass(s)
+    if s == 0.0:
+        raise ValueError(f"mass parameter s must be > 0 for the {routine}, got 0.0")
+    return s
+
 TWO_PI = 2.0 * np.pi
 CONE_Q = TWO_PI           # sup Q over the cone (convolution-form units)
 DOUBLE_CONE_Q = 3.0 * np.pi  # (3/2) * cone value, the double-cone benchmark
@@ -183,9 +191,11 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
     The search's engine is released before the doubled-grid engine is built,
-    so only one table is alive at a time.
+    so only one table is alive at a time.  The cone s = 0 is refused: there
+    the engine's first rows overweight the tip node, and the ascent runs
+    to a spike at node 0.
     """
-    s = check_mass(s)
+    s = _check_positive_mass(s, "radial search")
     r_max, rel_stop = check_r_max(r_max, s), float(rel_stop)
     if not (np.isfinite(rel_stop) and rel_stop >= 0.0):
         raise ValueError(f"rel_stop must be finite and >= 0, got {rel_stop}")
@@ -260,8 +270,9 @@ def extremal_study(s: float, r_max: float, n_list) -> dict:
     and the truncation shift: q* at about 2*r_max on the first grid's nodes
     and spacing, minus q*(n_list[0]).  ``rows`` (and ``truncation``) hold
     each ascent's iterations, Q evaluations, stop reason and wall time.
+    The cone s = 0 is refused, as in ``maximize_radial``.
     """
-    s = check_mass(s)
+    s = _check_positive_mass(s, "radial search")
     r_max = check_r_max(r_max, s)
     n_list = [check_count(f"n_list[{i}]", n, 64) for i, n in enumerate(n_list)]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -517,7 +528,7 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
     j_first = np.maximum(np.maximum(j_end - iB, iA - k2) - 1, 0)
     j_last = np.minimum(np.maximum(j_end - iA, iB - k2) + 1, j_end)
     # every row is interior to the tau trapezoid: the pair vanishes beyond it
-    return blocks_numerator(row_blocks(s, delta, n, k, j_first, j_last, origin), delta, Fz, Gz)
+    return blocks_numerator(row_blocks(s, delta, k, j_first, j_last, origin), delta, Fz, Gz)
 
 
 def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):
@@ -556,9 +567,7 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
     automatic refinement doubles the grid when the two resolutions disagree
     beyond 1 percent.
     """
-    s = check_mass(s)
-    if s == 0.0:
-        raise ValueError("mass parameter s must be > 0 for the dyadic scan, got 0.0")
+    s = _check_positive_mass(s, "dyadic scan")
     k_max = check_count("k_max", k_max, 4)
     nodes_per_shell = check_count("nodes_per_shell", nodes_per_shell, 8)
     try:

@@ -45,6 +45,14 @@ def test_maximize_rejects_an_r_max_inside_the_mass_by_name(capsys):
     assert "r_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["maximize", "study"])
+def test_radial_search_commands_refuse_the_cone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--s", "0"])
+    assert exc.value.code == 2
+    assert "mass parameter s must be > 0" in capsys.readouterr().err
+
+
 def test_scan_prints_one_json_run_record(capsys):
     assert main(["scan", "--s", "1", "--k-max", "4", "--nodes-per-shell", "16"]) == 0
     record = json.loads(capsys.readouterr().out)

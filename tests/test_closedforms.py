@@ -11,7 +11,9 @@ from hyperconv.closedforms import (Branch, ConvPoint, branch_curves, classify,
                                    mu_cone_conv_sup, mu_self_conv,
                                    mu_self_conv_casewise, mu_self_conv_grid,
                                    mu_self_conv_masked, mu_self_conv_sup,
-                                   mu_self_conv_sup_exact, support_predicate)
+                                   mu_self_conv_sup_exact, self_conv_row_mass,
+                                   support_predicate)
+from hyperconv.quadrature import QuadratureSpec, integrate_pieces
 
 TWO_PI = 2.0 * np.pi
 
@@ -259,3 +261,56 @@ def test_exp_weighted():
     assert exp_weighted_conv(0.4, q) == 0.0
     with pytest.raises(ValueError):
         exp_weighted_conv(-0.1, p)
+
+
+# ---- the closed-form row mass ----
+
+def quadrature_row_mass(s, tau, scale):
+    """(inner + middle, outer) rho integrals of mu_self_conv_grid^2 rho^2 by Gauss-Kronrod.
+
+    The outer integrand cancels as tau/s -> 0, so each piece is converged to
+    an absolute tolerance set by the scale of the whole row mass.
+    """
+    lo, mid, hi = (float(e) for e in branch_curves(s, tau))
+    f = lambda rho: mu_self_conv_grid(s, rho, tau) ** 2 * rho * rho
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15 * scale, max_depth=24)
+    return (integrate_pieces(f, [0.0, lo, mid], spec).value,
+            integrate_pieces(f, [mid, hi], spec).value)
+
+
+# tau/s = 2 sqrt(2) is where the inner edge crosses the wide-regime radius 2 s
+ROW_MASS_TAU_OVER_S = [1e-3, 0.03, 0.1, 1.0, 2.0 * np.sqrt(2.0) * (1.0 - 1e-9),
+                       2.0 * np.sqrt(2.0), 2.0 * np.sqrt(2.0) * (1.0 + 1e-9), 10.0, 1000.0]
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0, 2.0])
+def test_row_mass_matches_the_rho_quadrature_of_the_density(s):
+    tau = s * np.array(ROW_MASS_TAU_OVER_S)
+    masked, outer = self_conv_row_mass(s, tau)
+    for t, m, o in zip(tau, masked, outer):
+        want_masked, want_outer = quadrature_row_mass(s, t, m + o)
+        want = want_masked + want_outer
+        # 1e-12 is well above the form's own error, which stays near 5e-16
+        assert abs(m + o - want) <= 1e-12 * want, (t, m + o, want)
+        assert abs(m - want_masked) <= 1e-12 * want_masked, (t, m, want_masked)
+
+
+def test_row_mass_of_the_cone_and_at_the_tip():
+    tau = np.array([0.0, 0.5, 1.0, 7.0])
+    masked, outer = self_conv_row_mass(0.0, tau)
+    np.testing.assert_array_equal(masked, 4.0 * np.pi ** 2 * tau ** 3 / 3.0)
+    np.testing.assert_array_equal(outer, 0.0)
+    for s in (0.3, 1.0):
+        np.testing.assert_array_equal(self_conv_row_mass(s, 0.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="mass parameter s"):
+        self_conv_row_mass(-1.0, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.01, 10.0), st.floats(1e-3, 1e3))
+def test_row_mass_is_finite_and_its_parts_positive(s, tau_over_s):
+    # the outer part is a difference of terms that cancel as tau/s -> 0;
+    # it must stay a small positive number, never the rounding noise
+    masked, outer = self_conv_row_mass(s, s * tau_over_s)
+    assert np.isfinite(masked) and np.isfinite(outer)
+    assert masked > 0.0 and 0.0 < outer < masked

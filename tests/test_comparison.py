@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hyperconv import comparison
 from hyperconv.comparison import (CONE_CONSTANT, D3_LIMIT, I_LIMIT, II_LIMIT,
                                   ND_DERIVATIVE_LIMIT, I_of_a, II_of_a,
                                   asymptotic_integral_suite, closing_integral,
@@ -116,13 +115,21 @@ def test_exact_identity_and_closing_integral():
     np.testing.assert_allclose(closing_integral(), 1.0, rtol=1e-8)
 
 
-def test_density_mass_raises_when_gauss_orders_disagree(monkeypatch):
-    # a density oscillating fast in tau defeats every Gauss order on the
-    # outer panels; the routine must say so instead of returning a value
-    monkeypatch.setattr(comparison, "mu_self_conv_grid",
-                        lambda s, rho, tau: 1.0 + 0.5 * np.sin(200.0 * tau))
-    with pytest.raises(QuadratureError, match=r"a=1\.0.*differ by"):
-        full_numerator(1.0)
+def test_full_numerator_raises_on_unreachable_tolerance():
+    # the one tau integral reports the piece that misses its tolerance
+    with pytest.raises(QuadratureError, match=r"\[0\.0, 1\.0\].*rel_tol=1e-17"):
+        full_numerator(1.0, rel_tol=1e-17)
+
+
+@pytest.mark.parametrize("oracle", [masked_numerator, full_numerator])
+@pytest.mark.parametrize("kwargs, name", [
+    ({"a": -1.0}, "decay rate a"), ({"a": 0.0}, "decay rate a"),
+    ({"a": np.nan}, "decay rate a"), ({"a": np.inf}, "decay rate a"),
+    ({"s": -1.0}, "mass parameter s"), ({"s": np.nan}, "mass parameter s")])
+def test_density_oracles_name_a_bad_input(oracle, kwargs, name):
+    # a < 0 used to integrate e^{+a tau}, and s < 0 returned a value
+    with pytest.raises(ValueError, match=name):
+        oracle(**({"a": 1.0} | kwargs))
 
 
 def test_appendix_integral_raises_on_unreachable_tolerance():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconv import extremizer
-from hyperconv.closedforms import mu_self_conv_grid
+from hyperconv.closedforms import self_conv_row_mass
 from hyperconv.comparison import II_of_a, full_numerator
 from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, blocks_numerator,
                               rho_pair_from_w, rho_weights, row_blocks, row_values)
@@ -80,6 +80,23 @@ def test_numerator_matches_trial_family_oracle():
         raw = SliceEngine(s, 900, u_max)
         raw_val = raw.numerator(raw.trial_values(a))
         np.testing.assert_allclose(raw_val, want, rtol=1e-3)
+
+
+@pytest.mark.parametrize("tau", [0.25, 1.0, 4.0])
+def test_all_ones_rows_converge_to_the_closed_form_row_mass(tau):
+    # for F = 1 a row value V_k is M(tau_k) / (4 pi^2) up to the rho
+    # trapezoid's O(delta^2) error; row k's window is whole for tau <= u_max
+    s, u_max = 1.0, 8.0
+    want = sum(self_conv_row_mass(s, tau)) / (4.0 * np.pi ** 2)
+    errs = []
+    for n in (129, 257, 513):
+        eng = SliceEngine(s, n, u_max)
+        k = round(tau / eng.delta)
+        blocks = row_blocks(s, eng.delta, [k], [0], [min(n - k // 2, (k + 1) // 2)])
+        V = blocks_numerator(blocks, eng.delta, np.ones(n)) / (SIXTEEN_PI3 * eng.delta)
+        errs.append(abs(V - want) / want)
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all((3.8 <= ratios) & (ratios <= 4.2)), (errs, ratios)
 
 
 def test_numerator_resolution_convergence():
@@ -350,7 +367,7 @@ def test_blocks_numerator_matches_direct_rows(s, delta, n, origin, kind, n_rows,
     j_first[n_rows:] = 0
     j_last = rng.integers(j_first, j_end + 1)
     j_last[n_rows:] = j_end[n_rows:]
-    blocks = list(row_blocks(s, delta, n, k, j_first, j_last, origin))
+    blocks = list(row_blocks(s, delta, k, j_first, j_last, origin))
     rows = list(zip(k, j_first, j_last))
     want = direct_rows_numerator(s, delta, n, origin, rows, F, F)
     got = blocks_numerator(blocks, delta, np.append(F, 0.0))
@@ -429,7 +446,7 @@ def test_block_pair_indices_are_derived_from_the_row():
     j_end = (k + 1) // 2
     j_first = np.where(k % 3 == 0, 0, 2)
     j_last = np.minimum(j_first + 4, j_end)
-    (blk,) = row_blocks(0.5, 0.1, 10, k, j_first, j_last, origin=3)
+    (blk,) = row_blocks(0.5, 0.1, k, j_first, j_last, origin=3)
     np.testing.assert_array_equal(blk.lo + blk.hi, np.broadcast_to((k - 6)[:, None], blk.lo.shape))
     np.testing.assert_array_equal(blk.hi[:, 0], k // 2 + j_first - 3)
     np.testing.assert_array_equal(np.diff(blk.hi, axis=1), 1)
@@ -448,7 +465,7 @@ def test_rows_whose_padding_reaches_the_nodes_match_direct_rows():
     j_end = (k + 1) // 2
     j_first = np.array([0, 0, 0, 3, 0, 5, 1, 0])
     j_last = np.minimum(j_first + np.array([j_end[0], 2, 1, 2, 3, 4, 0, 2]), j_end)
-    blocks = list(row_blocks(s, delta, n, k, j_first, j_last, origin))
+    blocks = list(row_blocks(s, delta, k, j_first, j_last, origin))
     (blk,) = blocks
     pad = np.arange(blk.a.shape[1])[None, :] > blk.sat[:, None]
     on_nodes = (blk.lo >= 0) & (blk.lo < n) & (blk.hi >= 0) & (blk.hi < n)

@@ -212,6 +212,20 @@ def test_maximize_radial_names_a_bad_range_before_building_an_engine(monkeypatch
         maximize_radial(1.0, **kwargs)
 
 
+@pytest.mark.parametrize("search", [
+    lambda: maximize_radial(0.0, 400, r_max=40.0, restarts=1, iters=300),
+    lambda: extremizer.extremal_study(0.0, 40.0, [200, 400, 800])])
+def test_radial_search_refuses_the_cone_before_building_an_engine(monkeypatch, search):
+    # at s = 0 the ascent used to run to a spike at node 0 (q_star 3.9e28)
+    # or to a NaN gradient
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(extremizer, "SliceEngine", no_engine)
+    with pytest.raises(ValueError, match="mass parameter s must be > 0"):
+        search()
+
+
 def test_maximize_scaling_invariance():
     r1 = maximize_radial(1.0, grid_size=128, r_max=20.0, restarts=1, iters=150)
     # map the argmax to mass 2 on the matched grid: Q agrees to 1e-10
