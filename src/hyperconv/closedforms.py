@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import check_mass
+from .geometry import check_mass, check_real
 
 TWO_PI = 2.0 * np.pi
 
@@ -202,8 +202,7 @@ def mu_self_conv_casewise(s: float, rho: float, tau: float) -> float:
 
 def mu_self_conv_sup(s: float, tau: float):
     """Bracket [2*pi*sqrt(1+4s^2/tau^2), 2*pi*(1+2s/tau)] for the rho-sup at tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    s, tau = check_mass(s), check_real("tau", tau, above=0.0)
     lower = TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (tau * tau))
     upper = TWO_PI * (1.0 + 2.0 * s / tau)
     return float(lower), float(upper)
@@ -211,8 +210,7 @@ def mu_self_conv_sup(s: float, tau: float):
 
 def mu_self_conv_sup_exact(s: float, tau: float) -> float:
     """Exact rho-sup 2*pi*(sqrt(tau^2+s^2)+s)/tau, attained at the inner boundary."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    s, tau = check_mass(s), check_real("tau", tau, above=0.0)
     return float(TWO_PI * (np.sqrt(tau * tau + s * s) + s) / tau)
 
 
@@ -248,8 +246,7 @@ def mixed_sup_breakpoint(s: float) -> float:
 
 def mu_cone_conv_sup(s: float, tau: float) -> float:
     """Sup over rho of the mixed density at fixed tau >= 0 (corrected middle regime)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    s, tau = check_mass(s), check_real("tau", tau, at_least=0.0)
     if s == 0.0:
         return TWO_PI if tau > 0 else 0.0
     if tau == 0.0:
@@ -264,8 +261,7 @@ def mu_cone_conv_sup(s: float, tau: float) -> float:
 
 def exp_weighted_conv(a: float, p: ConvPoint) -> float:
     """Density of the exponential-profile pair trial convolution: e^{-a tau/2} mu*mu."""
-    if a < 0:
-        raise ValueError("decay rate a must be nonnegative")
+    a = check_real("decay rate a", a, at_least=0.0)
     return float(np.exp(-0.5 * a * p.tau) * mu_self_conv(p))
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedforms import self_conv_row_mass
+from .geometry import check_count, check_real
 from .quadrature import QuadratureSpec, integrate_pieces
 
 TWO_PI = 2.0 * np.pi
@@ -49,11 +50,14 @@ def _edges_for(c: float):
     return sorted(set(e for e in raw if e <= 90.0))
 
 
-def I_of_a(a: float, spec: QuadratureSpec | None = None, rule: str = "gk") -> float:
-    """Trial-family numerator lower bound I(a), relative accuracy ~1e-12."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+def I_of_a(a: float, spec: QuadratureSpec | None = None, rule: str | None = None) -> float:
+    """Trial-family numerator lower bound I(a), relative accuracy ~1e-12.
+
+    ``rule``, if given, overrides the spec's rule.
+    """
+    a = check_real("decay rate a", a, above=0.0)
     spec = spec or QuadratureSpec(rel_tol=1e-12)
+    rule = spec.rule if rule is None else rule
 
     def g(u):
         ra = np.sqrt(u * u + a * a)
@@ -65,11 +69,11 @@ def I_of_a(a: float, spec: QuadratureSpec | None = None, rule: str = "gk") -> fl
                                          - 2.0 * a * a * np.log(a))
 
 
-def II_of_a(a: float, spec: QuadratureSpec | None = None, rule: str = "gk") -> float:
-    """Fourth power of the trial-profile L2 norm, II(a)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+def II_of_a(a: float, spec: QuadratureSpec | None = None, rule: str | None = None) -> float:
+    """Fourth power of the trial-profile L2 norm, II(a); spec and rule as in ``I_of_a``."""
+    a = check_real("decay rate a", a, above=0.0)
     spec = spec or QuadratureSpec(rel_tol=1e-12)
+    rule = spec.rule if rule is None else rule
 
     def g(u):
         return np.exp(-u) * np.sqrt(u * u + a * a)
@@ -103,8 +107,9 @@ def ratio_scan(a_min: float, a_max: float, steps: int,
     constant 2*pi; those samples are listed as reproduction failures (the
     ratio genuinely crosses below 2*pi near a ~ 0.2385).
     """
-    if not (0 < a_min < a_max):
-        raise ValueError("need 0 < a_min < a_max")
+    a_min = check_real("a_min", a_min, above=0.0)
+    a_max = check_real("a_max", a_max, above=a_min)
+    steps = check_count("steps", steps, 1)
     samples = []
     for a in np.linspace(a_min, a_max, steps):
         I = I_of_a(a, spec)
@@ -315,8 +320,7 @@ def closing_integral(rel_tol: float = 1e-12) -> float:
 
 def _exp_weighted_row_mass(a: float, s: float, part, rel_tol: float) -> float:
     """4 pi int_0^60/a e^{-a tau} part(self_conv_row_mass(s, tau)) d tau."""
-    if not (np.isfinite(a) and a > 0.0):
-        raise ValueError(f"decay rate a must be finite and > 0, got {a}")
+    a = check_real("decay rate a", a, above=0.0)
     f = lambda tau: np.exp(-a * tau) * part(self_conv_row_mass(s, tau))
     return 4.0 * np.pi * _piecewise(f, sorted({0.0, 1.0, 5.0, 10.0, 30.0 / a, 60.0 / a}), rel_tol)
 

@@ -102,7 +102,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_count, check_mass, phi
+from .geometry import check_count, check_mass, check_real, phi
 
 SIXTEEN_PI3 = 16.0 * np.pi ** 3
 FOUR_PI = 4.0 * np.pi
@@ -376,9 +376,7 @@ class SliceEngine:
     def __init__(self, s: float, n: int, u_max: float):
         n = check_count("n", n, 8)
         s = check_mass(s)
-        u_max = float(u_max)
-        if not (np.isfinite(u_max) and u_max > 0.0):
-            raise ValueError(f"u_max must be finite and positive, got {u_max}")
+        u_max = check_real("u_max", u_max, above=0.0)
         self.s = s
         self.n = n
         self.u = np.linspace(0.0, u_max, n)

@@ -28,9 +28,9 @@ from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
 from .engine import SliceEngine, blocks_numerator, row_blocks
 from .fields import Conv2DField
-from .geometry import check_count, check_mass, check_r_max, phi, psi
+from .geometry import check_count, check_mass, check_r_max, check_real, phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
-from .profiles import RadialProfile
+from .profiles import RadialProfile, smooth_bump
 from .quadrature import DEFAULT_SEED, QuadratureSpec
 
 log = logging.getLogger("hyperconv")
@@ -196,9 +196,8 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     to a spike at node 0.
     """
     s = _check_positive_mass(s, "radial search")
-    r_max, rel_stop = check_r_max(r_max, s), float(rel_stop)
-    if not (np.isfinite(rel_stop) and rel_stop >= 0.0):
-        raise ValueError(f"rel_stop must be finite and >= 0, got {rel_stop}")
+    r_max = check_r_max(r_max, s)
+    rel_stop = check_real("rel_stop", rel_stop, at_least=0.0)
     grid_size = check_count("grid_size", grid_size, 64)
     restarts = check_count("restarts", restarts, 1)
     iters = check_count("iters", iters, 1)
@@ -499,21 +498,17 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
     and both vanish on every other node.  This is the SliceEngine numerator
     (F, G) on the tau rows the pair reaches, built and evaluated in the
     engine's row blocks (``engine.row_blocks``, ``engine.blocks_numerator``)
-    without building an engine; the two shells sit in one node vector over
-    the pair's span, which ``blocks_numerator`` pads with zeros.  Row k is stored as (k, j_first, j_last):
-    the product F_i G_{k-i} lives on the nodes iA .. iB, so S = 0 up to
+    without building an engine.  F and G are zero-filled into one node
+    vector each over the pair's span, and ``blocks_numerator`` reads the
+    zeros off those vectors.  Row k is stored as (k, j_first, j_last): the
+    product F_i G_{k-i} lives on the nodes iA .. iB, so S = 0 up to
     j_first, the last window that misses the support, and S = C from
     j_last, one past the first window that holds all of it.  The middle
     branch takes in both constant stretches (``engine`` module docstring),
     so the cost per row is the length of the support.
     """
-    s = check_mass(s)
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and positive, got {delta}")
-    for name, i0 in (("i0_f", i0_f), ("i0_g", i0_g)):
-        if i0 < 0:
-            raise ValueError(f"start index {name} must be >= 0, got {i0}")
+    s, delta = check_mass(s), check_real("delta", delta, above=0.0)
+    i0_f, i0_g = check_count("i0_f", i0_f, 0), check_count("i0_g", i0_g, 0)
     nf, ng = len(F), len(G)
     origin = min(i0_f, i0_g)
     n = max(i0_f + nf, i0_g + ng) - origin
@@ -541,9 +536,7 @@ def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):
         raise ValueError("grid too coarse for the shell")
     u = np.arange(i0, i1 + 1) * delta
     if kind == "bump":
-        x = 2.0 * (u - u_lo) / (u_hi - u_lo) - 1.0
-        vals = np.exp(1.0 - 1.0 / np.clip(1.0 - x * x, 1e-300, None))
-        vals[np.abs(x) >= 1.0] = 0.0
+        vals = smooth_bump(2.0 * (u - u_lo) / (u_hi - u_lo) - 1.0)
     elif kind == "indicator":
         vals = np.ones(u.size)
         vals[[0, -1]] = 0.0
@@ -674,8 +667,7 @@ def tail_bound_check(a: float, f_tail: RadialProfile,
     sum over engine nodes; lhs is the SliceEngine discretization of the
     numerator.
     """
-    if a <= 1.0:
-        raise ValueError("tail bound requires a > 1")
+    a = check_real("a", a, above=1.0)
     if f_tail.s != 1.0:
         raise ValueError("stated for the unit mass parameter")
     if f_tail.grid[np.abs(f_tail.values) > 0].min() < a:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_mass, phi, psi
+from .geometry import check_count, check_mass, check_real, phi, psi
 from .quadrature import QuadratureSpec, gauss_legendre_nodes
 
 
@@ -191,10 +191,7 @@ def normalize_cap(c: CapSpec, grid: int = 64) -> tuple:
 
 def dyadic_cap_asymptotics(s: float, k: int, eps: float):
     """(exact measure, large-k asymptote 3 pi s^2 4^k (1-cos eps), ratio)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if s <= 0:
-        raise ValueError("dyadic caps need s > 0")
+    k, s = check_count("k", k, 0), check_real("mass parameter s", s, above=0.0)
     c = CapSpec(s, s * 2.0 ** k, s * 2.0 ** (k + 1), eps)
     exact = cap_measure(c)
     asym = 3.0 * np.pi * s * s * 4.0 ** k * (1.0 - np.cos(eps))

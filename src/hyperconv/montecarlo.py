@@ -12,20 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import phi
-from .profiles import RadialProfile
+from .geometry import check_count, phi
+from .profiles import RadialProfile, smooth_bump
 from .quadrature import DEFAULT_SEED, QuadratureSpec, integrate
 
-
-def smooth_bump(x):
-    """C-infinity bump exp(1 - 1/(1-x^2)) on |x| < 1, zero outside."""
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < 1.0
-    out = np.zeros(x.shape)
-    with np.errstate(divide="ignore", over="ignore"):
-        val = np.exp(1.0 - 1.0 / np.clip(1.0 - x * x, 1e-300, None))
-    out[inside] = val[inside]
-    return out
+BUMP_KINDS = ("radial", "axial_odd")
 
 
 @dataclass(frozen=True)
@@ -43,15 +34,15 @@ class BumpSpec:
     w_tau: float
     kind: str = "radial"
 
+    def __post_init__(self):
+        if self.kind not in BUMP_KINDS:
+            raise ValueError(f"kind must be one of {BUMP_KINDS}, got {self.kind!r}")
+
     def __call__(self, xi: np.ndarray, tau: np.ndarray):
         rho = np.linalg.norm(xi, axis=-1)
         vals = (smooth_bump((rho - self.rho0) / self.w_rho)
                 * smooth_bump((tau - self.tau0) / self.w_tau))
-        if self.kind == "axial_odd":
-            vals = vals * xi[..., 0]
-        elif self.kind != "radial":
-            raise ValueError(f"unknown bump kind {self.kind!r}")
-        return vals
+        return vals * xi[..., 0] if self.kind == "axial_odd" else vals
 
 
 def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -69,6 +60,7 @@ def mc_pairing_oracle(f: RadialProfile, g: RadialProfile, testfn: BumpSpec,
     support, uniformly in direction; the product measure weight
     phi(u) phi(v) and the chart volumes are folded into the estimator.
     """
+    n_samples, chunk = check_count("n_samples", n_samples, 1), check_count("chunk", chunk, 1)
     if f.s != g.s:
         raise ValueError("profiles must share the mass parameter")
     quad = quad or QuadratureSpec()

@@ -7,6 +7,7 @@ import numpy as np
 
 from .convolution import _profile_integral
 from .fields import Conv2DField
+from .geometry import check_real
 from .profiles import RadialProfile
 from .quadrature import QuadratureSpec
 
@@ -18,8 +19,7 @@ def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> f
     times, the interpolant's zeros and u = s 2**k (each graded), levels doubling until the
     spec's rel_tol and abs_tol are met, else ``QuadratureError`` names the u-range.
     """
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    p = check_real("p", p, at_least=1.0)
     return float(_profile_integral(f, p, spec or QuadratureSpec()) ** (1.0 / p))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_count, check_mass, check_r_max, phi, psi
+from .geometry import check_count, check_mass, check_r_max, check_real, phi, psi
 
 
 @dataclass
@@ -88,12 +88,21 @@ def tip_refined_time_grid(s: float, r_max: float, n: int,
     return phi(u, s)
 
 
+def smooth_bump(x):
+    """C-infinity bump exp(1 - 1/(1-x^2)) on |x| < 1, zero outside."""
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) < 1.0
+    out = np.zeros(x.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        val = np.exp(1.0 - 1.0 / np.clip(1.0 - x * x, 1e-300, None))
+    out[inside] = val[inside]
+    return out
+
+
 def trial_profile(a: float, s: float = 1.0, r_max: float = 40.0,
                   n: int = 400) -> RadialProfile:
     """Exponential trial profile exp(-(a/2) * psi(r, s)), tip-refined sampling."""
-    a, s = float(a), check_mass(s)
-    if not (np.isfinite(a) and a > 0.0):
-        raise ValueError(f"decay rate a must be finite and positive, got {a}")
+    a, s = check_real("decay rate a", a, above=0.0), check_mass(s)
     r_max = check_r_max(r_max, s)
     n = check_count("n", n, 2)
     grid = tip_refined_time_grid(s, r_max, n, tip_nodes=max(64, n // 8))
@@ -106,18 +115,15 @@ def shell_indicator(lo: float, hi: float, s: float, n: int = 200,
     """Profile supported on the radial shell [lo, hi]; optionally a smooth bump.
 
     The indicator variant samples 1 inside and 0 at the two outermost nodes
-    so the interpolant stays inside the shell.  The smooth variant is the
-    standard C^inf bump exp(1 - 1/(1 - x^2)) on the shell, which measures
-    dyadic interactions without the artificial edge mass of indicators.
+    so the interpolant stays inside the shell.  The smooth variant is
+    ``smooth_bump`` on the shell, which measures dyadic interactions
+    without the artificial edge mass of indicators.
     """
     if not (s <= lo < hi):
         raise ValueError("need s <= lo < hi")
     grid = np.linspace(lo, hi, n)
     if smooth:
-        x = (2.0 * (grid - lo) / (hi - lo)) - 1.0
-        inner = np.clip(1.0 - x * x, 1e-300, None)
-        vals = np.exp(1.0 - 1.0 / inner)
-        vals[[0, -1]] = 0.0
+        vals = smooth_bump(2.0 * (grid - lo) / (hi - lo) - 1.0)
     else:
         vals = np.ones(n)
         vals[[0, -1]] = 0.0

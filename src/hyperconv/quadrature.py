@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import check_count
+from .geometry import check_count, check_real
 
 DEFAULT_SEED = 0x5EED
 RULES = ("gk", "simpson")
@@ -42,10 +42,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
-        if not (np.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
+        check_real("rel_tol", self.rel_tol, above=0.0)
+        check_real("abs_tol", self.abs_tol, at_least=0.0)
         check_count("max_depth", self.max_depth, 0)
 
     def with_profile(self, profile: str) -> "QuadratureSpec":
@@ -97,9 +95,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec, points=None) -> QuadR
             # convergence is judged from the returned error estimate below;
             # kinked piecewise-linear integrands trip the roundoff warning
             warnings.simplefilter("ignore", IntegrationWarning)
-            # each breakpoint takes one subinterval before any bisection
+            # every piece between breakpoints gets the budget of a whole range
             val, err = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                            limit=200 + len(pts), points=pts or None)
+                            limit=200 * (len(pts) + 1), points=pts or None)
         res = QuadResult(val, err, err <= spec.rel_tol * abs(val) + 10 * spec.abs_tol + 1e-300)
     if not res.converged:
         raise QuadratureError(
@@ -114,8 +112,7 @@ def split_exp_tail(a_rate: float, scale: float = 30.0, pieces: int = 3):
     The remainder beyond the last breakpoint is below exp(-pieces*scale)
     relative to the total for polynomially bounded integrands.
     """
-    if a_rate <= 0:
-        raise ValueError("decay rate must be positive")
+    a_rate = check_real("a_rate", a_rate, above=0.0)
     edges = [0.0, 1.0, 10.0]
     edges += [k * scale / a_rate for k in range(1, pieces + 1)]
     out = sorted(set(e for e in edges if e >= 0.0))

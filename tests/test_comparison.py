@@ -42,6 +42,14 @@ def test_unknown_rule_is_rejected_by_name(integral):
         integral(0.3, rule="Simpson")
 
 
+@pytest.mark.parametrize("integral", [I_of_a, II_of_a])
+def test_spec_rule_is_honoured(integral):
+    # a Simpson spec used to run Gauss-Kronrod: only its rel_tol was read
+    spec = QuadratureSpec(rule="simpson", rel_tol=1e-12)
+    assert integral(0.3, spec) == integral(0.3, rule="simpson")
+    assert integral(0.3, spec) != integral(0.3, rule="gk")
+
+
 def test_II_matches_profile_norm():
     # II(a) = ||f_a||_2^4 with the norm computed through the profile stack
     a = 1.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperconv.geometry import check_mass, phi, psi
+from hyperconv.geometry import check_mass, check_real, phi, psi
 
 
 def test_round_trip_machine_precision():
@@ -26,3 +26,23 @@ def test_mass_param_validation():
         check_mass(-1.0)
     with pytest.raises(ValueError):
         check_mass(float("nan"))
+
+
+def test_check_real_returns_a_float():
+    assert check_real("x", np.float64(2.5), above=0.0) == 2.5
+    assert type(check_real("x", 3, at_least=3)) is float
+    assert check_real("x", -7.0) == -7.0
+
+
+@pytest.mark.parametrize("kwargs, value, message", [
+    ({"above": 0.0}, 0.0, "x must be finite and > 0, got 0.0"),
+    ({"above": 1.5}, np.nan, "x must be finite and > 1.5, got nan"),
+    ({"at_least": 1.0}, 0.5, "x must be finite and >= 1, got 0.5"),
+    ({"at_least": 0.0}, np.inf, "x must be finite and >= 0, got inf"),
+    ({}, -np.inf, "x must be finite, got -inf"),
+    ({}, "two", "x must be finite, got two"),
+    ({}, None, "x must be finite, got None")])
+def test_check_real_names_the_parameter_and_its_bound(kwargs, value, message):
+    with pytest.raises(ValueError) as err:
+        check_real("x", value, **kwargs)
+    assert str(err.value) == message

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from hyperconv.closedforms import branch_curves, mu_self_conv_grid
 from hyperconv.montecarlo import (BumpSpec, mc_pairing_oracle,
                                   pairing_quadrature, smooth_bump)
+from hyperconv import profiles
 from hyperconv.profiles import RadialProfile
 from hyperconv.quadrature import QuadratureSpec
 
@@ -19,6 +21,22 @@ def test_smooth_bump_shape():
     assert smooth_bump(1.0) == 0.0
     assert smooth_bump(-2.0) == 0.0
     assert 0 < smooth_bump(0.5) < 1
+
+
+def test_smooth_bump_is_the_profiles_bump():
+    assert smooth_bump is profiles.smooth_bump
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda bump: pairing_quadrature(lambda rho, tau: mu_self_conv_grid(1.0, rho, tau),
+                                    bump, QuadratureSpec()),
+    lambda bump: mc_pairing_oracle(ones(1.0, 1.0, 3.0), ones(1.0, 1.0, 3.0), bump,
+                                   n_samples=1000)], ids=["quadrature", "monte_carlo"])
+def test_misspelt_bump_kind_is_rejected(oracle):
+    # pairing_quadrature never calls the bump, so "axial-odd" used to pair
+    # as a radial bump (152.26 where an odd bump pairs to 0)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        oracle(BumpSpec(2.0, 3.0, 0.5, 0.5, "axial-odd"))
 
 
 def test_mc_agrees_with_closed_form_pairing():

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from hyperconv import quadrature
+from hyperconv.geometry import phi, psi
+from hyperconv.norms import lp_norm
+from hyperconv.profiles import RadialProfile
 from hyperconv.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre_nodes,
                                   integrate, integrate_exp_decay, integrate_pieces,
                                   simpson_adaptive, split_exp_tail)
@@ -31,6 +34,26 @@ def test_exp_tail_integral():
         res = integrate_exp_decay(lambda t, a=a: np.exp(-a * t) * t ** 3,
                                   a, QuadratureSpec(rel_tol=1e-11))
         np.testing.assert_allclose(res.value, 6.0 / a ** 4, rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gk_budget_covers_every_breakpoint_piece(seed):
+    # |f|^p phi of a signed 80-200-node profile, with the node times and the
+    # zero crossings as points: 200 + len(points) subintervals for the whole
+    # range used to run out before rel_tol 1e-12 on most of these
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(80, 201))
+    grid = np.concatenate([[1.0], np.sort(rng.uniform(1.0, 6.0, n - 2)), [6.0]])
+    v = rng.standard_normal(n)
+    p = float(rng.uniform(1.0, 3.0))
+    f = RadialProfile(1.0, grid, v)
+    i = np.flatnonzero(v[:-1] * v[1:] < 0)
+    cross = grid[i] - v[i] * (grid[i + 1] - grid[i]) / (v[i + 1] - v[i])
+    pts = psi(np.sort(np.concatenate([grid, cross])), 1.0)
+    spec = QuadratureSpec(rel_tol=1e-12)
+    res = integrate(lambda u: np.abs(f(phi(u, 1.0))) ** p * phi(u, 1.0), 0.0, pts[-1], spec,
+                    points=pts)
+    np.testing.assert_allclose(4.0 * np.pi * res.value, lp_norm(f, p, spec) ** p, rtol=1e-12)
 
 
 def test_split_edges_sorted_positive():
