@@ -103,11 +103,15 @@ def self_conv_row_mass(s: float, tau):
     taken without cancellation, so M keeps 5e-16 relative accuracy for tau/s
     in [1e-3, 1e12]; the outer part alone, O(tau^4/s) as tau/s -> 0, keeps
     only M's absolute accuracy (1e-8 relative at tau/s = 1e-3).  At s = 0,
-    M = 4 pi^2 tau^3/3 exactly.
+    M = 4 pi^2 tau^3/3 exactly.  That form is also taken where s^2
+    underflows to 0 (s below about 1.5e-162), where the closed form divides
+    0 by 0 or multiplies a vanishing c by an infinite log1p; M differs from
+    the cone's by about 6 (s/tau)^2 ln(tau/s) relative, under rounding
+    wherever M does not itself underflow.
     """
     s = check_mass(s)
     tau = np.asarray(tau, dtype=float)
-    if s == 0.0:
+    if s * s == 0.0:
         return TWO_PI ** 2 * tau ** 3 / 3.0, np.zeros_like(tau)
     c = 4.0 * s * s
     lo, mid, hi = branch_curves(s, tau)

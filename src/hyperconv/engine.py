@@ -36,11 +36,12 @@ hold C^2, the other branch 0.  So the middle branch, measured from
 r_in(w_{j_last}) to r_out(w_{j_first}), takes in both stretches exactly.
 Each row records the column of window j_last, whose S is C.  Rows are
 stored in blocks of at most ``BLOCK_ENTRIES`` entries, padded with columns
-that repeat the last width.  Those columns need no mask: their trapezoid
-weights make a = b = 0, so V sees none of the products their pairs read,
-and the adjoint D is exactly 0 there (T = 0 past the saturation column, so
-the prefix sums U stay at the row total).  ``SliceEngine`` stores the rows
-k = 0 .. 2n-2, ``extremizer.shell_pair_norm_sq`` the rows of one shell pair.
+that repeat the radii of window j_last.  Those columns need no mask: their
+trapezoid weights are a = b = 0 exactly (see the build below), so V sees
+none of the products their pairs read, and the adjoint D is exactly 0 there
+(T = 0 past the saturation column, so the prefix sums U stay at the row
+total).  ``SliceEngine`` stores the rows k = 0 .. 2n-2,
+``extremizer.shell_pair_norm_sq`` the rows of one shell pair.
 
 A row stores no pair indices.  Column col holds window j = j_first + col,
 so hi = base_hi + col and lo = base_lo - col with base_hi = k//2 + j_first
@@ -78,6 +79,29 @@ two row-wise dot products per row.  The expansion rounds at about
 eps C^2 sum_j alpha_out_j.  That sum is the length of the row's outer
 branch, which never exceeds its middle branch (the ratio tends to 1 as
 tau/s grows), and V holds mid_len C^2, so the rounding stays at eps V.
+
+The build takes no half widths.  Window j pairs the nodes at lo delta =
+tau/2 - w_j and hi delta = tau/2 + w_j, so with the node radii
+Phi[m] = phi(m delta)
+
+    rho_out(w_j) = Phi[lo] + Phi[hi],    rho_in(w_j) = Phi[hi] - Phi[lo],
+
+the second because Phi[hi]^2 - Phi[lo]^2 = 2 tau w_j = rho_in rho_out.  The
+empty j = 0 window of an odd row lies at w = 0, where both radii are
+phi(tau/2).  As rho_in + rho_out = 2 Phi[hi], the trapezoid weights sum to
+
+    a_j = delta^2 (Phi_hi[j+1] - Phi_hi[j-1]),
+    b_j = (delta^2/2) (rho_out[j+1] - rho_out[j-1]),
+
+one-sided at both ends of a row, and c = mid_len delta^2 + sum_j b_j: a
+gather of Phi along each run of a row and a few differences, where
+``rho_weights`` takes two square roots and a division per entry; it stays
+as the per-entry oracle that the tests hold the tables to.  In the padding
+the gathered hi radii are clamped from above, and the lo radii from below,
+at their value in the saturation column.  Phi is nondecreasing in floating
+point, since each operation of phi rounds monotonically, so the clamp moves
+no radius up to that column and sets every later one equal to it: the
+padding's differences, a and b, are exactly 0.
 
 The exact gradient is the adjoint of this chain.  With T = (dV/dS)/2 =
 a S - C b, plus c C - sum_j b_j S_j in the saturation column, and the
@@ -136,6 +160,9 @@ def rho_pair_from_w(s: float, w, tau):
 
 def rho_weights(s: float, w, tau):
     """Trapezoid weights (alpha_in, alpha_out, mid_len) of the rho integral per row.
+
+    The per-entry oracle of ``row_blocks``, which builds the same weights
+    from node radii (module docstring).
 
     w[r] holds row r's nondecreasing window half widths in [0, tau[r]/2].
     alpha_in[r, j] multiplies S_j^2 (inner branch), alpha_out[r, j]
@@ -212,38 +239,78 @@ def row_blocks(s: float, delta: float, k, j_first, j_last, origin: int = 0):
     no pair off the nodes, since those read zero when evaluated; so the
     node count does not enter the blocks.  A block holds at most
     ``BLOCK_ENTRIES`` entries, or 8 rows when one row is wider.
+
+    The coefficients come from the node radii Phi[m] = phi(m delta),
+    computed once per call up to the last node that a block's hi runs
+    reach, padding included: a gather off their end would read 0, which
+    the clamp below would copy into the row.  Each block gathers Phi along
+    its runs: rho_out = Phi[lo] + Phi[hi] and rho_in = Phi[hi] - Phi[lo]
+    (as Phi[hi]^2 - Phi[lo]^2 = 2 tau w_j), with phi(tau/2) for both at the
+    empty window of an odd row.  The hi radii are clamped from above and
+    the lo radii from below at the saturation column; Phi is monotone in
+    floating point, so the padding holds a = b = 0 exactly.  ``rho_weights``
+    computes the same weights entry by entry from the half widths and is
+    kept as the tests' oracle (module docstring).
     """
     k, j_first, j_last = (np.asarray(a, dtype=np.int32)[:, None] for a in (k, j_first, j_last))
     sat = j_last - j_first                         # column of window j_last
-    step = max(8, BLOCK_ENTRIES // (int(sat.max(initial=0)) + 1))
+    widest = int(sat.max(initial=0))
+    radii = phi(delta * np.arange(int((k // 2 + j_first).max(initial=0)) + widest + 1), s)
+    step = max(8, BLOCK_ENTRIES // (widest + 1))
+    scratch = _Scratch(0)  # the buffer of _take_runs
     for r in range(0, k.size, step):
         rows = slice(r, r + step)
-        yield _row_block(s, delta, origin, k[rows], j_first[rows], sat[rows])
+        yield _row_block(s, delta, origin, radii, scratch, k[rows], j_first[rows], sat[rows])
 
 
-def _row_block(s, delta, origin, k, j_first, sat) -> _Block:
+def _row_block(s, delta, origin, radii, scratch, k, j_first, sat) -> _Block:
     """One block of ``row_blocks``, from its rows' (rows, 1) descriptors."""
-    col = np.arange(int(sat.max()) + 1, dtype=np.int32)[None, :]
-    j = np.minimum(col, sat) + j_first             # padding repeats window j_last
-    tau = delta * k
-    w = j - 0.5 * (k % 2)
-    w *= delta
-    np.clip(w, 0.0, 0.5 * tau, out=w)
-    alpha_in, alpha_out, mid_len = rho_weights(s, w, tau[:, 0])
-    d2 = delta * delta
-    alpha_out *= d2
-    alpha_in *= d2
-    alpha_in += alpha_out
-    mid_len *= d2
-    mid_len += alpha_out.sum(axis=1)
-    k, j_first = k[:, 0].astype(np.intp), j_first[:, 0]
+    k, j_first, sat = k[:, 0].astype(np.intp), j_first[:, 0], sat[:, 0]
     base_lo = (k + 1) // 2 - j_first - origin
     base_hi = k // 2 + j_first - origin
     lo_start, hi_start = int(base_lo.max()), int(base_hi.min())
     lo_runs = _Runs(lo_start, -1, lo_start - base_lo, lo_start - int(base_lo.min()) + 1)
     hi_runs = _Runs(hi_start, 1, base_hi - hi_start, int(base_hi.max()) - hi_start + 1)
     empty = np.flatnonzero((k % 2 == 1) & (j_first == 0))
-    return _Block(lo_runs, hi_runs, empty, sat[:, 0], alpha_in, alpha_out, mid_len)
+
+    # node radii along both runs, in plain arrays of the block's shape: the
+    # buffers of a _Scratch would be new on every call, once per shell pair,
+    # and made bilinear_dyadic_scan slower (more page faults) when tried
+    shape = (k.size, int(sat.max()) + 1)
+    phi_hi, phi_lo = np.empty(shape), np.empty(shape)
+    _take_runs(radii, hi_runs, phi_hi, scratch, origin)
+    _take_runs(radii, lo_runs, phi_lo, scratch, origin)
+    phi_hi[empty, 0] = phi_lo[empty, 0] = phi(0.5 * delta * k[empty], s)
+    rows = np.arange(k.size)
+    hi_sat, lo_sat = phi_hi[rows, sat], phi_lo[rows, sat]
+    np.minimum(phi_hi, hi_sat[:, None], out=phi_hi)
+    np.maximum(phi_lo, lo_sat[:, None], out=phi_lo)
+    d2 = delta * delta
+    a = _centered_differences(phi_hi, np.empty(shape))
+    a *= d2
+    r_out = np.add(phi_lo, phi_hi, out=phi_lo)
+    b = _centered_differences(r_out, np.empty(shape))
+    b *= 0.5 * d2
+    # middle branch: from rho_in of window j_last to rho_out of window j_first
+    c = np.maximum(r_out[:, 0] - (hi_sat - lo_sat), 0.0)
+    c *= d2
+    c += b.sum(axis=1)
+    return _Block(lo_runs, hi_runs, empty, sat, a, b, c)
+
+
+def _centered_differences(x, out):
+    """out[:, col] = x[:, col + 1] - x[:, col - 1], one-sided at both ends; returns out.
+
+    The differences are taken in one pass along the flattened x (a strided
+    pass per row costs about twice as much); the two end columns, where that
+    pass pairs entries of two rows, are then written over.
+    """
+    flat = x.ravel()
+    np.subtract(flat[2:], flat[:-2], out=out.ravel()[1:-1])
+    last = x.shape[1] - 1
+    np.subtract(x[:, min(1, last)], x[:, 0], out=out[:, 0])
+    np.subtract(x[:, last], x[:, max(last - 1, 0)], out=out[:, last])
+    return out
 
 
 def _node_values(F, n: int, name: str) -> np.ndarray:

@@ -306,6 +306,16 @@ def test_row_mass_of_the_cone_and_at_the_tip():
         self_conv_row_mass(-1.0, tau)
 
 
+@pytest.mark.parametrize("s, tau", [(1e-300, 1e10), (1e-200, 1e-100), (1e-162, 1e-300)])
+def test_row_mass_where_the_mass_squared_underflows_is_the_cone(s, tau):
+    # 4 s^2 (or s^2) rounds to 0 while s > 0; the closed form returned nan
+    # here (0 * inf at tau/s > 1e308, 0 / 0 when tau^2 also underflows)
+    masked, outer = self_conv_row_mass(s, tau)
+    want = 4.0 * np.pi ** 2 * tau ** 3 / 3.0
+    assert np.isfinite(masked) and np.isfinite(outer)
+    assert abs(masked + outer - want) <= 1e-15 * want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.01, 10.0), st.floats(1e-3, 1e3))
 def test_row_mass_is_finite_and_its_parts_positive(s, tau_over_s):

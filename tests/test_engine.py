@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hyperconv import extremizer
 from hyperconv.closedforms import self_conv_row_mass
 from hyperconv.comparison import II_of_a, full_numerator
-from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, blocks_numerator,
+from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, _row_values, blocks_numerator,
                               rho_pair_from_w, rho_weights, row_blocks, row_values)
 from hyperconv.convolution import self_half_width
 
@@ -493,3 +493,101 @@ def test_engine_numerator_names_a_second_vector_of_the_wrong_length():
         eng.numerator(np.ones(64), np.ones(10))
     with pytest.raises(ValueError, match=r"^F .*n = 64"):
         eng.numerator(np.ones((64, 1)))
+
+
+# ---- coefficients from the node radii, against the per-entry oracle ----
+
+def oracle_coefficients(s, delta, blk, k, j_first):
+    """A block's a, b and c entry by entry from the half widths, through ``rho_weights``."""
+    k, j_first = k[:, None], j_first[:, None]
+    j = np.minimum(np.arange(blk.a.shape[1]), blk.sat[:, None]) + j_first  # padding repeats j_last
+    tau = delta * k
+    w = np.clip((j - 0.5 * (k % 2)) * delta, 0.0, 0.5 * tau)
+    alpha_in, alpha_out, mid_len = rho_weights(s, w, tau[:, 0])
+    d2 = delta * delta
+    return (alpha_in + alpha_out) * d2, alpha_out * d2, (mid_len + alpha_out.sum(axis=1)) * d2
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_min=True)),
+       delta=st.floats(0.01, 2.0), n=st.integers(1, 120), origin=st.integers(1, 40),
+       n_rows=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_blocks_match_the_per_entry_oracle(s, delta, n, origin, n_rows, seed):
+    # shell-style rows from j_first > 0, odd rows from j = 0, single-window
+    # rows (sat = 0) and whole rows, with one whole row at the top of the
+    # nodes, so the other rows' padding reaches past the last node
+    rng = np.random.default_rng(seed)
+    k = rng.integers(2 * origin, 2 * (origin + n), n_rows)
+    kind = rng.integers(0, 4, n_rows)
+    k[kind == 1] |= 1
+    j_end = (k + 1) // 2
+    j_first = np.where(kind == 0, rng.integers(1, j_end + 1), 0)
+    j_last = np.select([kind <= 1, kind == 2], [rng.integers(j_first, j_end + 1), j_first], j_end)
+    k, j_first, j_last = (np.append(x, y) for x, y in
+                          ((k, 2 * (origin + n) - 1), (j_first, 0), (j_last, origin + n)))
+    start = 0
+    for blk in row_blocks(s, delta, k, j_first, j_last, origin):
+        rows = slice(start, start + blk.a.shape[0])
+        start = rows.stop
+        want = oracle_coefficients(s, delta, blk, k[rows], j_first[rows])
+        # every coefficient is delta^2 times a difference of radii of at
+        # most 2 phi(tau), and both builds round each radius, so where
+        # tau << s both sit about eps delta^2 phi(tau) from the exact value,
+        # more than 1e-12 of the block's largest a
+        rounding = 8.0 * np.finfo(float).eps * delta ** 2 * np.hypot(delta * k[rows].max(), s)
+        tol = 1e-12 * np.abs(want[0]).max() + rounding
+        for got, expected in zip((blk.a, blk.b, blk.c), want):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+    assert start == k.size
+
+
+def mixed_width_block():
+    """The block of ``test_rows_whose_padding_reaches_the_nodes_match_direct_rows``."""
+    k = np.array([84, 45, 47, 30, 31, 60, 61, 9])
+    j_end = (k + 1) // 2
+    j_first = np.array([0, 0, 0, 3, 0, 5, 1, 0])
+    j_last = np.minimum(j_first + np.array([j_end[0], 2, 1, 2, 3, 4, 0, 2]), j_end)
+    return list(row_blocks(0.8, 0.07, k, j_first, j_last, 2))
+
+
+@pytest.mark.parametrize("blocks", [lambda: SliceEngine(1.0, 600, 30.0)._blocks,
+                                    lambda: SliceEngine(0.0, 257, 10.0)._blocks,
+                                    mixed_width_block],
+                         ids=["engine", "cone engine", "mixed widths"])
+def test_padding_columns_hold_exactly_zero_weight(blocks):
+    # padding columns pair real nodes, so only an exact zero keeps them out
+    padded = 0
+    for blk in blocks():
+        pad = np.arange(blk.a.shape[1])[None, :] > blk.sat[:, None]
+        assert np.array_equal(blk.a[pad], np.zeros(pad.sum()))
+        assert np.array_equal(blk.b[pad], np.zeros(pad.sum()))
+        padded += pad.sum()
+    assert padded > 0
+
+
+@pytest.mark.parametrize("tau", [0.25, 1.0, 4.0])
+def test_shell_pair_rows_converge_to_the_closed_form_row_mass(monkeypatch, tau):
+    # F = G = 1 on nodes 0 .. n-1: shell_pair_norm_sq stores row k <= n - 1
+    # whole, and its value tends to M(tau_k) / (4 pi^2) at the rho
+    # trapezoid's O(delta^2), like the SliceEngine rows
+    s, u_max = 1.0, 8.0
+    want = sum(self_conv_row_mass(s, tau)) / (4.0 * np.pi ** 2)
+    captured = []
+
+    def kept(*args):
+        blocks = list(row_blocks(*args))
+        captured.append((args[2], blocks))
+        yield from blocks
+    monkeypatch.setattr(extremizer, "row_blocks", kept)
+    errs = []
+    for n in (129, 257, 513):
+        delta = u_max / (n - 1)
+        captured.clear()
+        extremizer.shell_pair_norm_sq(s, delta, 0, np.ones(n), 0, np.ones(n))
+        ((k, blocks),) = captured
+        V = np.concatenate(list(_row_values(blocks, np.ones(n), np.ones(n)))) / 4.0
+        (row,) = np.flatnonzero(k == round(tau / delta))
+        errs.append(abs(V[row] - want) / want)
+    assert len(blocks) >= 3
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all((3.8 <= ratios) & (ratios <= 4.2)), (errs, ratios)
