@@ -50,34 +50,32 @@ def _edges_for(c: float):
     return sorted(set(e for e in raw if e <= 90.0))
 
 
-def I_of_a(a: float, spec: QuadratureSpec | None = None, rule: str | None = None) -> float:
+def I_of_a(a: float, spec: QuadratureSpec | None = None) -> float:
     """Trial-family numerator lower bound I(a), relative accuracy ~1e-12.
 
-    ``rule``, if given, overrides the spec's rule.
+    Only the spec's rule and rel_tol are read.
     """
     a = check_real("decay rate a", a, above=0.0)
     spec = spec or QuadratureSpec(rel_tol=1e-12)
-    rule = spec.rule if rule is None else rule
 
     def g(u):
         ra = np.sqrt(u * u + a * a)
         return np.exp(-u) * (u * u * np.sqrt(u * u + 4.0 * a * a)
                              - (2.0 / 3.0) * (u * u + 4.0 * a * a) * ra
                              + 2.0 * a * a * u * np.log(u + ra))
-    core = _piecewise(g, _edges_for(a), spec.rel_tol, rule)
+    core = _piecewise(g, _edges_for(a), spec.rel_tol, spec.rule)
     return 16.0 * np.pi ** 3 / a ** 4 * (core + 8.0 * a ** 3 / 3.0
                                          - 2.0 * a * a * np.log(a))
 
 
-def II_of_a(a: float, spec: QuadratureSpec | None = None, rule: str | None = None) -> float:
-    """Fourth power of the trial-profile L2 norm, II(a); spec and rule as in ``I_of_a``."""
+def II_of_a(a: float, spec: QuadratureSpec | None = None) -> float:
+    """Fourth power of the trial-profile L2 norm, II(a); spec as in ``I_of_a``."""
     a = check_real("decay rate a", a, above=0.0)
     spec = spec or QuadratureSpec(rel_tol=1e-12)
-    rule = spec.rule if rule is None else rule
 
     def g(u):
         return np.exp(-u) * np.sqrt(u * u + a * a)
-    core = _piecewise(g, _edges_for(a), spec.rel_tol, rule)
+    core = _piecewise(g, _edges_for(a), spec.rel_tol, spec.rule)
     return 16.0 * np.pi ** 2 / a ** 4 * core * core
 
 
@@ -153,8 +151,7 @@ def _fit_limit(A, values):
     return float(coef[0]), float(np.max(np.abs(A @ coef - values)))
 
 
-def derivative_limits(spec: QuadratureSpec | None = None,
-                      b_schedule=None, nd_schedule=None) -> dict:
+def derivative_limits(spec: QuadratureSpec | None = None) -> dict:
     """Estimates of the five comparison-ratio limits with error bars.
 
     ratio -> 2*pi, first and second a-derivatives -> 0, third -> 8*pi, and
@@ -162,7 +159,8 @@ def derivative_limits(spec: QuadratureSpec | None = None,
     with steps proportional to the evaluation point; the third derivative
     and the N/D derivative converge like b log^2 b resp. b log b in
     b = a^{1/3}-type variables, so their limits are least-squares
-    extrapolations over the schedule (reported per-sample too).
+    extrapolations over the fixed schedules b = 0.02 .. 0.0025 and
+    b = 1e-2 .. 1e-3 (reported per-sample too).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-13)
     r = lambda b: ratio_of_a(b, spec)
@@ -178,7 +176,7 @@ def derivative_limits(spec: QuadratureSpec | None = None,
     report["d1"] = {"value": d1, "target": D1_LIMIT, "at": b0}
     report["d2"] = {"value": d2, "target": D2_LIMIT, "at": b0}
 
-    bs = list(b_schedule) if b_schedule is not None else [0.02, 0.01, 0.005, 0.0025]
+    bs = [0.02, 0.01, 0.005, 0.0025]
     d3_samples = [_central_diff(r, b, b / 4.0, 3) for b in bs]
     # remainder scale for the third derivative is b log^2 b
     b = np.asarray(bs, dtype=float)
@@ -188,7 +186,7 @@ def derivative_limits(spec: QuadratureSpec | None = None,
     report["d3"] = {"samples": dict(zip(bs, d3_samples)), "value": d3_limit,
                     "target": D3_LIMIT, "abs_error_bar": d3_resid}
 
-    nd_bs = list(nd_schedule) if nd_schedule is not None else [1e-2, 4e-3, 2e-3, 1e-3]
+    nd_bs = [1e-2, 4e-3, 2e-3, 1e-3]
     nd_samples = []
     for b in nd_bs:
         a = b ** 3
@@ -242,22 +240,18 @@ def _identity_integral(integrand, a: float, rel_tol: float) -> float:
     return _piecewise(lambda u: integrand(u, c), _edges_for(c), rel_tol)
 
 
-def asymptotic_integral_suite(a_list=None, rel_tol: float = 1e-12):
+def asymptotic_integral_suite(rel_tol: float = 1e-12):
     """Verify, per identity, the leading term and the remainder order.
 
     For each identity the remainder (lhs - leading)/envelope is computed on
-    the a-schedule and must be bounded and stable: it is fitted against a
-    constant (plus an optional linear correction in the envelope ratio) and
-    passes when the fit explains the samples and the bound stays below a
-    fixed cap.  The final identity must approach its exact limit -1.
+    a = 1e-2, 1e-3, ..., 1e-8 and must be bounded and stable: it is fitted
+    against a constant (plus an optional linear correction in the envelope
+    ratio) and passes when the fit explains the samples and the bound stays
+    below a fixed cap.  The final identity must approach its exact limit -1.
     """
-    if a_list is None:
-        # the slowest identities converge like a^{1/3}, so the default
-        # schedule reaches deep enough for the -1 limit to land within 1e-2
-        a_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
-    a_arr = np.asarray(sorted(a_list, reverse=True), dtype=float)
-    if np.any((a_arr <= 0) | (a_arr >= 1)):
-        raise ValueError("a_list must lie in (0, 1)")
+    # the slowest identities converge like a^{1/3}, so the schedule reaches
+    # deep enough for the -1 limit to land within 1e-2
+    a_arr = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     out = []
     for name, leading, envelope, integrand in IDENTITY_SPECS:
         lhs = np.array([_identity_integral(integrand, a, rel_tol) for a in a_arr])

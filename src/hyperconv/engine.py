@@ -142,19 +142,9 @@ def rho_pair_from_w(s: float, w, tau):
     """
     w = np.asarray(w, dtype=float)
     h = 0.5 * np.asarray(tau, dtype=float)
-    ss = s * s
-    shape = np.broadcast_shapes(w.shape, h.shape)
-    r_out = np.subtract(h, w, out=np.empty(shape))
-    r_out *= r_out
-    r_out += ss
-    np.sqrt(r_out, out=r_out)
-    r_in = np.add(h, w, out=np.empty(shape))
-    r_in *= r_in
-    r_in += ss
-    np.sqrt(r_in, out=r_in)
-    r_out += r_in
-    np.multiply(w, 4.0 * h, out=r_in)
-    np.divide(r_in, r_out, out=r_in, where=r_out > 0.0)  # r_out = 0 only at tau = s = 0
+    r_out = np.sqrt((h - w) ** 2 + s * s) + np.sqrt((h + w) ** 2 + s * s)
+    # r_out = 0 only at tau = s = 0, where the window is empty
+    r_in = np.divide(w * (4.0 * h), r_out, out=np.zeros_like(r_out), where=r_out > 0.0)
     return r_in, r_out
 
 
@@ -448,8 +438,7 @@ class SliceEngine:
         self.n = n
         self.u = np.linspace(0.0, u_max, n)
         self.delta = self.u[1] - self.u[0]
-        self.phi_u = phi(self.u, s)
-        self.radius_grid = self.phi_u  # strictly increasing radii
+        self.radius_grid = phi(self.u, s)  # strictly increasing radii
         # J_k = min(j_end, n-1-k//2) is row k's last window with its pair on the
         # grid; P = 0 beyond it, so the first window with S = C is min(J_k + 1, j_end)
         k = np.arange(2 * n - 1)
@@ -463,7 +452,7 @@ class SliceEngine:
         # denominator weights: 4 pi int F^2 phi(u) du by trapezoid
         wts = np.full(n, self.delta)
         wts[[0, -1]] *= 0.5
-        self.den_weights = FOUR_PI * wts * self.phi_u
+        self.den_weights = FOUR_PI * wts * self.radius_grid
 
     # ---- profile handling ----
 

@@ -18,7 +18,6 @@ optimum, and extrapolates q*(delta) to delta -> 0 with an error bar.
 from __future__ import annotations
 
 import logging
-import operator
 import time
 from dataclasses import dataclass
 
@@ -124,17 +123,16 @@ class GradientNaNError(RuntimeError):
         super().__init__(f"NaN gradient entries at nodes {indices[:8]}")
 
 
-def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float,
-            *, counts: dict | None = None):
+def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float):
     """L-BFGS-B ascent of Q over nonnegative node values; monotone trace.
 
     Minimizes -Q under the bounds F >= 0, one ``engine.q_gradient`` per
     evaluation.  trace[0] is Q at the clipped, normalized start, then every
     iterate that improves on the last entry; F is the last of these,
-    normalized.  Returns (F, trace, stop), stop being "iters" (scipy's
-    maxiter exit), "rel_stop" (an improving iterate gained less than
-    rel_stop relative) or "stalled" (converged, or the line search failed).
-    A ``counts`` dict receives "evaluations", scipy's count of Q evaluations.
+    normalized.  Returns (F, trace, stop, evaluations), stop being "iters"
+    (scipy's maxiter exit), "rel_stop" (an improving iterate gained less than
+    rel_stop relative) or "stalled" (converged, or the line search failed),
+    and evaluations scipy's count of Q evaluations.
     """
     from scipy.optimize import minimize
 
@@ -167,11 +165,9 @@ def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float,
     stop = stop or ("iters" if res.status == 1 else "stalled")
     F = np.maximum(F, 0.0)
     F /= np.sqrt(engine.norm_sq(F))
-    if counts is not None:
-        counts["evaluations"] = int(res.nfev)
     log.debug("ascent stopped (%s) after %d accepted steps at Q = %.12g",
               stop, len(trace) - 1, trace[-1])
-    return F, trace, stop
+    return F, trace, stop, int(res.nfev)
 
 
 def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
@@ -224,13 +220,12 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     restart_rows = []
     stagnated_any = False
     for idx, F0 in enumerate(starts):
-        counts = {}
-        F, trace, stop = _ascend(engine, F0, iters, rel_stop, counts=counts)
+        F, trace, stop, evaluations = _ascend(engine, F0, iters, rel_stop)
         stagnated = stop == "stalled"
         stagnated_any = stagnated_any or stagnated
         q = trace[-1]
         restart_rows.append({"restart": idx, "q": q, "iterations": len(trace),
-                             "evaluations": counts["evaluations"],
+                             "evaluations": evaluations,
                              "stagnated": stagnated, "stop": stop})
         if best is None or q > best[1]:
             best = (F, q, trace)
@@ -285,10 +280,9 @@ def extremal_study(s: float, r_max: float, n_list) -> dict:
             F0 = engine.trial_values(trial_family_scan(engine)[0])
         else:
             F0 = np.interp(engine.u, *start)
-        counts = {}
-        F, trace, stop = _ascend(engine, F0, STUDY_ITERS, STUDY_REL_STOP, counts=counts)
+        F, trace, stop, evaluations = _ascend(engine, F0, STUDY_ITERS, STUDY_REL_STOP)
         row = {"n": n, "delta": float(engine.delta), "q_star": float(trace[-1]),
-               "iterations": len(trace), "evaluations": counts["evaluations"],
+               "iterations": len(trace), "evaluations": evaluations,
                "stop": stop, "wall_s": time.perf_counter() - started}
         return (engine.u, F), row
 
@@ -549,28 +543,18 @@ def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):
 
 
 def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
-                         nodes_per_shell: int = 48, fit_range=(1, 6)):
+                         nodes_per_shell: int = 48):
     """Pairwise ||f_k mu * f_k' mu||_2 decay table and fitted dyadic slope.
 
     Returns (table, report): table[k][k'] is the norm for unit-normalized
     shell profiles; the report carries the least-squares slope of
-    log2(norm) against |k - k'| over the fit range and the on-diagonal
-    constant.  ``fit_range`` = (lo, hi) holds the separations lo <= |k - k'|
-    <= hi that the fit takes; it must keep at least two of 1 .. k_max.  One
-    automatic refinement doubles the grid when the two resolutions disagree
-    beyond 1 percent.
+    log2(norm) against the separations 1 <= |k - k'| <= 6 (at least four,
+    as k_max >= 4) and the on-diagonal constant.  One automatic refinement
+    doubles the grid when the two resolutions disagree beyond 1 percent.
     """
     s = _check_positive_mass(s, "dyadic scan")
     k_max = check_count("k_max", k_max, 4)
     nodes_per_shell = check_count("nodes_per_shell", nodes_per_shell, 8)
-    try:
-        fit_lo, fit_hi = (operator.index(d) for d in fit_range)
-        fits = min(fit_hi, k_max) - max(fit_lo, 1) >= 1  # a slope needs two separations
-    except (TypeError, ValueError):
-        fits = False
-    if not fits:
-        raise ValueError("fit_range must hold two integers lo <= hi that keep at least two "
-                         f"separations in 1..k_max = {k_max}, got {fit_range!r}")
 
     def compute(delta):
         shells = [dyadic_shell_values(s, k, delta, profile_kind)
@@ -594,7 +578,7 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
     for k in range(k_max + 1):
         for kp in range(k_max + 1):
             d = abs(k - kp)
-            if fit_lo <= d <= fit_hi:
+            if 1 <= d <= 6:
                 seps.append(d)
                 logs.append(np.log2(table[k, kp]))
     A = np.stack([np.ones(len(seps)), np.asarray(seps, dtype=float)], axis=1)

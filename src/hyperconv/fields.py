@@ -50,15 +50,14 @@ class Conv2DField:
 
     @classmethod
     def cusp_refined_template(cls, s: float, rho_max: float, tau_min: float,
-                              tau_max: float, n_rho: int, n_tau: int,
-                              depth: int = 3) -> "Conv2DField":
+                              tau_max: float, n_rho: int, n_tau: int) -> "Conv2DField":
         """Template whose rho grid resolves the square-root cusp curves.
 
         Self-convolution densities have a sqrt cusp in rho along
         rho = sqrt(tau^2 + 4 s^2); plain trapezoid integration across it
         stalls at O(h^{3/2}).  This grid adds, for every tau row, the cusp
-        location and geometrically shrinking offsets after it, restoring
-        near-O(h^2) behavior of row-wise trapezoids.
+        location and the 32 offsets (j/32)^2 * 6h after it (h the uniform rho
+        spacing), restoring near-O(h^2) behavior of row-wise trapezoids.
         """
         tau = np.linspace(tau_min, tau_max, n_tau)
         rho = np.linspace(0.0, rho_max, n_rho)
@@ -67,7 +66,7 @@ class Conv2DField:
         # sqrt-spaced band after each cusp: node offsets (j/m)^2 * band widen
         # the cells quadratically, equalizing the trapezoid error against the
         # sqrt(rho - cusp) behavior; the band spans several uniform cells.
-        m = 8 * (depth + 1)
+        m = 32
         band = 6.0 * h
         offsets = band * (np.arange(m + 1) / m) ** 2
         extra = (cusps[:, None] + offsets[None, :]).ravel()

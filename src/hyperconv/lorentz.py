@@ -15,6 +15,9 @@ import numpy as np
 from .geometry import check_count, check_mass, check_real, phi, psi
 from .quadrature import QuadratureSpec, gauss_legendre_nodes
 
+CAP_SAMPLES = 64  # radii and angles sampled per cap certificate
+CALIBRATED_C = 3.0  # empirical constant of the bounded-ball certificate
+
 
 class PreconditionError(ValueError):
     """Raised when a stated hypothesis of a geometric construction fails."""
@@ -146,7 +149,7 @@ def cap_image_radii(s: float, t: float, r: np.ndarray, cos_phi: np.ndarray,
     return np.sqrt(x1 * x1 + x_perp_sq)
 
 
-def normalize_cap(c: CapSpec, grid: int = 64) -> tuple:
+def normalize_cap(c: CapSpec) -> tuple:
     """Boost parameter normalizing a [1,2]-band cap, with certificates.
 
     Hypotheses: s <= 1/2, eps in [0, pi/2], sin^2(eps)/s^2 >= 8, band [1, 2].
@@ -170,8 +173,8 @@ def normalize_cap(c: CapSpec, grid: int = 64) -> tuple:
     measure = cap_measure(c) / (1.0 - t * t)
     measure_floor = np.pi / (1.0 + np.cos(c.eps))
 
-    r = np.linspace(c.a, c.b, grid)
-    cphi = np.cos(np.linspace(0.0, c.eps, grid)) if c.eps > 0 else np.ones(grid)
+    r = np.linspace(c.a, c.b, CAP_SAMPLES)
+    cphi = np.cos(np.linspace(0.0, c.eps, CAP_SAMPLES)) if c.eps > 0 else np.ones(CAP_SAMPLES)
     radii = cap_image_radii(c.s, t, r[:, None], cphi[None, :], rescaled=True)
     report = {
         "t": t,
@@ -201,25 +204,27 @@ def dyadic_cap_asymptotics(s: float, k: int, eps: float):
 
 def dyadic_log_term(k: int) -> float:
     """ln((2^{k+1} + sqrt(4^{k+1}-1)) / (2^k + sqrt(4^k-1))); tends to ln 2."""
+    k = check_count("k", k, 0)
     hi = 2.0 ** (k + 1) + np.sqrt(4.0 ** (k + 1) - 1.0)
     lo = 2.0 ** k + np.sqrt(4.0 ** k - 1.0)
     return float(np.log(hi / lo))
 
 
-def bounded_ball_certificate(s: float, k: int, eps: float, grid: int = 64,
-                             calibrated_c: float = 3.0):
+def bounded_ball_certificate(s: float, k: int, eps: float):
     """Max spatial radius of the boosted dyadic cap, with per-coordinate checks.
 
     Uses the boost t = sqrt(1 - 4^{-(k+1)}) on the dyadic cap
     [s 2^k, s 2^{k+1}] x cap(eps); certifies the sampled image lies in a
-    ball of radius calibrated_c * (s + measure/s + sqrt(measure)).  The
-    constant is an empirical calibration, reported with the slack.
+    ball of radius CALIBRATED_C * (s + measure/s + sqrt(measure)), sampling
+    CAP_SAMPLES radii and angles.  The constant is an empirical calibration,
+    reported with the slack.
     """
+    k = check_count("k", k, 0)
     if not (0.0 <= eps <= np.pi / 2):
         raise PreconditionError("eps in [0, pi/2]", f"eps = {eps}")
     t = np.sqrt(1.0 - 4.0 ** (-(k + 1)))
-    r = np.linspace(s * 2.0 ** k, s * 2.0 ** (k + 1), grid)
-    angles = np.linspace(0.0, eps, grid) if eps > 0 else np.zeros(1)
+    r = np.linspace(s * 2.0 ** k, s * 2.0 ** (k + 1), CAP_SAMPLES)
+    angles = np.linspace(0.0, eps, CAP_SAMPLES) if eps > 0 else np.zeros(1)
     cphi = np.cos(angles)
     gam = 2.0 ** (k + 1)  # 1/sqrt(1-t^2)
     x1 = (r[:, None] * cphi[None, :] - t * psi(r[:, None], s)) * gam
@@ -232,7 +237,7 @@ def bounded_ball_certificate(s: float, k: int, eps: float, grid: int = 64,
     # tip defect r (1 - sqrt(1 - (s/r)^2)) at most 2s on the dyadic band
     x1_bound = 4.0 ** (k + 1) * s * (1.0 - np.cos(eps)) + 3.0 * s
     perp_bound = 2.0 ** (k + 1) * s * np.sin(eps)
-    ball_bound = calibrated_c * (s + measure / s + np.sqrt(measure))
+    ball_bound = CALIBRATED_C * (s + measure / s + np.sqrt(measure))
     report = {
         "t": float(t),
         "radius": radius,
@@ -245,7 +250,7 @@ def bounded_ball_certificate(s: float, k: int, eps: float, grid: int = 64,
         "perp_ok": bool(x_perp.max() <= perp_bound * (1 + 1e-12)),
         "ball_bound": float(ball_bound),
         "ball_ok": bool(radius <= ball_bound),
-        "calibrated_c": calibrated_c,
+        "calibrated_c": CALIBRATED_C,
     }
     report["pass"] = report["x1_ok"] and report["perp_ok"] and report["ball_ok"]
     return radius, report
@@ -283,7 +288,7 @@ def surface_integral(f, s: float = 1.0, transform: np.ndarray | None = None,
 
     def evaluate(n_u: int, n_polar: int, n_azim: int) -> float:
         u, wu = gauss_legendre_nodes(0.0, u_max, n_u)
-        cpol, wpol = np.polynomial.legendre.leggauss(n_polar)
+        cpol, wpol = gauss_legendre_nodes(-1.0, 1.0, n_polar)
         az = np.linspace(0.0, 2.0 * np.pi, n_azim, endpoint=False)
         waz = 2.0 * np.pi / n_azim
         spol = np.sqrt(1.0 - cpol ** 2)

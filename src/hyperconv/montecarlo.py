@@ -17,6 +17,7 @@ from .profiles import RadialProfile, smooth_bump
 from .quadrature import DEFAULT_SEED, QuadratureSpec, integrate
 
 BUMP_KINDS = ("radial", "axial_odd")
+CHUNK = 1_000_000  # samples drawn per pass; bounds the estimator's memory
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,14 @@ def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def mc_pairing_oracle(f: RadialProfile, g: RadialProfile, testfn: BumpSpec,
                       quad: QuadratureSpec | None = None,
-                      n_samples: int = 10_000_000,
-                      chunk: int = 1_000_000):
+                      n_samples: int = 10_000_000):
     """Monte-Carlo estimate (value, standard_error) of <f mu * g mu, testfn>.
 
     Surface points are sampled uniformly in time height over each profile's
     support, uniformly in direction; the product measure weight
     phi(u) phi(v) and the chart volumes are folded into the estimator.
     """
-    n_samples, chunk = check_count("n_samples", n_samples, 1), check_count("chunk", chunk, 1)
+    n_samples = check_count("n_samples", n_samples, 1)
     if f.s != g.s:
         raise ValueError("profiles must share the mass parameter")
     quad = quad or QuadratureSpec()
@@ -73,7 +73,7 @@ def mc_pairing_oracle(f: RadialProfile, g: RadialProfile, testfn: BumpSpec,
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(CHUNK, n_samples - done)
         u = rng.uniform(u0, u1, m)
         v = rng.uniform(v0, v1, m)
         w1 = _uniform_sphere(rng, m)

@@ -36,10 +36,6 @@ class RadialProfile:
             raise ValueError("profile values must be finite")
 
     @property
-    def r_min(self) -> float:
-        return float(self.grid[0])
-
-    @property
     def r_max(self) -> float:
         return float(self.grid[-1])
 
@@ -63,7 +59,7 @@ class RadialProfile:
         return self(phi(t, self.s))
 
     def u_support(self):
-        """Time-height interval [psi(r_min), psi(r_max)] carrying the profile."""
+        """Time-height interval [psi(grid[0]), psi(r_max)] carrying the profile."""
         return psi(self.grid[0], self.s), psi(self.grid[-1], self.s)
 
     def scaled(self, c: float) -> "RadialProfile":

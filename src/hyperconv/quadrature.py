@@ -15,7 +15,7 @@ field samplers use ``convolution``'s Gauss rule and read only the tolerances.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class QuadratureSpec:
         check_real("abs_tol", self.abs_tol, at_least=0.0)
         check_count("max_depth", self.max_depth, 0)
 
-    def with_profile(self, profile: str) -> "QuadratureSpec":
-        tol = {"fast": 1e-6, "default": 1e-8, "paranoid": 1e-10}[profile]
-        return replace(self, rel_tol=tol)
-
 
 @dataclass
 class QuadResult:
@@ -59,9 +55,12 @@ class QuadResult:
 
 
 def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
-                     abs_tol: float = 1e-14, max_depth: int = 20,
-                     min_depth: int = 2) -> QuadResult:
-    """Composite Simpson with panel doubling until the doubling update is small."""
+                     abs_tol: float = 1e-14, max_depth: int = 20) -> QuadResult:
+    """Composite Simpson with panel doubling until the doubling update is small.
+
+    The update is first tested at depth 2 (8 against 4 panels), so chance
+    agreement of the two coarsest rules is never accepted.
+    """
     a, b = float(a), float(b)
     if b <= a:
         return QuadResult(0.0, 0.0, True)
@@ -72,7 +71,7 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
         y = np.asarray(f(x), dtype=float)
         h = (b - a) / n
         val = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
-        if prev is not None and depth >= min_depth:
+        if depth >= 2:
             err = abs(val - prev) / 15.0
             if err <= rel_tol * abs(val) + abs_tol:
                 return QuadResult(val, err, True)
@@ -106,17 +105,14 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec, points=None) -> QuadR
     return res
 
 
-def split_exp_tail(a_rate: float, scale: float = 30.0, pieces: int = 3):
-    """Breakpoints [0, ..., k*scale/a_rate] for integrands damped by exp(-a*t).
+def split_exp_tail(a_rate: float):
+    """Breakpoints [0, 1, 10, 30/a, 60/a, 90/a] for integrands damped by exp(-a*t), a = a_rate.
 
-    The remainder beyond the last breakpoint is below exp(-pieces*scale)
-    relative to the total for polynomially bounded integrands.
+    The remainder beyond the last breakpoint is below exp(-90) relative to
+    the total for polynomially bounded integrands.
     """
     a_rate = check_real("a_rate", a_rate, above=0.0)
-    edges = [0.0, 1.0, 10.0]
-    edges += [k * scale / a_rate for k in range(1, pieces + 1)]
-    out = sorted(set(e for e in edges if e >= 0.0))
-    return out
+    return sorted({0.0, 1.0, 10.0, 30.0 / a_rate, 60.0 / a_rate, 90.0 / a_rate})
 
 
 def integrate_pieces(f, edges, spec: QuadratureSpec) -> QuadResult:

@@ -65,8 +65,6 @@ def test_split_edges_sorted_positive():
 def test_spec_validation_and_profiles():
     spec = QuadratureSpec()
     assert spec.rel_tol == 1e-8
-    assert spec.with_profile("fast").rel_tol == 1e-6
-    assert spec.with_profile("paranoid").rel_tol == 1e-10
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
 

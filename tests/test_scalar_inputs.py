@@ -7,6 +7,7 @@ from hyperconv.closedforms import (ConvPoint, exp_weighted_conv, mu_cone_conv_su
                                    mu_self_conv_sup, mu_self_conv_sup_exact)
 from hyperconv.comparison import I_of_a, II_of_a, ratio_scan
 from hyperconv.extremizer import shell_pair_norm_sq, tail_bound_check
+from hyperconv.lorentz import bounded_ball_certificate, dyadic_log_term
 from hyperconv.montecarlo import BumpSpec, mc_pairing_oracle
 from hyperconv.profiles import RadialProfile, shell_indicator
 from hyperconv.quadrature import split_exp_tail
@@ -37,6 +38,10 @@ CASES = {
     "tail_bound_check(a=nan)": (lambda: tail_bound_check(nan, shell_indicator(2.0, 6.0, 1.0)),
                                 "a"),
     "shell_pair_norm_sq(i0_f=1.5)": (lambda: shell_pair_norm_sq(1.0, 0.1, 1.5, F, 0, F), "i0_f"),
+    "bounded_ball_certificate(k=-1)": (lambda: bounded_ball_certificate(1.0, -1, 0.3), "k"),
+    "bounded_ball_certificate(k=2.5)": (lambda: bounded_ball_certificate(1.0, 2.5, 0.3), "k"),
+    "dyadic_log_term(-1)": (lambda: dyadic_log_term(-1), "k"),
+    "dyadic_log_term(2.5)": (lambda: dyadic_log_term(2.5), "k"),
 }
 
 
@@ -48,9 +53,9 @@ def test_bad_scalar_is_named(call, name):
         call()
 
 
-@pytest.mark.parametrize("name", ["n_samples", "chunk"])
+@pytest.mark.parametrize("name", ["n_samples"])
 def test_mc_pairing_oracle_refuses_an_empty_count(monkeypatch, name):
-    # chunk = 0 never advanced the sample count; n_samples = 0 divided by zero
+    # n_samples = 0 divided by zero
     def no_sampling(*args):
         raise AssertionError("points were sampled")
 
