@@ -51,14 +51,7 @@ block keeps one base index per row and side (``_Runs``).  The evaluators
 copy each run's node values whole, as a row of the matrix of the windows
 of the nodes the block reaches, padded with zeros where that stretch runs
 off the nodes (``_take_runs``); so a pair off the nodes reads zero, and the
-copies cost less than a gather by one index per entry.  The gradient
-scatters through index arrays written the same way, over bins that hold
-the nodes between two margins of n + 1 bins: SliceEngine's rows keep every
-pair within one block width (at most n/2 + 2 columns) of the nodes, so a
-pair off the nodes lands in a margin, which is dropped.  The one stored
-pair that must not count lies on the nodes: the empty j = 0 window of an
-odd row with j_first = 0, whose q and adjoint D are zeroed through a
-per-block list of those rows.
+copies cost less than a gather by one index per entry.
 
 The numerator
 
@@ -107,7 +100,19 @@ The exact gradient is the adjoint of this chain.  With T = (dV/dS)/2 =
 a S - C b, plus c C - sum_j b_j S_j in the saturation column, and the
 suffix sums R_j = sum_{j' >= j} T_j', taken as the row total minus the
 prefix sums, dV/dq_i = 2 (R_i + R_{i+1}) for i >= 1 and 2 R_1 for i = 0
-(q_0 enters S_1 only); dq/dF_lo = F_hi.  All tables come from one block
+(q_0 enters S_1 only); dq/dF_lo = F_hi.  The products F_hi D and F_lo D go
+back to the nodes through the adjoint of the run copies (``_add_runs``):
+each row is added into its own row of a zeroed buffer, skewed by its run's
+offset, so that one sum along the buffer's columns totals every node of the
+stretch, and the totals off the nodes are dropped.  The one stored pair
+that must not count lies on the nodes: the empty j = 0 window of an odd row
+with j_first = 0, whose q and D are zeroed.  A block reaches those entries,
+and each row's saturation column, through their indices into the flattened
+block, and every pass over a whole block runs along the flattened block
+too: the shifted adds that form S and D pair the last entry of one row with
+the first of the next, and column 0 is then written over.  These passes do
+per entry the arithmetic of row-wise ones, so the numerator and its row
+values are the row-wise values bit for bit.  All tables come from one block
 builder (``row_blocks``) and every evaluation, numerator, gradient and
 trial pass alike, goes through one evaluator (``_block_values``).
 
@@ -200,15 +205,17 @@ class _Runs(NamedTuple):
 class _Block(NamedTuple):
     """Consecutive rows of a window table, padded to one width, with the
     coefficients of their quadratic forms (module docstring); the tau
-    trapezoid weight of each row is folded into a, b and c."""
+    trapezoid weight of each row is folded into a, b and c.  The entries
+    read one per row or fewer (the saturation columns, the empty windows)
+    are stored as indices into the flattened block."""
 
-    lo_runs: _Runs     # lo = base_lo - col, counted from origin
-    hi_runs: _Runs     # hi = base_hi + col
-    empty: np.ndarray  # rows whose column 0 is the empty j = 0 window of an odd row
-    sat: np.ndarray    # (rows,) column holding the saturation value C
-    a: np.ndarray      # (rows, width) (alpha_in + alpha_out) delta^2
-    b: np.ndarray      # (rows, width) alpha_out delta^2
-    c: np.ndarray      # (rows,) (mid_len + sum_j alpha_out) delta^2
+    lo_runs: _Runs          # lo = base_lo - col, counted from origin
+    hi_runs: _Runs          # hi = base_hi + col
+    empty_flat: np.ndarray  # the empty j = 0 windows of odd rows, all in column 0
+    sat_flat: np.ndarray    # (rows,) the entry of each row's saturation value C
+    a: np.ndarray           # (rows, width) (alpha_in + alpha_out) delta^2
+    b: np.ndarray           # (rows, width) alpha_out delta^2
+    c: np.ndarray           # (rows,) (mid_len + sum_j alpha_out) delta^2
 
     @property
     def lo(self) -> np.ndarray:
@@ -219,6 +226,17 @@ class _Block(NamedTuple):
     def hi(self) -> np.ndarray:
         """(rows, width) node indices hi, derived like ``lo``."""
         return self.hi_runs.indices(self.a.shape[1])
+
+    @property
+    def empty(self) -> np.ndarray:
+        """The rows whose column 0 is an empty window, derived from ``empty_flat``."""
+        return self.empty_flat // self.a.shape[1]
+
+    @property
+    def sat(self) -> np.ndarray:
+        """(rows,) the column of each row's saturation value, derived from ``sat_flat``."""
+        rows, width = self.a.shape
+        return self.sat_flat - width * np.arange(rows)
 
 
 def row_blocks(s: float, delta: float, k, j_first, j_last, origin: int = 0):
@@ -262,17 +280,19 @@ def _row_block(s, delta, origin, radii, scratch, k, j_first, sat) -> _Block:
     lo_runs = _Runs(lo_start, -1, lo_start - base_lo, lo_start - int(base_lo.min()) + 1)
     hi_runs = _Runs(hi_start, 1, base_hi - hi_start, int(base_hi.max()) - hi_start + 1)
     empty = np.flatnonzero((k % 2 == 1) & (j_first == 0))
+    width = int(sat.max()) + 1
+    empty_flat = width * empty
+    sat_flat = width * np.arange(k.size, dtype=sat.dtype) + sat
 
     # node radii along both runs, in plain arrays of the block's shape: the
     # buffers of a _Scratch would be new on every call, once per shell pair,
     # and made bilinear_dyadic_scan slower (more page faults) when tried
-    shape = (k.size, int(sat.max()) + 1)
+    shape = (k.size, width)
     phi_hi, phi_lo = np.empty(shape), np.empty(shape)
     _take_runs(radii, hi_runs, phi_hi, scratch, origin)
     _take_runs(radii, lo_runs, phi_lo, scratch, origin)
-    phi_hi[empty, 0] = phi_lo[empty, 0] = phi(0.5 * delta * k[empty], s)
-    rows = np.arange(k.size)
-    hi_sat, lo_sat = phi_hi[rows, sat], phi_lo[rows, sat]
+    phi_hi.ravel()[empty_flat] = phi_lo.ravel()[empty_flat] = phi(0.5 * delta * k[empty], s)
+    hi_sat, lo_sat = phi_hi.ravel()[sat_flat], phi_lo.ravel()[sat_flat]
     np.minimum(phi_hi, hi_sat[:, None], out=phi_hi)
     np.maximum(phi_lo, lo_sat[:, None], out=phi_lo)
     d2 = delta * delta
@@ -285,7 +305,7 @@ def _row_block(s, delta, origin, radii, scratch, k, j_first, sat) -> _Block:
     c = np.maximum(r_out[:, 0] - (hi_sat - lo_sat), 0.0)
     c *= d2
     c += b.sum(axis=1)
-    return _Block(lo_runs, hi_runs, empty, sat, a, b, c)
+    return _Block(lo_runs, hi_runs, empty_flat, sat_flat, a, b, c)
 
 
 def _centered_differences(x, out):
@@ -319,30 +339,19 @@ class _Scratch:
 
     def __init__(self, count: int):
         self._float = np.empty((count, 0))
-        self._index = np.empty((2, 0), dtype=np.intp)
-        self._windows = np.empty(0)
-
-    @staticmethod
-    def _views(bufs, blk):
-        return [buf[:blk.a.size].reshape(blk.a.shape) for buf in bufs]
+        self._spare = np.empty(0)
 
     def floats(self, blk: _Block):
         """The float buffers, each of the block's shape."""
         if self._float.shape[1] < blk.a.size:
             self._float = np.empty((len(self._float), max(blk.a.size, BLOCK_ENTRIES)))
-        return self._views(self._float, blk)
+        return [buf[:blk.a.size].reshape(blk.a.shape) for buf in self._float]
 
-    def indices(self, blk: _Block):
-        """The two intp buffers, each of the block's shape."""
-        if self._index.shape[1] < blk.a.size:
-            self._index = np.empty((2, max(blk.a.size, BLOCK_ENTRIES)), dtype=np.intp)
-        return self._views(self._index, blk)
-
-    def windows(self, count: int, width: int, dtype) -> np.ndarray:
-        """A (count, width) buffer of dtype, float or intp (both 8 bytes)."""
-        if self._windows.size < count * width:
-            self._windows = np.empty(max(count * width, BLOCK_ENTRIES))
-        return self._windows[:count * width].view(dtype).reshape(count, width)
+    def spare(self, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) float buffer for ``_take_runs`` or ``_add_runs``, one call at a time."""
+        if self._spare.size < rows * cols:
+            self._spare = np.empty(max(rows * cols, BLOCK_ENTRIES))
+        return self._spare[:rows * cols].reshape(rows, cols)
 
 
 def _take_runs(vec, runs: _Runs, out, scratch: _Scratch, shift: int = 0):
@@ -355,16 +364,42 @@ def _take_runs(vec, runs: _Runs, out, scratch: _Scratch, shift: int = 0):
     width = out.shape[1]
     size = runs.count + width - 1
     first = shift + runs.start - (0 if runs.sign > 0 else size - 1)
-    stretch = np.zeros(size, dtype=vec.dtype)
+    stretch = np.zeros(size)
     lo, hi = max(first, 0), min(first + size, vec.size)
     if lo < hi:
         stretch[lo - first:hi - first] = vec[lo:hi]
     step = runs.sign * stretch.itemsize
-    windows = np.ndarray((runs.count, width), vec.dtype, stretch,
+    windows = np.ndarray((runs.count, width), stretch.dtype, stretch,
                          0 if runs.sign > 0 else -step * (size - 1), (step, step))
-    buf = scratch.windows(runs.count, width, vec.dtype)
+    buf = scratch.spare(runs.count, width)
     np.copyto(buf, windows)
     np.take(buf, runs.rows, axis=0, out=out, mode="clip")
+
+
+def _add_runs(X, runs: _Runs, out, scratch: _Scratch):
+    """out[start + sign (rows[r] + col)] += X[r, col], dropping the entries off out.
+
+    The adjoint of ``_take_runs``.  Row r of X is copied into row r of a
+    zeroed (rows, count + width - 1) buffer from column rows[r] on, so
+    column m of that skewed buffer holds every entry that lands on node
+    start + sign m, and one sum along its columns totals them; an index per
+    entry and a ``bincount`` cost more.
+    """
+    n_rows, width = X.shape
+    size = runs.count + width - 1
+    skew = scratch.spare(n_rows, size)
+    skew.fill(0.0)
+    step = skew.itemsize
+    windows = np.ndarray((n_rows, runs.count, width), skew.dtype, skew, 0,
+                         (size * step, step, step))
+    windows[np.arange(n_rows), runs.rows] = X
+    sums = skew.sum(axis=0)
+    first = runs.start
+    if runs.sign < 0:
+        sums, first = sums[::-1], first - size + 1
+    lo, hi = max(first, 0), min(first + size, out.size)
+    if lo < hi:
+        out[lo:hi] += sums[lo - first:hi - first]
 
 
 def _block_values(blk: _Block, q, S, aS):
@@ -372,11 +407,14 @@ def _block_values(blk: _Block, q, S, aS):
 
     Fills S with the window sums over delta and aS with a*S, and returns
     (V, C, bS): the row values, the saturation values C and sum_j b_j S_j.
+    q, S and aS are contiguous: the adds that form S run along the
+    flattened block, and column 0, where they pair two rows, is then
+    written over.
     """
+    np.add(q.ravel()[1:], q.ravel()[:-1], out=S.ravel()[1:])
     S[:, 0] = 0.0
-    np.add(q[:, 1:], q[:, :-1], out=S[:, 1:])
     np.cumsum(S, axis=1, out=S)
-    C = S[np.arange(S.shape[0]), blk.sat]
+    C = S.ravel()[blk.sat_flat]
     np.multiply(blk.a, S, out=aS)
     bS = np.vecdot(blk.b, S)
     V = blk.c * C
@@ -403,7 +441,7 @@ def _row_values(blocks, F, G=None):
             _take_runs(F, blk.hi_runs, aS, scratch)
             x *= aS
             q += x
-        q[blk.empty, 0] = 0.0
+        q.ravel()[blk.empty_flat] = 0.0
         V = _block_values(blk, q, x, aS)[0]
         del blk  # a generator of blocks builds the next one without this one
         yield V
@@ -489,45 +527,38 @@ class SliceEngine:
     def numerator_gradient(self, F: np.ndarray):
         """(numerator, gradient wrt the node values), exact for the discrete form."""
         F = _node_values(F, self.n, "F")
-        # the gradient's bins: the nodes between margins wider than any block,
-        # which take the pairs off the nodes (module docstring)
-        margin = self.n + 1
-        bins = np.arange(self.n + 2 * margin)
         total = 0.0
-        grad = np.zeros(bins.size)
+        grad = np.zeros(self.n)
         scratch = _Scratch(5)
         for blk in self._blocks:
-            lo, hi = scratch.indices(blk)
-            _take_runs(bins, blk.lo_runs, lo, scratch, margin)
-            _take_runs(bins, blk.hi_runs, hi, scratch, margin)
             F_lo, F_hi, q, S, T = scratch.floats(blk)
             _take_runs(F, blk.lo_runs, F_lo, scratch)
             _take_runs(F, blk.hi_runs, F_hi, scratch)
             np.multiply(F_lo, F_hi, out=q)
-            q[blk.empty, 0] = 0.0
+            q.ravel()[blk.empty_flat] = 0.0
             V, C, bS = _block_values(blk, q, S, T)
             total += V.sum()
 
             # T = (dV/dS)/2 = a S - C b, the saturation C = S[sat] folded in
             np.multiply(blk.b, C[:, None], out=q)
             T -= q
-            T[np.arange(T.shape[0]), blk.sat] += blk.c * C - bS
+            T.ravel()[blk.sat_flat] += blk.c * C - bS
 
             # suffix sums R_j = tot - U_{j-1} from the prefix sums U = cumsum(T):
             # dV/dq_i = 2 D_i with D_i = R_i + R_{i+1} = 2 tot - U_i - U_{i-1}
-            # for i >= 1 and D_0 = R_1 = tot - U_0 (q_0 enters S_1 only)
+            # for i >= 1 and D_0 = R_1 = tot - U_0 (q_0 enters S_1 only); the
+            # adds run along the flattened block like those of S
             U = np.cumsum(T, axis=1, out=S)
             tot = U[:, -1:]
             D = T
-            np.add(U[:, 1:], U[:, :-1], out=D[:, 1:])
+            np.add(U.ravel()[1:], U.ravel()[:-1], out=D.ravel()[1:])
             np.add(U[:, :1], tot, out=D[:, :1])
             np.subtract(2.0 * tot, D, out=D)
-            D[blk.empty, 0] = 0.0  # the empty window's pair lies on the nodes
+            D.ravel()[blk.empty_flat] = 0.0  # the empty window's pair lies on the nodes
             F_hi *= D
             F_lo *= D
-            grad += np.bincount(lo.ravel(), weights=F_hi.ravel(), minlength=bins.size)
-            grad += np.bincount(hi.ravel(), weights=F_lo.ravel(), minlength=bins.size)
-        grad = grad[margin:margin + self.n]
+            _add_runs(F_hi, blk.lo_runs, grad, scratch)
+            _add_runs(F_lo, blk.hi_runs, grad, scratch)
         grad *= 2.0 * SIXTEEN_PI3 * self.delta
         return SIXTEEN_PI3 * self.delta * float(total), grad
 

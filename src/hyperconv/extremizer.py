@@ -516,8 +516,11 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
     j_end, k2 = (k + 1) // 2, k // 2
     j_first = np.maximum(np.maximum(j_end - iB, iA - k2) - 1, 0)
     j_last = np.minimum(np.maximum(j_end - iA, iB - k2) + 1, j_end)
-    # every row is interior to the tau trapezoid: the pair vanishes beyond it
-    return blocks_numerator(row_blocks(s, delta, k, j_first, j_last, origin), delta, Fz, Gz)
+    # every row is interior to the tau trapezoid: the pair vanishes beyond it;
+    # a self pair takes the self path, whose row values are the cross path's over 4 exactly
+    self_pair = i0_f == i0_g and np.array_equal(F, G)
+    return blocks_numerator(row_blocks(s, delta, k, j_first, j_last, origin), delta, Fz,
+                            None if self_pair else Gz)
 
 
 def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):

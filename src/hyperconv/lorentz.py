@@ -152,7 +152,8 @@ def cap_image_radii(s: float, t: float, r: np.ndarray, cos_phi: np.ndarray,
 def normalize_cap(c: CapSpec) -> tuple:
     """Boost parameter normalizing a [1,2]-band cap, with certificates.
 
-    Hypotheses: s <= 1/2, eps in [0, pi/2], sin^2(eps)/s^2 >= 8, band [1, 2].
+    Hypotheses: s <= 1/2, eps in (0, pi/2] with cos(eps) < 1 in floating
+    point, sin^2(eps)/s^2 >= 8, band [1, 2].
     For eps <= pi/3 the boost t = cos(eps) is used, otherwise t = 0.  The
     report certifies (exactly for the measure, by dense boundary sampling
     for the image) that the rescaled-boost image has measure >= pi/2 and
@@ -169,6 +170,8 @@ def normalize_cap(c: CapSpec) -> tuple:
         raise PreconditionError("radial band equals [1, 2]", f"band = [{c.a}, {c.b}]")
 
     t = float(np.cos(c.eps)) if c.eps <= np.pi / 3 else 0.0
+    if t == 1.0:  # eps = 0, or too small for cos(eps) to round below 1
+        raise PreconditionError("eps > 0 with cos(eps) < 1", f"eps = {c.eps}")
     new_mass = c.s / np.sqrt(1.0 - t * t)
     measure = cap_measure(c) / (1.0 - t * t)
     measure_floor = np.pi / (1.0 + np.cos(c.eps))

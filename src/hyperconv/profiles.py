@@ -47,11 +47,10 @@ class RadialProfile:
         """Evaluate at radius r (piecewise linear, zero outside the grid)."""
         r = np.asarray(r, dtype=float)
         if self.is_complex:
-            out = (np.interp(r, self.grid, self.values.real)
-                   + 1j * np.interp(r, self.grid, self.values.imag))
+            out = (np.interp(r, self.grid, self.values.real, left=0.0, right=0.0)
+                   + 1j * np.interp(r, self.grid, self.values.imag, left=0.0, right=0.0))
         else:
-            out = np.interp(r, self.grid, self.values)
-        out = np.where((r < self.grid[0]) | (r > self.grid[-1]), 0.0, out)
+            out = np.interp(r, self.grid, self.values, left=0.0, right=0.0)
         return out if out.ndim else complex(out) if self.is_complex else float(out)
 
     def at_time(self, t):

@@ -59,12 +59,14 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
     """Composite Simpson with panel doubling until the doubling update is small.
 
     The update is first tested at depth 2 (8 against 4 panels), so chance
-    agreement of the two coarsest rules is never accepted.
+    agreement of the two coarsest rules is never accepted.  Without
+    convergence the error is the last update tested, or inf if none was.
     """
     a, b = float(a), float(b)
     if b <= a:
         return QuadResult(0.0, 0.0, True)
     prev = None
+    err = np.inf
     n = 2
     for depth in range(max_depth + 1):
         x = np.linspace(a, b, n + 1)
@@ -77,7 +79,7 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
                 return QuadResult(val, err, True)
         prev = val
         n *= 2
-    return QuadResult(prev, abs(val - prev) if prev is not None else np.inf, False)
+    return QuadResult(prev, err, False)
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec, points=None) -> QuadResult:

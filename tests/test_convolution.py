@@ -24,6 +24,38 @@ def const_profile(s, r_lo, r_hi, n=400):
     return RadialProfile(s, grid, np.ones(n))
 
 
+def interp_then_mask(prof, r):
+    """The reference evaluation: interpolate, then zero r outside the grid."""
+    r = np.asarray(r, dtype=float)
+    v = prof.values
+    out = (np.interp(r, prof.grid, v.real) + 1j * np.interp(r, prof.grid, v.imag)
+           if np.iscomplexobj(v) else np.interp(r, prof.grid, v))
+    return np.where((r < prof.grid[0]) | (r > prof.grid[-1]), 0.0, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(0.0, 10.0), n=st.integers(2, 30), complex_values=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_profile_evaluation_equals_interp_then_mask_bit_for_bit(s, n, complex_values, seed):
+    # at the nodes, at both ends and one ulp past them, between the nodes
+    # and outside the grid on both sides
+    rng = np.random.default_rng(seed)
+    grid = s + np.cumsum(rng.uniform(0.01, 1.0, n))
+    values = rng.normal(size=n)
+    if complex_values:
+        values = values + 1j * rng.normal(size=n)
+    prof = RadialProfile(s, grid, values)
+    ends = grid[[0, -1]]
+    r = np.concatenate([grid, ends, np.nextafter(ends, [-np.inf, np.inf]),
+                        rng.uniform(ends[0], ends[1], 20), ends[0] - rng.uniform(0.0, 5.0, 5),
+                        ends[1] + rng.uniform(0.0, 5.0, 5)])
+    got, want = prof(r), interp_then_mask(prof, r)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for x in r[[0, n - 1, n + 2, n + 3, -1]]:  # scalars come back as Python numbers
+        assert type(prof(x)) is (complex if complex_values else float)
+        assert prof(x) == interp_then_mask(prof, x)
+
+
 # ---- sphere pair kernel ----
 
 def test_kernel_point_values():

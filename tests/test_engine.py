@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hyperconv import extremizer
 from hyperconv.closedforms import self_conv_row_mass
 from hyperconv.comparison import II_of_a, full_numerator
-from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, _row_values, blocks_numerator,
-                              rho_pair_from_w, rho_weights, row_blocks, row_values)
+from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, _add_runs, _row_values, _Runs,
+                              _Scratch, _take_runs, blocks_numerator, rho_pair_from_w,
+                              rho_weights, row_blocks, row_values)
 from hyperconv.convolution import self_half_width
 
 DEFAULT_A_GRID = np.geomspace(0.05, 2.0, 40)  # trial_family_scan's default
@@ -252,6 +253,9 @@ def check_against_dense(s, n, u_max, seed, grad_nodes=None):
     np.testing.assert_allclose(eng.numerator(F, G), dense(F, G), rtol=1e-13, atol=0)
     num, grad = eng.numerator_gradient(F)
     np.testing.assert_allclose(num, dense(F), rtol=1e-13, atol=0)
+    # N is a homogeneous quartic in F: grad . F = 4 N, over every node
+    np.testing.assert_allclose(grad @ F, 4.0 * num, rtol=1e-12,
+                               atol=1e-12 * np.sum(np.abs(grad) * F))
     nodes = np.arange(n) if grad_nodes is None else np.asarray(grad_nodes)
     h = 1e-30  # complex step: dN/dF_i = Im N(F + i h e_i) / h, no cancellation
     want = [dense(F + 1j * h * (np.arange(n) == i)).imag / h for i in nodes]
@@ -271,6 +275,44 @@ def test_packed_table_matches_dense_reference_large(n):
     # rows past k = n - 1 saturate off the grid; the checked nodes cover
     # both ends and the middle of the grid
     check_against_dense(1.0, n, 20.0, n, grad_nodes=[0, 1, n // 2, n - 2, n - 1])
+
+
+@pytest.mark.parametrize("n, last_rows", [(255, 1), (257, 9)])
+def test_gradient_matches_dense_reference_at_every_node_across_blocks(n, last_rows):
+    # the table spans three blocks, and its last block holds a single row
+    # (n = 255) or an odd number of rows (n = 257)
+    rows = [blk.a.shape[0] for blk in SliceEngine(1.0, n, 20.0)._blocks]
+    assert len(rows) == 3 and rows[-1] == last_rows
+    check_against_dense(1.0, n, 20.0, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sign=st.sampled_from([-1, 1]), start=st.integers(-30, 70), count=st.integers(1, 20),
+       width=st.integers(1, 12), n_rows=st.integers(1, 15), size=st.integers(1, 50),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_add_runs_is_the_adjoint_of_take_runs(sign, start, count, width, n_rows, size, seed):
+    # runs on, across and off both ends of the vector, any row order
+    rng = np.random.default_rng(seed)
+    offsets = rng.integers(0, count, n_rows)
+    offsets[rng.integers(n_rows)] = count - 1
+    runs = _Runs(start, sign, offsets, count)
+    vec = rng.normal(size=size)
+    X = rng.normal(size=(n_rows, width))
+    scratch = _Scratch(0)
+    taken = np.empty((n_rows, width))
+    _take_runs(vec, runs, taken, scratch)
+    added = np.zeros(size)
+    _add_runs(X, runs, added, scratch)
+    # entry by entry: the node each entry pairs, and only those on vec count
+    nodes = runs.indices(width)
+    on = (nodes >= 0) & (nodes < size)
+    np.testing.assert_array_equal(taken, np.where(on, vec[np.clip(nodes, 0, size - 1)], 0.0))
+    want = np.zeros(size)
+    np.add.at(want, nodes[on], X[on])
+    scale = np.sum(np.abs(X))
+    np.testing.assert_allclose(added, want, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(np.sum(taken * X), vec @ added, rtol=0,
+                               atol=1e-14 * scale * np.max(np.abs(vec)))
 
 
 def test_engine_memory_stays_packed():

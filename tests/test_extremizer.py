@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hyperconv import extremizer
 from hyperconv.convolution import cross_conv, hyperbolic_conv
-from hyperconv.engine import BLOCK_ENTRIES, SliceEngine, row_blocks
+from hyperconv.engine import BLOCK_ENTRIES, SliceEngine, blocks_numerator, row_blocks
 from hyperconv.extremizer import (CONE_Q, DOUBLE_CONE_Q, SheetPair,
                                   bilinear_dyadic_scan, cone_limit_scan,
                                   dyadic_pieces, dyadic_refinement_check,
@@ -68,6 +68,26 @@ def test_shell_pair_norm_matches_engine():
     want_self = eng.numerator(dense_F)
     got_self = shell_pair_norm_sq(s, delta, i0f, F, i0f, F)
     np.testing.assert_allclose(got_self, want_self, rtol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["bump", "indicator"])
+def test_shell_self_pairs_equal_the_cross_path_bit_for_bit(monkeypatch, kind):
+    # a self pair takes blocks_numerator's self path: the cross path's half
+    # pair sums are twice the self path's, so every sum scales by an exact
+    # power of 2
+    s, delta = 1.0, 0.05
+    shells = [dyadic_shell_values(s, k, delta, kind) for k in range(5)]
+    self_path = [shell_pair_norm_sq(s, delta, *sh, *sh) for sh in shells]
+    seen = []
+
+    def cross_path(blocks, delta, F, G=None):
+        seen.append(G is None)
+        return blocks_numerator(blocks, delta, F, F.copy() if G is None else G)
+    monkeypatch.setattr(extremizer, "blocks_numerator", cross_path)
+    assert [shell_pair_norm_sq(s, delta, *sh, *sh) for sh in shells] == self_path
+    assert seen == [True] * 5
+    shell_pair_norm_sq(s, delta, *shells[0], *shells[1])
+    assert seen[-1] is False
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,16 @@ def test_normalize_cap_rejections_name_hypothesis():
     assert "radial band" in str(e.value)
     with pytest.raises(PreconditionError):
         normalize_cap(CapSpec(0.05, 1.0, 2.0, 0.8 * np.pi))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_normalize_cap_names_eps_when_the_boost_would_reach_one(eps):
+    # at s = 0 every other hypothesis holds, but t = cos(eps) rounds to 1
+    # and the boost would divide by 1 - t^2 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=r"eps > 0.*eps = "):
+            normalize_cap(CapSpec(0.0, 1.0, 2.0, eps))
 
 
 def test_dyadic_asymptotics():

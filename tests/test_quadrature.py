@@ -111,6 +111,26 @@ def test_integrate_pieces_names_the_piece_that_fails(rule):
                          [0.0, 1.0, 2.0], spec)
 
 
+def test_simpson_reports_its_last_update_when_it_does_not_converge():
+    # a result that missed its tolerance carries the last update tested,
+    # the same estimate a converged result carries, never 0
+    f = lambda x: np.sin(1e4 * x)
+    res = simpson_adaptive(f, 0, 1, 1e-12, 1e-14, 3)
+    assert not res.converged
+    coarser = simpson_adaptive(f, 0, 1, 1e-12, 1e-14, 2)
+    assert res.error == abs(res.value - coarser.value) / 15.0 > 0.0
+    # depth 1 compares no two rules it may accept
+    assert simpson_adaptive(f, 0, 1, 1e-12, 1e-14, 1).error == np.inf
+
+
+def test_integrate_names_the_nonzero_error_of_a_missed_tolerance():
+    spec = QuadratureSpec(rule="simpson", rel_tol=1e-12, max_depth=3)
+    with pytest.raises(QuadratureError, match=r"err=") as info:
+        integrate(lambda x: np.sin(1e4 * x), 0.0, 1.0, spec)
+    err = float(str(info.value).rsplit("err=", 1)[1].rstrip(")"))
+    assert err > 0.0
+
+
 def test_only_the_quadrature_module_imports_scipy_integrate():
     # every 1-D integral goes through quadrature.integrate, so no module
     # keeps a private piece loop on scipy's quad
