@@ -24,9 +24,20 @@ product integrand g(t) = F(t) G(tau - t), which is F_lo F_hi when F = G
 (q_0 = g_c on even rows, 0 on odd rows, whose j = 0 window is empty), give
 S by the trapezoid rule as
 
-    S_0 = 0,    S_j = delta sum_{1 <= i <= j} (q_i + q_{i-1}),
+    S_0 = 0,    S_j = delta sum_{1 <= i <= j} (q_i + q_{i-1})
+                    = delta (q_j + 2 sum_{i < j} q_i - q_0).
 
-one add and one cumulative sum per row.
+The evaluator takes the second form in chunks of ``CHUNK`` columns
+(``_window_sums``): one matrix product of the block, viewed as
+(rows * chunks, CHUNK), with 2 U + I, U the strictly upper matrix of ones,
+gives q_j plus twice the sum over the chunk's earlier columns, and a carry
+per chunk, twice the sum of q over the earlier chunks less q_0, completes
+it.  A product of that shape costs a fraction of a cumulative sum per row,
+whose every entry waits on the one before it.  The chunked sums add in
+another order than a running sum: the rounding error of S_j is bounded by a
+few (CHUNK + j/CHUNK) eps sum_i |q_i|, where a running sum's bound is
+j eps sum_i |q_i|, so the row values agree with row-wise scans to rounding,
+not bit for bit.
 
 A row is stored as (k, j_first, j_last): only its windows j_first .. j_last,
 where S = 0 up to j_first and S = C from j_last on (the first window with
@@ -35,13 +46,14 @@ outer branch on [0, w_{j_first}] and the inner branch on [w_{j_last}, tau/2]
 hold C^2, the other branch 0.  So the middle branch, measured from
 r_in(w_{j_last}) to r_out(w_{j_first}), takes in both stretches exactly.
 Each row records the column of window j_last, whose S is C.  Rows are
-stored in blocks of at most ``BLOCK_ENTRIES`` entries, padded with columns
-that repeat the radii of window j_last.  Those columns need no mask: their
-trapezoid weights are a = b = 0 exactly (see the build below), so V sees
-none of the products their pairs read, and the adjoint D is exactly 0 there
-(T = 0 past the saturation column, so the prefix sums U stay at the row
-total).  ``SliceEngine`` stores the rows k = 0 .. 2n-2,
-``extremizer.shell_pair_norm_sq`` the rows of one shell pair.
+stored in blocks of at most ``BLOCK_ENTRIES`` entries, padded to a width
+that is a multiple of ``CHUNK`` with columns that repeat the radii of window
+j_last.  Those columns need no mask: their trapezoid weights are a = b = 0
+exactly (see the build below), so V sees none of the products their pairs
+read, and the adjoint D is exactly 0 there (T = 0 past the saturation
+column, and D there sums only T that follows).  ``SliceEngine`` stores the
+rows k = 0 .. 2n-2, ``extremizer.shell_pair_norm_sq`` the rows of one shell
+pair.
 
 A row stores no pair indices.  Column col holds window j = j_first + col,
 so hi = base_hi + col and lo = base_lo - col with base_hi = k//2 + j_first
@@ -98,23 +110,22 @@ padding's differences, a and b, are exactly 0.
 
 The exact gradient is the adjoint of this chain.  With T = (dV/dS)/2 =
 a S - C b, plus c C - sum_j b_j S_j in the saturation column, and the
-suffix sums R_j = sum_{j' >= j} T_j', taken as the row total minus the
-prefix sums, dV/dq_i = 2 (R_i + R_{i+1}) for i >= 1 and 2 R_1 for i = 0
-(q_0 enters S_1 only); dq/dF_lo = F_hi.  The products F_hi D and F_lo D go
-back to the nodes through the adjoint of the run copies (``_add_runs``):
+suffix sums R_j = sum_{j' >= j} T_j', dV/dq_i = 2 D_i with
+D_i = R_i + R_{i+1} = T_i + 2 R_{i+1} for i >= 1 and D_0 = R_1 (q_0 enters
+S_1 only); dq/dF_lo = F_hi.  D is formed like S (``_window_adjoint``): one
+product with 2 U^T + I and a carry per chunk, twice the sum of T over the
+later chunks, give T_i + 2 R_{i+1} in every column, and column 0 is then
+halved after taking T_0 off.  The products F_hi D and F_lo D go back to
+the nodes through the adjoint of the run copies (``_add_runs``):
 each row is added into its own row of a zeroed buffer, skewed by its run's
 offset, so that one sum along the buffer's columns totals every node of the
 stretch, and the totals off the nodes are dropped.  The one stored pair
 that must not count lies on the nodes: the empty j = 0 window of an odd row
 with j_first = 0, whose q and D are zeroed.  A block reaches those entries,
 and each row's saturation column, through their indices into the flattened
-block, and every pass over a whole block runs along the flattened block
-too: the shifted adds that form S and D pair the last entry of one row with
-the first of the next, and column 0 is then written over.  These passes do
-per entry the arithmetic of row-wise ones, so the numerator and its row
-values are the row-wise values bit for bit.  All tables come from one block
-builder (``row_blocks``) and every evaluation, numerator, gradient and
-trial pass alike, goes through one evaluator (``_block_values``).
+block.  All tables come from one block builder (``row_blocks``) and every
+evaluation, numerator, gradient and trial pass alike, goes through one
+evaluator (``_block_values``).
 
 The exponential trial profiles are geometric on the grid: F_i = e^{-a u_i/2}
 = r^i with r = e^{-a delta/2}.  Every stored pair of row k has lo + hi = k,
@@ -135,7 +146,11 @@ from .geometry import check_count, check_mass, check_real, phi
 
 SIXTEEN_PI3 = 16.0 * np.pi ** 3
 FOUR_PI = 4.0 * np.pi
-BLOCK_ENTRIES = 2 ** 15  # stored entries per block, at most: bounds each block's temporaries
+CHUNK = 16  # block widths are multiples of CHUNK, the width of the window-sum products
+# stored entries per block, at most, padding to a multiple of CHUNK included:
+# bounds each block's temporaries.  With row-wise scans, 2^14 made the
+# gradient 1.05x / 1.14x slower and 2^16 1.11x / 1.07x slower at n = 600 / 1200.
+BLOCK_ENTRIES = 2 ** 15
 
 
 def rho_pair_from_w(s: float, w, tau):
@@ -239,14 +254,15 @@ class _Block(NamedTuple):
         return self.sat_flat - width * np.arange(rows)
 
 
-def row_blocks(s: float, delta: float, k, j_first, j_last, origin: int = 0):
+def row_blocks(s: float, delta: float, k, j_first, j_last, origin: int = 0, scratch=None):
     """Blocks of the rows (k[r], j_first[r], j_last[r]) of the module docstring.
 
     Node indices are counted from ``origin``.  A block stores per row the
     base indices of its pairs, not the pairs (module docstring), and marks
     no pair off the nodes, since those read zero when evaluated; so the
-    node count does not enter the blocks.  A block holds at most
-    ``BLOCK_ENTRIES`` entries, or 8 rows when one row is wider.
+    node count does not enter the blocks.  A block is padded to a width that
+    is a multiple of ``CHUNK`` and holds at most ``BLOCK_ENTRIES`` entries,
+    or 8 rows when one padded row is wider.
 
     The coefficients come from the node radii Phi[m] = phi(m delta),
     computed once per call up to the last node that a block's hi runs
@@ -259,16 +275,25 @@ def row_blocks(s: float, delta: float, k, j_first, j_last, origin: int = 0):
     floating point, so the padding holds a = b = 0 exactly.  ``rho_weights``
     computes the same weights entry by entry from the half widths and is
     kept as the tests' oracle (module docstring).
+
+    A block's temporaries live in the first two float buffers of
+    ``scratch`` (a ``_Scratch``), so an evaluator that takes each block as it
+    is built may pass its own and share them (``shell_pair_norm_sq``).
     """
     k, j_first, j_last = (np.asarray(a, dtype=np.int32)[:, None] for a in (k, j_first, j_last))
     sat = j_last - j_first                         # column of window j_last
-    widest = int(sat.max(initial=0))
-    radii = phi(delta * np.arange(int((k // 2 + j_first).max(initial=0)) + widest + 1), s)
-    step = max(8, BLOCK_ENTRIES // (widest + 1))
-    scratch = _Scratch(0)  # the buffer of _take_runs
+    width = _padded_width(int(sat.max(initial=0)))
+    radii = phi(delta * np.arange(int((k // 2 + j_first).max(initial=0)) + width), s)
+    step = max(8, BLOCK_ENTRIES // width)
+    scratch = _Scratch(2) if scratch is None else scratch
     for r in range(0, k.size, step):
         rows = slice(r, r + step)
         yield _row_block(s, delta, origin, radii, scratch, k[rows], j_first[rows], sat[rows])
+
+
+def _padded_width(sat_max: int) -> int:
+    """The width of a block whose widest row saturates in column sat_max: a multiple of CHUNK."""
+    return -(-(sat_max + 1) // CHUNK) * CHUNK
 
 
 def _row_block(s, delta, origin, radii, scratch, k, j_first, sat) -> _Block:
@@ -280,15 +305,13 @@ def _row_block(s, delta, origin, radii, scratch, k, j_first, sat) -> _Block:
     lo_runs = _Runs(lo_start, -1, lo_start - base_lo, lo_start - int(base_lo.min()) + 1)
     hi_runs = _Runs(hi_start, 1, base_hi - hi_start, int(base_hi.max()) - hi_start + 1)
     empty = np.flatnonzero((k % 2 == 1) & (j_first == 0))
-    width = int(sat.max()) + 1
+    width = _padded_width(int(sat.max()))
     empty_flat = width * empty
     sat_flat = width * np.arange(k.size, dtype=sat.dtype) + sat
 
-    # node radii along both runs, in plain arrays of the block's shape: the
-    # buffers of a _Scratch would be new on every call, once per shell pair,
-    # and made bilinear_dyadic_scan slower (more page faults) when tried
+    # node radii along both runs
     shape = (k.size, width)
-    phi_hi, phi_lo = np.empty(shape), np.empty(shape)
+    phi_hi, phi_lo = scratch.floats(shape)[:2]
     _take_runs(radii, hi_runs, phi_hi, scratch, origin)
     _take_runs(radii, lo_runs, phi_lo, scratch, origin)
     phi_hi.ravel()[empty_flat] = phi_lo.ravel()[empty_flat] = phi(0.5 * delta * k[empty], s)
@@ -335,23 +358,57 @@ class _Scratch:
     """Flat buffers that hold every block's temporaries in turn, sized for
     ``BLOCK_ENTRIES`` entries and regrown for a larger block.  Fresh
     block-sized arrays would come from new pages on each block, and those
-    page faults cost about as much as the arithmetic."""
+    page faults cost about as much as the arithmetic; a caller that builds
+    and evaluates many small tables keeps one scratch for all of them
+    (``extremizer.bilinear_dyadic_scan``).  The matrices of the chunked
+    window sums (``_window_sums``) are built on first use and shared
+    read-only by every instance, since each evaluator call makes its own
+    scratch: building them took a fifth of a shell pair's window-sum time."""
+
+    _chunk = None  # (2 U + I, 2 U^T + I)
+    _lower = None  # the strictly lower triangle of ones, at its largest size yet
 
     def __init__(self, count: int):
         self._float = np.empty((count, 0))
         self._spare = np.empty(0)
 
-    def floats(self, blk: _Block):
-        """The float buffers, each of the block's shape."""
-        if self._float.shape[1] < blk.a.size:
-            self._float = np.empty((len(self._float), max(blk.a.size, BLOCK_ENTRIES)))
-        return [buf[:blk.a.size].reshape(blk.a.shape) for buf in self._float]
+    def floats(self, shape):
+        """The float buffers, each of a block's shape."""
+        size = shape[0] * shape[1]
+        if self._float.shape[1] < size:
+            self._float = np.empty((len(self._float), max(size, BLOCK_ENTRIES)))
+        return [buf[:size].reshape(shape) for buf in self._float]
 
     def spare(self, rows: int, cols: int) -> np.ndarray:
         """A (rows, cols) float buffer for ``_take_runs`` or ``_add_runs``, one call at a time."""
         if self._spare.size < rows * cols:
             self._spare = np.empty(max(rows * cols, BLOCK_ENTRIES))
         return self._spare[:rows * cols].reshape(rows, cols)
+
+    @classmethod
+    def lower(cls, size: int) -> np.ndarray:
+        """The (size, size) strictly lower triangle of ones, L = U^T.
+
+        Built at twice the size asked, so that the widening blocks of a
+        table seldom rebuild it.
+        """
+        if cls._lower is None or len(cls._lower) < size:
+            cls._lower = _read_only(np.tri(2 * size, k=-1))
+        return cls._lower[:size, :size]
+
+    @classmethod
+    def chunk_matrices(cls):
+        """(2 U + I, 2 U^T + I) of CHUNK columns, both contiguous: a transposed
+        view multiplies slower."""
+        if cls._chunk is None:
+            suffix = 2.0 * np.tri(CHUNK, k=-1) + np.eye(CHUNK)
+            cls._chunk = _read_only(suffix.T.copy()), _read_only(suffix)
+        return cls._chunk
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 def _take_runs(vec, runs: _Runs, out, scratch: _Scratch, shift: int = 0):
@@ -402,18 +459,52 @@ def _add_runs(X, runs: _Runs, out, scratch: _Scratch):
         out[lo:hi] += sums[lo - first:hi - first]
 
 
-def _block_values(blk: _Block, q, S, aS):
+def _window_sums(q, S, scratch: _Scratch):
+    """S_0 = 0, S_j = sum_{1 <= i <= j} (q_i + q_{i-1}) along each row (module docstring).
+
+    q and S are contiguous, of a width that is a multiple of CHUNK.  Within
+    each chunk S = q (2 U + I) + carry, U the strictly upper matrix of ones,
+    as one matrix product over the block viewed as (rows * chunks, CHUNK);
+    the carry of chunk c is twice the sum of q over the chunks before it,
+    less q_0.  Each chunk's last column of the product plus its last q is
+    twice that chunk's sum.
+    """
+    rows, width = q.shape
+    chunks = width // CHUNK
+    np.matmul(q.reshape(-1, CHUNK), scratch.chunk_matrices()[0], out=S.reshape(-1, CHUNK))
+    S3 = S.reshape(rows, chunks, CHUNK)
+    twice = S3[:, :, -1] + q.reshape(rows, chunks, CHUNK)[:, :, -1]
+    carry = twice @ scratch.lower(chunks).T
+    carry -= q[:, :1]
+    S3 += carry[:, :, None]
+
+
+def _window_adjoint(T, D, scratch: _Scratch):
+    """The adjoint of ``_window_sums``: D = dV/dq / 2 from T = (dV/dS)/2 along each row.
+
+    D_i = R_i + R_{i+1} = T_i + 2 R_{i+1} for i >= 1 and D_0 = R_1, with the
+    suffix sums R_j = sum_{j' >= j} T_j' (module docstring).  Within each
+    chunk D = T (2 U^T + I) + carry, the carry of chunk c twice the sum of T
+    over the chunks after it; D_0 is then (D_0 - T_0) / 2.
+    """
+    rows, width = T.shape
+    chunks = width // CHUNK
+    np.matmul(T.reshape(-1, CHUNK), scratch.chunk_matrices()[1], out=D.reshape(-1, CHUNK))
+    D3 = D.reshape(rows, chunks, CHUNK)
+    twice = D3[:, :, 0] + T.reshape(rows, chunks, CHUNK)[:, :, 0]
+    D3 += (twice @ scratch.lower(chunks))[:, :, None]
+    D[:, 0] -= T[:, 0]
+    D[:, 0] *= 0.5
+
+
+def _block_values(blk: _Block, q, S, aS, scratch: _Scratch):
     """Per-row values V of one block from its half pair sums q, and what the adjoint reuses.
 
-    Fills S with the window sums over delta and aS with a*S, and returns
-    (V, C, bS): the row values, the saturation values C and sum_j b_j S_j.
-    q, S and aS are contiguous: the adds that form S run along the
-    flattened block, and column 0, where they pair two rows, is then
-    written over.
+    Fills S with the window sums over delta (``_window_sums``) and aS with
+    a*S, and returns (V, C, bS): the row values, the saturation values C and
+    sum_j b_j S_j.
     """
-    np.add(q.ravel()[1:], q.ravel()[:-1], out=S.ravel()[1:])
-    S[:, 0] = 0.0
-    np.cumsum(S, axis=1, out=S)
+    _window_sums(q, S, scratch)
     C = S.ravel()[blk.sat_flat]
     np.multiply(blk.a, S, out=aS)
     bS = np.vecdot(blk.b, S)
@@ -424,15 +515,16 @@ def _block_values(blk: _Block, q, S, aS):
     return V, C, bS
 
 
-def _row_values(blocks, F, G=None):
+def _row_values(blocks, F, G=None, scratch=None):
     """Each block's row values V in turn, from node values F and G.
 
     G = None pairs F with itself; otherwise the half pair sums are doubled
-    and V carries a factor 4.
+    and V carries a factor 4.  ``scratch`` holds at least three float
+    buffers; it may be the one that builds the blocks (``row_blocks``).
     """
-    scratch = _Scratch(3)
+    scratch = _Scratch(3) if scratch is None else scratch
     for blk in blocks:
-        q, x, aS = scratch.floats(blk)
+        q, x, aS = scratch.floats(blk.a.shape)[:3]
         _take_runs(F, blk.lo_runs, q, scratch)
         _take_runs(F if G is None else G, blk.hi_runs, x, scratch)
         q *= x
@@ -442,20 +534,21 @@ def _row_values(blocks, F, G=None):
             x *= aS
             q += x
         q.ravel()[blk.empty_flat] = 0.0
-        V = _block_values(blk, q, x, aS)[0]
+        V = _block_values(blk, q, x, aS, scratch)[0]
         del blk  # a generator of blocks builds the next one without this one
         yield V
 
 
-def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None = None) -> float:
+def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None = None,
+                     scratch=None) -> float:
     """||f mu * g mu||_2^2 over the rows of blocks, for node values counted from their origin.
 
     F and G hold the same nodes, any number of them: pairs off the nodes
-    read zero.
+    read zero.  ``scratch`` is passed to ``_row_values``.
     """
     F = np.asarray(F, dtype=float)
     G = None if G is None else _node_values(G, F.size, "G")
-    total = sum(V.sum() for V in _row_values(blocks, F, G))
+    total = sum(V.sum() for V in _row_values(blocks, F, G, scratch))
     return SIXTEEN_PI3 * delta * float(total if G is None else 0.25 * total)
 
 
@@ -531,29 +624,20 @@ class SliceEngine:
         grad = np.zeros(self.n)
         scratch = _Scratch(5)
         for blk in self._blocks:
-            F_lo, F_hi, q, S, T = scratch.floats(blk)
+            F_lo, F_hi, q, S, T = scratch.floats(blk.a.shape)
             _take_runs(F, blk.lo_runs, F_lo, scratch)
             _take_runs(F, blk.hi_runs, F_hi, scratch)
             np.multiply(F_lo, F_hi, out=q)
             q.ravel()[blk.empty_flat] = 0.0
-            V, C, bS = _block_values(blk, q, S, T)
+            V, C, bS = _block_values(blk, q, S, T, scratch)
             total += V.sum()
 
             # T = (dV/dS)/2 = a S - C b, the saturation C = S[sat] folded in
             np.multiply(blk.b, C[:, None], out=q)
             T -= q
             T.ravel()[blk.sat_flat] += blk.c * C - bS
-
-            # suffix sums R_j = tot - U_{j-1} from the prefix sums U = cumsum(T):
-            # dV/dq_i = 2 D_i with D_i = R_i + R_{i+1} = 2 tot - U_i - U_{i-1}
-            # for i >= 1 and D_0 = R_1 = tot - U_0 (q_0 enters S_1 only); the
-            # adds run along the flattened block like those of S
-            U = np.cumsum(T, axis=1, out=S)
-            tot = U[:, -1:]
-            D = T
-            np.add(U.ravel()[1:], U.ravel()[:-1], out=D.ravel()[1:])
-            np.add(U[:, :1], tot, out=D[:, :1])
-            np.subtract(2.0 * tot, D, out=D)
+            D = S
+            _window_adjoint(T, D, scratch)  # dV/dq = 2 D
             D.ravel()[blk.empty_flat] = 0.0  # the empty window's pair lies on the nodes
             F_hi *= D
             F_lo *= D

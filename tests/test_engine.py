@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperconv import extremizer
+from hyperconv import engine, extremizer
 from hyperconv.closedforms import self_conv_row_mass
 from hyperconv.comparison import II_of_a, full_numerator
-from hyperconv.engine import (SIXTEEN_PI3, SliceEngine, _add_runs, _row_values, _Runs,
-                              _Scratch, _take_runs, blocks_numerator, rho_pair_from_w,
-                              rho_weights, row_blocks, row_values)
+from hyperconv.engine import (CHUNK, SIXTEEN_PI3, SliceEngine, _add_runs, _row_values, _Runs,
+                              _Scratch, _take_runs, _window_adjoint, _window_sums,
+                              blocks_numerator, rho_pair_from_w, rho_weights, row_blocks,
+                              row_values)
 from hyperconv.convolution import self_half_width
 
 DEFAULT_A_GRID = np.geomspace(0.05, 2.0, 40)  # trial_family_scan's default
@@ -278,12 +279,60 @@ def test_packed_table_matches_dense_reference_large(n):
 
 
 @pytest.mark.parametrize("n, last_rows", [(255, 1), (257, 9)])
-def test_gradient_matches_dense_reference_at_every_node_across_blocks(n, last_rows):
+def test_gradient_matches_dense_reference_at_every_node_across_blocks(monkeypatch, n, last_rows):
     # the table spans three blocks, and its last block holds a single row
-    # (n = 255) or an odd number of rows (n = 257)
+    # (n = 255) or an odd number of rows (n = 257); both are 144 columns wide
+    monkeypatch.setattr(engine, "BLOCK_ENTRIES", (254 if n == 255 else 252) * 144)
     rows = [blk.a.shape[0] for blk in SliceEngine(1.0, n, 20.0)._blocks]
     assert len(rows) == 3 and rows[-1] == last_rows
     check_against_dense(1.0, n, 20.0, n)
+
+
+def row_window_sums(q):
+    """The row-wise window sums: one shifted add and one cumulative sum per row."""
+    S = np.zeros_like(q)
+    S[:, 1:] = q[:, 1:] + q[:, :-1]
+    return np.cumsum(S, axis=1)
+
+
+def row_window_adjoint(T):
+    """The row-wise adjoint from the prefix sums U = cumsum(T) and the row total:
+    D_i = 2 tot - U_i - U_{i-1} for i >= 1 and D_0 = tot - U_0."""
+    U = np.cumsum(T, axis=1)
+    tot = U[:, -1:]
+    D = 2.0 * tot - U
+    D[:, 1:] -= U[:, :-1]
+    D[:, :1] = tot - U[:, :1]
+    return D
+
+
+@settings(max_examples=80, deadline=None)
+@given(width=st.one_of(st.integers(1, 3 * CHUNK + 5), st.just(8 * CHUNK)),
+       n_rows=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_chunked_window_sums_match_the_row_wise_scans(width, n_rows, seed):
+    # a block padded to a multiple of CHUNK, as the tables are: its padding
+    # holds arbitrary q but T = 0; 8 chunks per row give the chunk carries a
+    # 64-byte row stride.  Signed values of mixed scales, and rows whose
+    # j = 0 window is empty (q_0 = 0).
+    rng = np.random.default_rng(seed)
+    padded = -(-width // CHUNK) * CHUNK
+    scale = 10.0 ** rng.uniform(-3, 3, (n_rows, 1))
+    q = scale * rng.normal(size=(n_rows, padded))
+    q[rng.random(n_rows) < 0.5, 0] = 0.0
+    T = np.zeros((n_rows, padded))
+    T[:, :width] = scale * rng.normal(size=(n_rows, width))
+    scratch = _Scratch(0)
+    S, D = np.empty_like(q), np.empty_like(T)
+    _window_sums(q, S, scratch)
+    _window_adjoint(T, D, scratch)
+    # the chunked sums add in another order: bound fixed from the dtype
+    tol = 4.0 * width * np.finfo(float).eps
+    for got, want, x in ((S, row_window_sums(q[:, :width]), q[:, :width]),
+                         (D, row_window_adjoint(T[:, :width]), T)):
+        err = np.abs(got[:, :width] - want)
+        assert np.all(err <= tol * np.sum(np.abs(x), axis=1, keepdims=True))
+    assert np.array_equal(S[:, 0], np.zeros(n_rows))
+    assert np.array_equal(D[:, width:], np.zeros((n_rows, padded - width)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -80,9 +80,9 @@ def test_shell_self_pairs_equal_the_cross_path_bit_for_bit(monkeypatch, kind):
     self_path = [shell_pair_norm_sq(s, delta, *sh, *sh) for sh in shells]
     seen = []
 
-    def cross_path(blocks, delta, F, G=None):
+    def cross_path(blocks, delta, F, G=None, scratch=None):
         seen.append(G is None)
-        return blocks_numerator(blocks, delta, F, F.copy() if G is None else G)
+        return blocks_numerator(blocks, delta, F, F.copy() if G is None else G, scratch)
     monkeypatch.setattr(extremizer, "blocks_numerator", cross_path)
     assert [shell_pair_norm_sq(s, delta, *sh, *sh) for sh in shells] == self_path
     assert seen == [True] * 5

@@ -6,7 +6,7 @@ from hyperconv import montecarlo
 from hyperconv.closedforms import (ConvPoint, exp_weighted_conv, mu_cone_conv_sup,
                                    mu_self_conv_sup, mu_self_conv_sup_exact)
 from hyperconv.comparison import I_of_a, II_of_a, ratio_scan
-from hyperconv.extremizer import shell_pair_norm_sq, tail_bound_check
+from hyperconv.extremizer import dyadic_shell_values, shell_pair_norm_sq, tail_bound_check
 from hyperconv.lorentz import bounded_ball_certificate, dyadic_log_term
 from hyperconv.montecarlo import BumpSpec, mc_pairing_oracle
 from hyperconv.profiles import RadialProfile, shell_indicator
@@ -14,6 +14,7 @@ from hyperconv.quadrature import split_exp_tail
 
 nan, inf = np.nan, np.inf
 F = np.ones(10)
+F_NAN, F_INF = np.where(np.arange(10) == 3, nan, F), np.where(np.arange(10) == 3, inf, F)
 
 
 CASES = {
@@ -38,6 +39,18 @@ CASES = {
     "tail_bound_check(a=nan)": (lambda: tail_bound_check(nan, shell_indicator(2.0, 6.0, 1.0)),
                                 "a"),
     "shell_pair_norm_sq(i0_f=1.5)": (lambda: shell_pair_norm_sq(1.0, 0.1, 1.5, F, 0, F), "i0_f"),
+    "shell_pair_norm_sq(F with nan)": (lambda: shell_pair_norm_sq(1.0, 0.1, 0, F_NAN, 0, F), "F"),
+    "shell_pair_norm_sq(F with inf)": (lambda: shell_pair_norm_sq(1.0, 0.1, 0, F_INF, 0, F), "F"),
+    "shell_pair_norm_sq(G with nan)": (lambda: shell_pair_norm_sq(1.0, 0.1, 0, F, 4, F_NAN), "G"),
+    "shell_pair_norm_sq(F 2-D)": (lambda: shell_pair_norm_sq(1.0, 0.1, 0, F.reshape(2, 5), 0, F),
+                                  "F"),
+    "shell_pair_norm_sq(F scalar)": (lambda: shell_pair_norm_sq(1.0, 0.1, 0, 1.0, 0, F), "F"),
+    "dyadic_shell_values(k=2.5)": (lambda: dyadic_shell_values(1.0, 2.5, 0.01), "k"),
+    "dyadic_shell_values(k=-1)": (lambda: dyadic_shell_values(1.0, -1, 0.01), "k"),
+    "dyadic_shell_values(delta=-0.1)": (lambda: dyadic_shell_values(1.0, 1, -0.1), "delta"),
+    "dyadic_shell_values(delta=nan)": (lambda: dyadic_shell_values(1.0, 1, nan), "delta"),
+    "dyadic_shell_values(s=nan)": (lambda: dyadic_shell_values(nan, 1, 0.01), "mass parameter s"),
+    "dyadic_shell_values(s=0)": (lambda: dyadic_shell_values(0.0, 1, 0.01), "mass parameter s"),
     "bounded_ball_certificate(k=-1)": (lambda: bounded_ball_certificate(1.0, -1, 0.3), "k"),
     "bounded_ball_certificate(k=2.5)": (lambda: bounded_ball_certificate(1.0, 2.5, 0.3), "k"),
     "dyadic_log_term(-1)": (lambda: dyadic_log_term(-1), "k"),
@@ -48,7 +61,7 @@ CASES = {
 @pytest.mark.parametrize("call, name", CASES.values(), ids=CASES.keys())
 def test_bad_scalar_is_named(call, name):
     # each of these used to return nan, a silently truncated result, or a late
-    # error that named no parameter
+    # error that named no parameter (for dyadic shells, "grid too coarse")
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         call()
 
