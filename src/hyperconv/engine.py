@@ -276,9 +276,9 @@ def row_blocks(s: float, delta: float, k, j_first, j_last, origin: int = 0, scra
     computes the same weights entry by entry from the half widths and is
     kept as the tests' oracle (module docstring).
 
-    A block's temporaries live in the first two float buffers of
-    ``scratch`` (a ``_Scratch``), so an evaluator that takes each block as it
-    is built may pass its own and share them (``shell_pair_norm_sq``).
+    A block's temporaries live in ``scratch`` (a ``_Scratch``), so an
+    evaluator that takes each block as it is built may pass its own
+    (``shell_pair_norm_sq``).
     """
     k, j_first, j_last = (np.asarray(a, dtype=np.int32)[:, None] for a in (k, j_first, j_last))
     sat = j_last - j_first                         # column of window j_last
@@ -312,8 +312,8 @@ def _row_block(s, delta, origin, radii, scratch, k, j_first, sat) -> _Block:
     # node radii along both runs
     shape = (k.size, width)
     phi_hi, phi_lo = scratch.floats(shape)[:2]
-    _take_runs(radii, hi_runs, phi_hi, scratch, origin)
-    _take_runs(radii, lo_runs, phi_lo, scratch, origin)
+    _take_runs(radii, hi_runs, phi_hi, origin)
+    _take_runs(radii, lo_runs, phi_lo, origin)
     phi_hi.ravel()[empty_flat] = phi_lo.ravel()[empty_flat] = phi(0.5 * delta * k[empty], s)
     hi_sat, lo_sat = phi_hi.ravel()[sat_flat], phi_lo.ravel()[sat_flat]
     np.minimum(phi_hi, hi_sat[:, None], out=phi_hi)
@@ -346,11 +346,17 @@ def _centered_differences(x, out):
     return out
 
 
-def _node_values(F, n: int, name: str) -> np.ndarray:
-    """F as a float array of n node values, or a ValueError naming it."""
+def _node_values(F, name: str, n: int | None = None) -> np.ndarray:
+    """F as a 1-D float array of finite node values, n of them when n is given,
+    or a ValueError naming it."""
     F = np.asarray(F, dtype=float)
-    if F.shape != (n,):
-        raise ValueError(f"{name} must hold one value per node, n = {n}, got shape {F.shape}")
+    if F.ndim != 1 or n is not None and F.size != n:
+        count = "" if n is None else f", n = {n}"
+        raise ValueError(f"{name} must be a 1-D array of one value per node{count}, "
+                         f"got shape {F.shape}")
+    if not np.all(np.isfinite(F)):
+        bad = int(np.flatnonzero(~np.isfinite(F))[0])
+        raise ValueError(f"{name} must be finite, got {F[bad]} at node {bad}")
     return F
 
 
@@ -358,15 +364,15 @@ class _Scratch:
     """Flat buffers that hold every block's temporaries in turn, sized for
     ``BLOCK_ENTRIES`` entries and regrown for a larger block.  Fresh
     block-sized arrays would come from new pages on each block, and those
-    page faults cost about as much as the arithmetic; a caller that builds
-    and evaluates many small tables keeps one scratch for all of them
-    (``extremizer.bilinear_dyadic_scan``).  The matrices of the chunked
-    window sums (``_window_sums``) are built on first use and shared
-    read-only by every instance, since each evaluator call makes its own
-    scratch: building them took a fifth of a shell pair's window-sum time."""
-
-    _chunk = None  # (2 U + I, 2 U^T + I)
-    _lower = None  # the strictly lower triangle of ones, at its largest size yet
+    page faults cost about as much as the arithmetic.  A scratch lives for
+    one evaluator call, or for one scan that builds and evaluates many small
+    tables (``extremizer.bilinear_dyadic_scan``), never for the process.  A
+    workspace kept for the process was measured on the benchmark's field
+    workload, whose solve runs no engine code: its raw solve times matched
+    (0.0606 against 0.0615 s), but the workspace outlived the engine oracle
+    check, the calibration run that follows fell from 0.399 to 0.344 s, and
+    the timings scaled by it rose, setup 0.0653 -> 0.0872 s (+34 %) and
+    solve 0.0622 -> 0.0707 s (+14 %)."""
 
     def __init__(self, count: int):
         self._float = np.empty((count, 0))
@@ -380,30 +386,10 @@ class _Scratch:
         return [buf[:size].reshape(shape) for buf in self._float]
 
     def spare(self, rows: int, cols: int) -> np.ndarray:
-        """A (rows, cols) float buffer for ``_take_runs`` or ``_add_runs``, one call at a time."""
+        """A (rows, cols) float buffer for ``_add_runs``."""
         if self._spare.size < rows * cols:
             self._spare = np.empty(max(rows * cols, BLOCK_ENTRIES))
         return self._spare[:rows * cols].reshape(rows, cols)
-
-    @classmethod
-    def lower(cls, size: int) -> np.ndarray:
-        """The (size, size) strictly lower triangle of ones, L = U^T.
-
-        Built at twice the size asked, so that the widening blocks of a
-        table seldom rebuild it.
-        """
-        if cls._lower is None or len(cls._lower) < size:
-            cls._lower = _read_only(np.tri(2 * size, k=-1))
-        return cls._lower[:size, :size]
-
-    @classmethod
-    def chunk_matrices(cls):
-        """(2 U + I, 2 U^T + I) of CHUNK columns, both contiguous: a transposed
-        view multiplies slower."""
-        if cls._chunk is None:
-            suffix = 2.0 * np.tri(CHUNK, k=-1) + np.eye(CHUNK)
-            cls._chunk = _read_only(suffix.T.copy()), _read_only(suffix)
-        return cls._chunk
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -411,10 +397,29 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _take_runs(vec, runs: _Runs, out, scratch: _Scratch, shift: int = 0):
+# 2 U + I and 2 U^T + I of CHUNK columns (``_window_sums``, ``_window_adjoint``),
+# U the strictly upper matrix of ones; both contiguous: a transposed view multiplies slower
+_SUMS_MATRIX = _read_only(2.0 * np.triu(np.ones((CHUNK, CHUNK)), 1) + np.eye(CHUNK))
+_ADJOINT_MATRIX = _read_only(_SUMS_MATRIX.T.copy())
+_lower = np.empty((0, 0))  # the strictly lower triangle of ones, at its largest size yet
+
+
+def _lower_triangle(size: int) -> np.ndarray:
+    """The (size, size) strictly lower triangle of ones, L = U^T.
+
+    Built at twice the size asked and kept for the process, so that the
+    widening blocks of a table seldom rebuild it.
+    """
+    global _lower
+    if len(_lower) < size:
+        _lower = _read_only(np.tri(2 * size, k=-1))
+    return _lower[:size, :size]
+
+
+def _take_runs(vec, runs: _Runs, out, shift: int = 0):
     """out[r, col] = vec[shift + start + sign (rows[r] + col)], reading 0 off vec.
 
-    Each row of out is a run of vec, so it is copied whole, as a row of the
+    Each row of out is a run of vec, so it is gathered whole, as a row of the
     matrix of the windows of the stretch of vec that the runs cover; one
     index per entry would be several times slower to write and to gather by.
     """
@@ -428,9 +433,7 @@ def _take_runs(vec, runs: _Runs, out, scratch: _Scratch, shift: int = 0):
     step = runs.sign * stretch.itemsize
     windows = np.ndarray((runs.count, width), stretch.dtype, stretch,
                          0 if runs.sign > 0 else -step * (size - 1), (step, step))
-    buf = scratch.spare(runs.count, width)
-    np.copyto(buf, windows)
-    np.take(buf, runs.rows, axis=0, out=out, mode="clip")
+    np.take(windows, runs.rows, axis=0, out=out, mode="clip")
 
 
 def _add_runs(X, runs: _Runs, out, scratch: _Scratch):
@@ -459,7 +462,7 @@ def _add_runs(X, runs: _Runs, out, scratch: _Scratch):
         out[lo:hi] += sums[lo - first:hi - first]
 
 
-def _window_sums(q, S, scratch: _Scratch):
+def _window_sums(q, S):
     """S_0 = 0, S_j = sum_{1 <= i <= j} (q_i + q_{i-1}) along each row (module docstring).
 
     q and S are contiguous, of a width that is a multiple of CHUNK.  Within
@@ -471,15 +474,15 @@ def _window_sums(q, S, scratch: _Scratch):
     """
     rows, width = q.shape
     chunks = width // CHUNK
-    np.matmul(q.reshape(-1, CHUNK), scratch.chunk_matrices()[0], out=S.reshape(-1, CHUNK))
+    np.matmul(q.reshape(-1, CHUNK), _SUMS_MATRIX, out=S.reshape(-1, CHUNK))
     S3 = S.reshape(rows, chunks, CHUNK)
     twice = S3[:, :, -1] + q.reshape(rows, chunks, CHUNK)[:, :, -1]
-    carry = twice @ scratch.lower(chunks).T
+    carry = twice @ _lower_triangle(chunks).T
     carry -= q[:, :1]
     S3 += carry[:, :, None]
 
 
-def _window_adjoint(T, D, scratch: _Scratch):
+def _window_adjoint(T, D):
     """The adjoint of ``_window_sums``: D = dV/dq / 2 from T = (dV/dS)/2 along each row.
 
     D_i = R_i + R_{i+1} = T_i + 2 R_{i+1} for i >= 1 and D_0 = R_1, with the
@@ -489,22 +492,22 @@ def _window_adjoint(T, D, scratch: _Scratch):
     """
     rows, width = T.shape
     chunks = width // CHUNK
-    np.matmul(T.reshape(-1, CHUNK), scratch.chunk_matrices()[1], out=D.reshape(-1, CHUNK))
+    np.matmul(T.reshape(-1, CHUNK), _ADJOINT_MATRIX, out=D.reshape(-1, CHUNK))
     D3 = D.reshape(rows, chunks, CHUNK)
     twice = D3[:, :, 0] + T.reshape(rows, chunks, CHUNK)[:, :, 0]
-    D3 += (twice @ scratch.lower(chunks))[:, :, None]
+    D3 += (twice @ _lower_triangle(chunks))[:, :, None]
     D[:, 0] -= T[:, 0]
     D[:, 0] *= 0.5
 
 
-def _block_values(blk: _Block, q, S, aS, scratch: _Scratch):
+def _block_values(blk: _Block, q, S, aS):
     """Per-row values V of one block from its half pair sums q, and what the adjoint reuses.
 
     Fills S with the window sums over delta (``_window_sums``) and aS with
     a*S, and returns (V, C, bS): the row values, the saturation values C and
     sum_j b_j S_j.
     """
-    _window_sums(q, S, scratch)
+    _window_sums(q, S)
     C = S.ravel()[blk.sat_flat]
     np.multiply(blk.a, S, out=aS)
     bS = np.vecdot(blk.b, S)
@@ -519,22 +522,22 @@ def _row_values(blocks, F, G=None, scratch=None):
     """Each block's row values V in turn, from node values F and G.
 
     G = None pairs F with itself; otherwise the half pair sums are doubled
-    and V carries a factor 4.  ``scratch`` holds at least three float
-    buffers; it may be the one that builds the blocks (``row_blocks``).
+    and V carries a factor 4.  ``scratch`` may be the one that builds the
+    blocks (``row_blocks``).
     """
     scratch = _Scratch(3) if scratch is None else scratch
     for blk in blocks:
         q, x, aS = scratch.floats(blk.a.shape)[:3]
-        _take_runs(F, blk.lo_runs, q, scratch)
-        _take_runs(F if G is None else G, blk.hi_runs, x, scratch)
+        _take_runs(F, blk.lo_runs, q)
+        _take_runs(F if G is None else G, blk.hi_runs, x)
         q *= x
         if G is not None:
-            _take_runs(G, blk.lo_runs, x, scratch)
-            _take_runs(F, blk.hi_runs, aS, scratch)
+            _take_runs(G, blk.lo_runs, x)
+            _take_runs(F, blk.hi_runs, aS)
             x *= aS
             q += x
         q.ravel()[blk.empty_flat] = 0.0
-        V = _block_values(blk, q, x, aS, scratch)[0]
+        V = _block_values(blk, q, x, aS)[0]
         del blk  # a generator of blocks builds the next one without this one
         yield V
 
@@ -546,8 +549,8 @@ def blocks_numerator(blocks, delta: float, F: np.ndarray, G: np.ndarray | None =
     F and G hold the same nodes, any number of them: pairs off the nodes
     read zero.  ``scratch`` is passed to ``_row_values``.
     """
-    F = np.asarray(F, dtype=float)
-    G = None if G is None else _node_values(G, F.size, "G")
+    F = _node_values(F, "F")
+    G = None if G is None else _node_values(G, "G", F.size)
     total = sum(V.sum() for V in _row_values(blocks, F, G, scratch))
     return SIXTEEN_PI3 * delta * float(total if G is None else 0.25 * total)
 
@@ -614,22 +617,21 @@ class SliceEngine:
 
     def numerator(self, F: np.ndarray, G: np.ndarray | None = None) -> float:
         """||f mu * g mu||_2^2 for node-value vectors on the engine grid."""
-        return blocks_numerator(self._blocks, self.delta, _node_values(F, self.n, "F"),
-                                None if G is None else _node_values(G, self.n, "G"))
+        return blocks_numerator(self._blocks, self.delta, _node_values(F, "F", self.n), G)
 
     def numerator_gradient(self, F: np.ndarray):
         """(numerator, gradient wrt the node values), exact for the discrete form."""
-        F = _node_values(F, self.n, "F")
+        F = _node_values(F, "F", self.n)
         total = 0.0
         grad = np.zeros(self.n)
         scratch = _Scratch(5)
         for blk in self._blocks:
             F_lo, F_hi, q, S, T = scratch.floats(blk.a.shape)
-            _take_runs(F, blk.lo_runs, F_lo, scratch)
-            _take_runs(F, blk.hi_runs, F_hi, scratch)
+            _take_runs(F, blk.lo_runs, F_lo)
+            _take_runs(F, blk.hi_runs, F_hi)
             np.multiply(F_lo, F_hi, out=q)
             q.ravel()[blk.empty_flat] = 0.0
-            V, C, bS = _block_values(blk, q, S, T, scratch)
+            V, C, bS = _block_values(blk, q, S, T)
             total += V.sum()
 
             # T = (dV/dS)/2 = a S - C b, the saturation C = S[sat] folded in
@@ -637,7 +639,7 @@ class SliceEngine:
             T -= q
             T.ravel()[blk.sat_flat] += blk.c * C - bS
             D = S
-            _window_adjoint(T, D, scratch)  # dV/dq = 2 D
+            _window_adjoint(T, D)  # dV/dq = 2 D
             D.ravel()[blk.empty_flat] = 0.0  # the empty window's pair lies on the nodes
             F_hi *= D
             F_lo *= D
@@ -649,7 +651,7 @@ class SliceEngine:
     # ---- the functional ----
 
     def norm_sq(self, F: np.ndarray) -> float:
-        F = _node_values(F, self.n, "F")
+        F = _node_values(F, "F", self.n)
         return float(np.sum(self.den_weights * F * F))
 
     def q_ratio(self, F: np.ndarray) -> float:

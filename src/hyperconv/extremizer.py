@@ -25,7 +25,7 @@ import numpy as np
 
 from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
-from .engine import SliceEngine, _Scratch, blocks_numerator, row_blocks
+from .engine import SliceEngine, _node_values, _Scratch, blocks_numerator, row_blocks
 from .fields import Conv2DField
 from .geometry import check_count, check_mass, check_r_max, check_real, phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
@@ -484,17 +484,6 @@ def even_pair_certificate(result: AscentResult, engine_n: int = 800):
 
 # ---- dyadic bilinear diagnostics ----
 
-def _shell_node_values(name: str, values) -> np.ndarray:
-    """values as a 1-D float array of finite node values, or a ValueError naming them."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array of node values, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"{name} must be finite, got {arr[bad]} at node {bad}")
-    return arr
-
-
 def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
                        i0_g: int, G: np.ndarray, *, scratch=None) -> float:
     """||f mu_s * g mu_s||_2^2 for node values on a shared uniform time grid.
@@ -512,17 +501,16 @@ def shell_pair_norm_sq(s: float, delta: float, i0_f: int, F: np.ndarray,
     branch takes in both constant stretches (``engine`` module docstring),
     so the cost per row is the length of the support.
 
-    ``scratch`` (an ``engine._Scratch`` of three float buffers) builds and
-    evaluates the blocks; a scan over many pairs passes one to all of them.
-    Buffers made anew for each pair go back to the system between pairs
-    whenever the heap's free top outgrows glibc's trim threshold, and every
-    page of them then faults again in the next pair: a scan's first run in
-    a fresh process took 8,100 page faults that way, and takes 2,300 with
-    one scratch.
+    ``scratch`` (an ``engine._Scratch``) builds and evaluates the blocks; a
+    scan over many pairs passes one to all of them.  Buffers made anew for
+    each pair go back to the system between pairs whenever the heap's free
+    top outgrows glibc's trim threshold, and every page of them then faults
+    again in the next pair: a scan's first run in a fresh process took 8,100
+    page faults that way, and takes 2,300 with one scratch.
     """
     s, delta = check_mass(s), check_real("delta", delta, above=0.0)
     i0_f, i0_g = check_count("i0_f", i0_f, 0), check_count("i0_g", i0_g, 0)
-    F, G = _shell_node_values("F", F), _shell_node_values("G", G)
+    F, G = _node_values(F, "F"), _node_values(G, "G")
     scratch = _Scratch(3) if scratch is None else scratch
     nf, ng = len(F), len(G)
     origin = min(i0_f, i0_g)

@@ -134,19 +134,16 @@ def cap_measure(c: CapSpec) -> float:
     return float(val)
 
 
-def cap_image_radii(s: float, t: float, r: np.ndarray, cos_phi: np.ndarray,
-                    rescaled: bool):
-    """Spatial radii of boosted cap points (r, angle-from-axis) under L^{-t}.
+def cap_image_radii(s: float, t: float, r: np.ndarray, cos_phi: np.ndarray):
+    """Spatial radii of boosted cap points (r, angle-from-axis) under the
+    scaled inverse boost: L^{-t} followed by the factor (1-t^2)^{-1/2}.
 
-    rescaled=True applies the additional (1-t^2)^{-1/2} factor of the scaled
-    inverse boost.  The azimuth drops out of |x|.
+    The azimuth drops out of |x|.
     """
     gam = 1.0 / np.sqrt(1.0 - t * t)
     x1 = (r * cos_phi - t * psi(r, s)) * gam
     x_perp_sq = r * r * (1.0 - cos_phi ** 2)
-    if rescaled:
-        return np.sqrt((x1 * gam) ** 2 + x_perp_sq * gam * gam)
-    return np.sqrt(x1 * x1 + x_perp_sq)
+    return np.sqrt((x1 * gam) ** 2 + x_perp_sq * gam * gam)
 
 
 def normalize_cap(c: CapSpec) -> tuple:
@@ -178,7 +175,7 @@ def normalize_cap(c: CapSpec) -> tuple:
 
     r = np.linspace(c.a, c.b, CAP_SAMPLES)
     cphi = np.cos(np.linspace(0.0, c.eps, CAP_SAMPLES)) if c.eps > 0 else np.ones(CAP_SAMPLES)
-    radii = cap_image_radii(c.s, t, r[:, None], cphi[None, :], rescaled=True)
+    radii = cap_image_radii(c.s, t, r[:, None], cphi[None, :])
     report = {
         "t": t,
         "new_mass_param": float(new_mass),

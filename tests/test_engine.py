@@ -321,10 +321,9 @@ def test_chunked_window_sums_match_the_row_wise_scans(width, n_rows, seed):
     q[rng.random(n_rows) < 0.5, 0] = 0.0
     T = np.zeros((n_rows, padded))
     T[:, :width] = scale * rng.normal(size=(n_rows, width))
-    scratch = _Scratch(0)
     S, D = np.empty_like(q), np.empty_like(T)
-    _window_sums(q, S, scratch)
-    _window_adjoint(T, D, scratch)
+    _window_sums(q, S)
+    _window_adjoint(T, D)
     # the chunked sums add in another order: bound fixed from the dtype
     tol = 4.0 * width * np.finfo(float).eps
     for got, want, x in ((S, row_window_sums(q[:, :width]), q[:, :width]),
@@ -349,7 +348,7 @@ def test_add_runs_is_the_adjoint_of_take_runs(sign, start, count, width, n_rows,
     X = rng.normal(size=(n_rows, width))
     scratch = _Scratch(0)
     taken = np.empty((n_rows, width))
-    _take_runs(vec, runs, taken, scratch)
+    _take_runs(vec, runs, taken)
     added = np.zeros(size)
     _add_runs(X, runs, added, scratch)
     # entry by entry: the node each entry pairs, and only those on vec count
@@ -569,13 +568,22 @@ def test_rows_whose_padding_reaches_the_nodes_match_direct_rows():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+def nodes_with(bad):
+    """64 node values of 1, but ``bad`` at node 3."""
+    return np.where(np.arange(64) == 3, bad, 1.0)
+
+
 @pytest.mark.parametrize("method", ["numerator", "numerator_gradient", "norm_sq",
                                     "q_ratio", "q_gradient"])
-@pytest.mark.parametrize("size", [10, 63, 65])
-def test_engine_names_a_node_vector_of_the_wrong_length(method, size):
+@pytest.mark.parametrize("F, match", [
+    *(pytest.param(np.ones(size), r"^F .*n = 64", id=str(size)) for size in (10, 63, 65)),
+    *(pytest.param(nodes_with(bad), rf"^F must be finite, got {bad} at node 3$", id=str(bad))
+      for bad in (np.nan, np.inf))])
+def test_engine_names_a_node_vector_of_the_wrong_length(method, F, match):
+    # NaN and inf are refused like a wrong length
     eng = SliceEngine(1.0, 64, 10.0)
-    with pytest.raises(ValueError, match=r"^F .*n = 64"):
-        getattr(eng, method)(np.ones(size))
+    with pytest.raises(ValueError, match=match):
+        getattr(eng, method)(F)
 
 
 def test_engine_numerator_names_a_second_vector_of_the_wrong_length():
@@ -584,6 +592,8 @@ def test_engine_numerator_names_a_second_vector_of_the_wrong_length():
         eng.numerator(np.ones(64), np.ones(10))
     with pytest.raises(ValueError, match=r"^F .*n = 64"):
         eng.numerator(np.ones((64, 1)))
+    with pytest.raises(ValueError, match=r"^G must be finite, got nan at node 3$"):
+        eng.numerator(np.ones(64), nodes_with(np.nan))
 
 
 # ---- coefficients from the node radii, against the per-entry oracle ----

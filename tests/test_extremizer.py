@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperconv import extremizer
+from hyperconv import engine, extremizer
 from hyperconv.convolution import cross_conv, hyperbolic_conv
-from hyperconv.engine import BLOCK_ENTRIES, SliceEngine, blocks_numerator, row_blocks
+from hyperconv.engine import BLOCK_ENTRIES, SliceEngine, _Scratch, blocks_numerator, row_blocks
 from hyperconv.extremizer import (CONE_Q, DOUBLE_CONE_Q, SheetPair,
                                   bilinear_dyadic_scan, cone_limit_scan,
                                   dyadic_pieces, dyadic_refinement_check,
@@ -88,6 +88,27 @@ def test_shell_self_pairs_equal_the_cross_path_bit_for_bit(monkeypatch, kind):
     assert seen == [True] * 5
     shell_pair_norm_sq(s, delta, *shells[0], *shells[1])
     assert seen[-1] is False
+
+
+def test_one_scratch_shared_by_shell_pairs_of_changing_size_is_bit_identical(monkeypatch):
+    # bilinear_dyadic_scan passes one scratch to every pair, and each pair's
+    # block builder and evaluator share its first two buffers.  Pairs of
+    # growing, then shrinking size, cross and self, with blocks small enough
+    # that the scratch regrows: each value equals the one with a fresh
+    # scratch per pair, and the one from blocks built with their own scratch.
+    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 2 ** 8)
+    rng = np.random.default_rng(17)
+    s, delta = 1.0, 0.05
+    pairs = []
+    for nf, ng in ((12, 9), (40, 25), (150, 90), (400, 300), (150, 150), (40, 60), (12, 12)):
+        i0_f, i0_g = rng.integers(0, 200, 2)
+        F, G = rng.uniform(-1.0, 1.0, nf), rng.uniform(-1.0, 1.0, ng)
+        pairs += [(i0_f, F, i0_g, G), (i0_f, F, i0_f, F)]
+    shared = _Scratch(3)
+    got = [shell_pair_norm_sq(s, delta, *pair, scratch=shared) for pair in pairs]
+    assert got == [shell_pair_norm_sq(s, delta, *pair, scratch=_Scratch(3)) for pair in pairs]
+    monkeypatch.setattr(extremizer, "row_blocks", lambda *args: list(row_blocks(*args[:-1])))
+    assert got == [shell_pair_norm_sq(s, delta, *pair, scratch=shared) for pair in pairs]
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])

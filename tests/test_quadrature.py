@@ -166,6 +166,7 @@ heavy = ("integrate", "optimize", "special", "linalg", "sparse")
 print(sorted(m for m in sys.modules if m.startswith(tuple(f"scipy.{h}" for h in heavy))))
 maximize_radial(1.0, 64, restarts=1, iters=3)
 print(quadrature.integrate(np.exp, 0.0, 1.0, quadrature.QuadratureSpec(rule="gk")).value)
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("mpmath", "sympy")))
 """
 
 
@@ -179,6 +180,7 @@ def test_importing_the_package_loads_no_scipy_submodule():
                          capture_output=True, text=True).stdout.splitlines()
     assert out[0] == "[]"
     np.testing.assert_allclose(float(out[1]), np.e - 1.0, rtol=1e-12)
+    assert out[2] == "[]"  # after every route: no undeclared mpmath or sympy
 
 
 def test_importing_the_package_loads_no_numpy_polynomial():
