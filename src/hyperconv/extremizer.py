@@ -690,13 +690,16 @@ def cone_limit_scan(f: RadialProfile, s_list, n_rho: int = 161, n_tau: int = 161
     bound 4 pi ||f||_inf^2 (1 + 1/a) against the field maxima.
     """
     quad = quad or QuadratureSpec()
+    s_list = [check_real("every s in s_list", s, at_least=0.0) for s in s_list]
+    if not s_list:
+        raise ValueError("s_list must hold at least one mass parameter")
     a = float(f.grid[np.abs(f.values) > 0].min())
     if a <= 0:
         raise ValueError("profile must vanish near the origin")
     if any(s >= a for s in s_list):
         raise ValueError("every s in s_list must stay below the support radius")
     b = f.r_max
-    s_pad = max(float(s) for s in s_list)
+    s_pad = max(s_list)
     grid = Conv2DField.template(2.0 * b + 2.0 * s_pad + 0.1, 0.0,
                                 2.0 * b * 1.02, n_rho, n_tau)
     cone_profile = RadialProfile(0.0, f.grid, f.values)

@@ -470,8 +470,98 @@ def _ref_cell_sums(cell, x, n):
     return np.bincount(cell, x, n)
 
 
+def _ref_live_sums(integrand, lo, hi, level):
+    """``_ref_gauss_sums`` on the intervals of nonzero length, exactly 0 on the others."""
+    live = hi > lo
+    val, mag = _ref_gauss_sums(integrand, lo[live], hi[live], level)
+    out, out_abs = np.zeros(lo.size, dtype=val.dtype), np.zeros(lo.size)
+    out[live], out_abs[live] = val, mag
+    return out, out_abs
+
+
 def _ref_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
-    """One tau row at a time: the sampler's rows before they ran in blocks."""
+    """One tau row at a time: the sampler's rows before they ran in blocks.
+
+    A window end on a kink starts or ends the window's whole-kink part,
+    and an end segment of length zero is exactly 0.
+    """
+    n = rho.size
+    lo = np.maximum(lo, support[0])
+    hi = np.minimum(hi, support[1])
+    slot, cell = np.nonzero(hi > lo)
+    level = np.full(n, -1)
+    if cell.size == 0:
+        return np.zeros(n), level
+    lo, hi = lo[slot, cell], hi[slot, cell]
+    kinks = np.unique(kinks)
+    kinks = kinks[(kinks >= lo.min()) & (kinks <= hi.max())]
+    first = np.searchsorted(kinks, lo, side="left")
+    last = np.searchsorted(kinks, hi, side="right") - 1
+    inner = last >= first
+    padded = np.append(kinks, 0.0)
+    ends_lo = np.concatenate([lo, np.where(inner, padded[last], hi)])
+    ends_hi = np.concatenate([np.where(inner, padded[first], hi), hi])
+    first = np.where(inner, first, 0)
+    last = np.where(inner, last, 0)
+    seg, _ = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], 0)
+    end, _ = _ref_live_sums(integrand, ends_lo, ends_hi, 0)
+    out = np.zeros(n, dtype=end.dtype)
+    level[cell] = convolution.MAX_LEVEL + 1
+    open_cells = level > convolution.MAX_LEVEL
+    for lev in range(1, convolution.MAX_LEVEL + 1):
+        sel = open_cells[cell]
+        sel2 = np.concatenate([sel, sel])
+        c, a, b = cell[sel], first[sel], last[sel]
+        new_seg, seg_abs = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], lev)
+        new_end, end_abs = _ref_live_sums(integrand, ends_lo[sel2], ends_hi[sel2], lev)
+        fine = _ref_cell_sums(c, _ref_window_sums(new_end, new_seg, a, b), n)
+        change = _ref_cell_sums(c, _ref_window_sums(new_end - end[sel2], new_seg - seg, a, b), n)
+        scale = np.bincount(c, _ref_window_sums(end_abs, seg_abs, a, b), n)
+        ok = open_cells & (np.abs(change) <= quad.rel_tol * np.maximum(
+            np.abs(fine), 1e-3 * scale) + quad.abs_tol)
+        out[ok] = fine[ok]
+        level[ok] = lev
+        open_cells &= ~ok
+        if not open_cells.any():
+            break
+        seg = new_seg
+        end[sel2] = new_end
+    live = level >= 0
+    out[live] *= 2 * np.pi / rho[live]
+    return out, level
+
+
+def _ref_hyperbolic_conv(f, g, grid, quad):
+    """Rows folded at tau/2: f(t) g(tau - t) + g(t) f(tau - t) over t >= tau/2."""
+    s = f.s
+    fu, gu = f.u_support(), g.u_support()
+    u = np.union1d(psi(f.grid, s), psi(g.grid, s))
+    rho = grid.rho_grid
+    out = np.zeros((rho.size, grid.tau_grid.size),
+                   dtype=complex if (f.is_complex or g.is_complex) else float)
+    level = np.full(out.shape, -1)
+    for j, tau in enumerate(grid.tau_grid):
+        if tau <= 0 or tau < fu[0] + gu[0] or tau > fu[1] + gu[1]:
+            continue
+        c = 0.5 * tau
+        lo1, hi1 = max(fu[0], tau - gu[1]), min(fu[1], tau - gu[0])
+        support = (max(tau - fu[1], gu[0]) if hi1 < c else max(lo1, c),
+                   max(hi1, min(tau - fu[0], gu[1])))
+        lo, hi = convolution._self_windows(s, rho, tau)
+        out[:, j], level[:, j] = _ref_row_integrals(
+            lambda t: f.at_time(t) * g.at_time(tau - t) + g.at_time(t) * f.at_time(tau - t),
+            np.concatenate([u, tau - u, [c]]), lo, hi, support, rho, quad)
+        mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
+        out[rho == 0.0, j] = 2 * np.pi * np.sqrt(1.0 + 4.0 * s * s / (tau * tau)) * mid
+    return convolution._checked_field(grid, out, level)
+
+
+def _prior_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
+    """The per-row rule before window ends on kinks joined the prefix sums.
+
+    A window end on a kink is integrated as an end segment, and rows are
+    not folded; kept to bound the sampler's change from this rule.
+    """
     n = rho.size
     lo = np.maximum(lo, support[0])
     hi = np.minimum(hi, support[1])
@@ -518,7 +608,7 @@ def _ref_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
     return out, level
 
 
-def _ref_hyperbolic_conv(f, g, grid, quad):
+def _prior_hyperbolic_conv(f, g, grid, quad):
     s = f.s
     fu, gu = f.u_support(), g.u_support()
     f_kinks, g_kinks = psi(f.grid, s), psi(g.grid, s)
@@ -531,7 +621,7 @@ def _ref_hyperbolic_conv(f, g, grid, quad):
             continue
         support = (max(fu[0], tau - gu[1]), min(fu[1], tau - gu[0]))
         lo, hi = convolution._self_windows(s, rho, tau)
-        out[:, j], level[:, j] = _ref_row_integrals(
+        out[:, j], level[:, j] = _prior_row_integrals(
             lambda t: f.at_time(t) * g.at_time(tau - t),
             np.concatenate([f_kinks, tau - g_kinks]), lo, hi, support, rho, quad)
         mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
@@ -539,7 +629,8 @@ def _ref_hyperbolic_conv(f, g, grid, quad):
     return convolution._checked_field(grid, out, level)
 
 
-def _ref_cross_conv(f_plus, f_minus, grid, quad):
+def _ref_cross_conv(f_plus, f_minus, grid, quad, row_integrals=None):
+    row_integrals = row_integrals or _ref_row_integrals
     s = f_plus.s
     rho = grid.rho_grid
     out = np.zeros((rho.size, grid.tau_grid.size),
@@ -553,7 +644,7 @@ def _ref_cross_conv(f_plus, f_minus, grid, quad):
         if support[1] <= support[0]:
             continue
         lo, hi = convolution._cross_windows(s, rho, t_abs, support[1])
-        out[:, j], level[:, j] = _ref_row_integrals(
+        out[:, j], level[:, j] = row_integrals(
             lambda t: fa.at_time(t_abs + t) * fb.at_time(t),
             np.concatenate([psi(fa.grid, s) - t_abs, psi(fb.grid, s)]),
             lo, hi, support, rho, quad)
@@ -610,6 +701,115 @@ def test_block_sampler_matches_per_row_reference(data, s, complex_values, rho_mi
                 assert got[0].dtype == want[0].dtype
                 np.testing.assert_array_equal(got[0], want[0])
                 assert got[1] == want[1]
+
+
+def _pair_grid(f, g, n_rho, n_tau, reach):
+    """A template over both profiles' reach, with rows and cells outside the support."""
+    s = f.s
+    u_hi = max(f.u_support()[1], g.u_support()[1])
+    rho_hi = reach * (np.sqrt(4 * u_hi ** 2 + s * s) + s) + 0.1
+    return Conv2DField(np.linspace(0.0, rho_hi, n_rho),
+                       np.linspace(-2.0 * reach * u_hi, 2.0 * reach * u_hi + 0.01, n_tau),
+                       np.zeros((n_rho, n_tau)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       complex_values=st.booleans(), n_rho=st.integers(2, 30), n_tau=st.integers(2, 30),
+       reach=st.floats(0.3, 1.5))
+def test_sampler_agrees_with_the_prior_rule_within_the_acceptance_bound(
+        data, s, complex_values, n_rho, n_tau, reach):
+    # Each rule accepts a cell once its value moved by at most
+    # T = rel_tol * max(|v|, 1e-3 S) + abs_tol (in window-integral units, S
+    # the window integral of the integrand's modulus) from the level before.
+    # 8-point Gauss on halved pieces shrinks the error far faster than that
+    # change, so each value is within T of the integral and the two within
+    # 2 T.  The folded |f(t) g(tau - t) + g(t) f(tau - t)| on t >= tau/2
+    # integrates to at most the unfolded window integral of |f| |g|, so
+    # S <= rho / (2 pi) times the field of (|f|, |g|).
+    quad = QuadratureSpec()
+    f = data.draw(_profile(s, complex_values))
+    g = data.draw(_profile(s, False))
+    grid = _pair_grid(f, g, n_rho, n_tau, reach)
+    f_abs = RadialProfile(s, f.grid, np.abs(f.values))
+    g_abs = RadialProfile(s, g.grid, np.abs(g.values))
+    rho = grid.rho_grid[1:, None]  # rho = 0 is the closed-form axis value in both
+    for conv, prior in ((hyperbolic_conv, _prior_hyperbolic_conv),
+                        (cross_conv, lambda *args: _ref_cross_conv(
+                            *args, row_integrals=_prior_row_integrals))):
+        got = conv(f, g, grid, quad).values
+        want = prior(f, g, grid, quad).values
+        np.testing.assert_array_equal(got[0], want[0])
+        modulus = conv(f_abs, g_abs, grid, quad).values[1:]
+        bound = 2.0 * (quad.rel_tol * np.maximum(np.abs(want[1:]), 1e-3 * modulus)
+                       + quad.abs_tol * 2.0 * np.pi / rho)
+        assert np.all(np.abs(got[1:] - want[1:]) <= bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       complex_values=st.booleans(), n_rho=st.integers(2, 30), n_tau=st.integers(2, 30),
+       reach=st.floats(0.3, 1.5))
+def test_self_convolution_of_a_profile_with_itself_equals_that_with_a_copy(
+        data, s, complex_values, n_rho, n_tau, reach):
+    # g is f evaluates 2 f(t) f(tau - t); a copy takes the general sum
+    # f(t) g(tau - t) + g(t) f(tau - t), and (2a)b = ab + ba exactly
+    f = data.draw(_profile(s, complex_values))
+    copy = RadialProfile(s, f.grid.copy(), f.values.copy())
+    grid = _pair_grid(f, f, n_rho, n_tau, reach)
+    got, want = _sampled(hyperbolic_conv, f, f, grid, SPEC), _sampled(hyperbolic_conv, f, copy, grid, SPEC)
+    if isinstance(want[0], str):
+        assert got == want
+    else:
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       complex_values=st.booleans(), n_rho=st.integers(2, 30), n_tau=st.integers(2, 30),
+       reach=st.floats(0.3, 1.5))
+def test_self_convolution_is_symmetric_in_its_profiles_to_rounding(
+        data, s, complex_values, n_rho, n_tau, reach):
+    f = data.draw(_profile(s, complex_values))
+    g = data.draw(_profile(s, False))
+    grid = _pair_grid(f, g, n_rho, n_tau, reach)
+    fg = hyperbolic_conv(f, g, grid, SPEC).values
+    gf = hyperbolic_conv(g, f, grid, SPEC).values
+    np.testing.assert_allclose(fg, gf, rtol=0.0, atol=1e-13 * np.max(np.abs(fg), initial=0.0))
+
+
+def test_no_gauss_sum_is_taken_over_an_empty_interval(monkeypatch):
+    # unequal sheets on one grid, as in a pair field: many window ends fall
+    # on kinks, support edges and t_cap, where an end segment is empty
+    s = 1.0
+    f = shell_indicator(1.2, 2.4, s, n=80, smooth=True)
+    g = RadialProfile(s, f.grid, f.values * np.linspace(0.5, 1.5, f.grid.size))
+    u_hi = psi(f.r_max, s)
+    grid = Conv2DField.template(np.sqrt(4 * u_hi ** 2 + s * s) + s, -2.0 * u_hi, 2.0 * u_hi,
+                                41, 61)
+    intervals = []
+    gauss = convolution._gauss_sums
+
+    def nonempty(integrand, lo, hi, tau, level):
+        assert np.all(hi > lo)
+        intervals.append(lo.size)
+        return gauss(integrand, lo, hi, tau, level)
+
+    monkeypatch.setattr(convolution, "_gauss_sums", nonempty)
+    for conv, a, b in ((hyperbolic_conv, f, f), (hyperbolic_conv, f, g),
+                       (cross_conv, f, g), (cross_conv, g, f)):
+        conv(a, b, grid, SPEC)
+    assert sum(intervals) > 0
+
+
+@pytest.mark.parametrize("conv", [hyperbolic_conv, cross_conv])
+@pytest.mark.parametrize("quad", [None, 1e-8, "gk"])
+def test_samplers_name_a_quad_that_is_not_a_spec(conv, quad):
+    f = shell_indicator(1.2, 2.0, 1.0, n=20)
+    grid = Conv2DField.template(4.0, -3.0, 3.0, 5, 6)
+    with pytest.raises(TypeError, match="quad must be a QuadratureSpec"):
+        conv(f, f, grid, quad)
 
 
 # ---- cross convolution ----

@@ -550,6 +550,22 @@ def test_cone_limit_scan():
     assert all(r["bound_ok"] for r in rows)
 
 
+@pytest.mark.parametrize("s_list, match", [
+    ([], "s_list must hold at least one mass parameter"),
+    ([float("nan")], "every s in s_list must be finite and >= 0, got nan"),
+    ([0.1, float("inf")], "every s in s_list must be finite and >= 0, got inf"),
+    ([-0.1], "every s in s_list must be finite and >= 0, got -0.1"),
+])
+def test_cone_limit_scan_names_a_bad_s_list_before_sampling(monkeypatch, s_list, match):
+    def sampled(*args):
+        raise AssertionError("a field was sampled")
+
+    monkeypatch.setattr(extremizer, "hyperbolic_conv", sampled)
+    f = shell_indicator(1.0, 2.0, 0.6, n=40)
+    with pytest.raises(ValueError, match=match):
+        cone_limit_scan(RadialProfile(0.6, f.grid, f.values), s_list)
+
+
 def test_dyadic_pieces_cover_every_node():
     # mass below r = 1 (s < 1) lands in the shells of negative k
     s = 0.5
