@@ -127,6 +127,11 @@ block.  All tables come from one block builder (``row_blocks``) and every
 evaluation, numerator, gradient and trial pass alike, goes through one
 evaluator (``_block_values``).
 
+A table is held only for repeated use: ``SliceEngine`` keeps its table
+once a gradient or a trial pass asks for it, and a one-shot numerator on
+an engine that holds none evaluates each block as it is built and drops
+it, with the same values bit for bit (``SliceEngine`` docstring).
+
 The exponential trial profiles are geometric on the grid: F_i = e^{-a u_i/2}
 = r^i with r = e^{-a delta/2}.  Every stored pair of row k has lo + hi = k,
 and pairs off the grid read zero, so row k's pair sums are r^k
@@ -365,8 +370,10 @@ class _Scratch:
     ``BLOCK_ENTRIES`` entries and regrown for a larger block.  Fresh
     block-sized arrays would come from new pages on each block, and those
     page faults cost about as much as the arithmetic.  A scratch lives for
-    one evaluator call, or for one scan that builds and evaluates many small
-    tables (``extremizer.bilinear_dyadic_scan``), never for the process.  A
+    one evaluator call (a ``SliceEngine.numerator`` that holds no table
+    builds and evaluates each block with the same one), or for one scan
+    that builds and evaluates many small tables
+    (``extremizer.bilinear_dyadic_scan``), never for the process.  A
     workspace kept for the process was measured on the benchmark's field
     workload, whose solve runs no engine code: its raw solve times matched
     (0.0606 against 0.0615 s), but the workspace outlived the engine oracle
@@ -560,8 +567,26 @@ class SliceEngine:
 
     The window table (per-row base indices and the rho coefficients of the
     rows tau = k*delta, k = 0 .. 2n-2, in blocks from ``row_blocks``) depends
-    only on (s, n, u_max) and is built once; each numerator or gradient
-    evaluation is pure array arithmetic, one block at a time.
+    only on (s, n, u_max); each evaluation is pure array arithmetic, one
+    block at a time.  Building the table costs more than an evaluation (2.0
+    against 1.3 ms at n = 600), and holding it takes about 16 bytes per
+    entry, n^2 / 2 entries (72 MB at n = 3000), so the engine holds it only
+    for repeated use:
+
+    - ``__init__`` builds the grid only;
+    - ``numerator_gradient`` (so ``q_gradient``) and ``trial_q_ratios``
+      build the table on first use and keep it (``_blocks``);
+    - ``numerator`` and ``q_ratio`` read the table if the engine holds it;
+      otherwise they build it block by block and evaluate each block as it
+      is built, with one scratch for both (``_table_blocks``), so one block
+      and one scratch are alive at a time and nothing is kept.
+
+    Both paths take the same blocks in the same order, so their values are
+    bit-identical.  A loop of ``numerator`` or ``q_ratio`` calls on an engine
+    that holds no table builds the table anew in each call, which costs
+    about 2.5 held-table calls (3.2 against 1.3 ms at n = 600, 10.5 against
+    4.5 ms at n = 1200); a caller that evaluates many times should make the
+    engine hold its table first (``_blocks``, or any ``q_gradient`` call).
     """
 
     def __init__(self, s: float, n: int, u_max: float):
@@ -573,20 +598,42 @@ class SliceEngine:
         self.u = np.linspace(0.0, u_max, n)
         self.delta = self.u[1] - self.u[0]
         self.radius_grid = phi(self.u, s)  # strictly increasing radii
-        # J_k = min(j_end, n-1-k//2) is row k's last window with its pair on the
-        # grid; P = 0 beyond it, so the first window with S = C is min(J_k + 1, j_end)
-        k = np.arange(2 * n - 1)
-        j_last = np.minimum(n - k // 2, (k + 1) // 2)
-        self._blocks = list(row_blocks(s, self.delta, k, np.zeros_like(k), j_last))
-        for blk, r in ((self._blocks[0], 0), (self._blocks[-1], -1)):  # tau trapezoid ends
-            blk.a[r] *= 0.5
-            blk.b[r] *= 0.5
-            blk.c[r] *= 0.5
+        self._table = None  # the held blocks, once a repeated-use evaluator builds them
 
         # denominator weights: 4 pi int F^2 phi(u) du by trapezoid
         wts = np.full(n, self.delta)
         wts[[0, -1]] *= 0.5
         self.den_weights = FOUR_PI * wts * self.radius_grid
+
+    def _table_blocks(self, scratch=None):
+        """The table's blocks in turn, built with ``scratch`` (``row_blocks``).
+
+        The first and last rows, tau = 0 and tau = (2n-2) delta, carry the
+        tau trapezoid's end weight 1/2, folded into their a, b and c.
+        """
+        n = self.n
+        # J_k = min(j_end, n-1-k//2) is row k's last window with its pair on the
+        # grid; P = 0 beyond it, so the first window with S = C is min(J_k + 1, j_end)
+        k = np.arange(2 * n - 1)
+        j_last = np.minimum(n - k // 2, (k + 1) // 2)
+        done = 0
+        for blk in row_blocks(self.s, self.delta, k, np.zeros_like(k), j_last, scratch=scratch):
+            ends = [0] if done == 0 else []
+            done += blk.a.shape[0]
+            ends += [-1] if done == k.size else []
+            for r in ends:  # tau trapezoid ends
+                blk.a[r] *= 0.5
+                blk.b[r] *= 0.5
+                blk.c[r] *= 0.5
+            yield blk
+            del blk  # the next block is built without this one
+
+    @property
+    def _blocks(self) -> list[_Block]:
+        """The held table, built on first use and kept."""
+        if self._table is None:
+            self._table = list(self._table_blocks())
+        return self._table
 
     # ---- profile handling ----
 
@@ -616,8 +663,15 @@ class SliceEngine:
     # ---- quadratic slice machinery ----
 
     def numerator(self, F: np.ndarray, G: np.ndarray | None = None) -> float:
-        """||f mu * g mu||_2^2 for node-value vectors on the engine grid."""
-        return blocks_numerator(self._blocks, self.delta, _node_values(F, "F", self.n), G)
+        """||f mu * g mu||_2^2 for node-value vectors on the engine grid.
+
+        Reads the held table, or streams the table's blocks if the engine
+        holds none (class docstring).
+        """
+        F = _node_values(F, "F", self.n)
+        scratch = _Scratch(3)
+        blocks = self._table_blocks(scratch) if self._table is None else self._table
+        return blocks_numerator(blocks, self.delta, F, G, scratch)
 
     def numerator_gradient(self, F: np.ndarray):
         """(numerator, gradient wrt the node values), exact for the discrete form."""

@@ -186,10 +186,11 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
 
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
-    The search's engine is released before the doubled-grid engine is built,
-    so only one table is alive at a time.  The cone s = 0 is refused: there
-    the engine's first rows overweight the tip node, and the ascent runs
-    to a spike at node 0.
+    The search's engine holds its table (``SliceEngine``) and is released
+    before the doubled-grid engine is built; that engine evaluates once, so
+    it streams its table block by block and never holds it.  The cone s = 0
+    is refused: there the engine's first rows overweight the tip node, and
+    the ascent runs to a spike at node 0.
     """
     s = _check_positive_mass(s, "radial search")
     r_max = check_r_max(r_max, s)
@@ -232,7 +233,7 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     F_star, q_star, trace = best
 
     # refined certificate value: resample the optimum on a doubled grid, with
-    # the coarse table released first so that one table is alive at a time
+    # the coarse table released first; the one-shot q_ratio holds no table
     prof = RadialProfile(s, engine.radius_grid, F_star)
     del engine
     eng2 = SliceEngine(s, 2 * grid_size, psi(r_max, s))
@@ -376,8 +377,10 @@ def _sheet_fields(pair: SheetPair, grid: Conv2DField, quad: QuadratureSpec,
     if not np.allclose(tau, -tau[::-1], rtol=0.0, atol=1e-12 * np.max(np.abs(tau))):
         raise ValueError(f"grid needs a tau grid symmetric about 0, got [{tau[0]}, {tau[-1]}]")
     fp, fm = pair.f_plus, pair.f_minus
-    gp, gm = (fm, fp) if reflected else (fp, fm)
     even = np.array_equal(fp.values, fm.values)
+    if even:  # a pair shares its grid and mass, so equal values are one function
+        fm = fp  # and the samplers take their g is f paths, reflected or not
+    gp, gm = (fm, fp) if reflected else (fp, fm)
     upper = hyperbolic_conv(fp, gp, grid, quad)
     lower = upper if even else hyperbolic_conv(fm, gm, grid, quad)
     cross = cross_conv(fp, gm, grid, quad)
@@ -425,7 +428,9 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     (upper_self, lower_self, cross).  ``grid`` defaults to ``pair_template``;
     its tau grid must be symmetric about 0, or a ValueError names ``grid``.
     The fields come from ``_sheet_fields``, so sheets with equal node values
-    (even pairs) share one self field.
+    (even pairs) share one self field.  A ``norms.TruncationWarning`` says
+    that the summed field reaches the grid's outer lines, so the numerator
+    misses the part beyond them.
     """
     quad = quad or QuadratureSpec()
     if grid is None:
@@ -433,7 +438,7 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     A, Ap, B, _ = _sheet_fields(pair, grid, quad)
     Ap_ref = grid.like(Ap.values[:, ::-1])
     total = grid.like(A.values + Ap_ref.values + 2.0 * B.values)
-    num = l2_field_norm(total, warn_boundary=False)[0] ** 2
+    num = l2_field_norm(total, warn_boundary=True)[0] ** 2
     den = pair.l2_norm_sq()
     terms = {
         "upper_self": l2_field_norm(A, warn_boundary=False)[0] ** 2,

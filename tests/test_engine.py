@@ -692,3 +692,53 @@ def test_shell_pair_rows_converge_to_the_closed_form_row_mass(monkeypatch, tau):
     assert len(blocks) >= 3
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all((3.8 <= ratios) & (ratios <= 4.2)), (errs, ratios)
+
+
+@pytest.mark.parametrize("s, n", [(0.0, 41), (0.5, 255), (1.0, 600), (3.0, 1201)])
+def test_one_shot_evaluations_equal_the_held_table_bit_for_bit(s, n):
+    # an engine that holds no table streams its blocks; the values must not move
+    rng = np.random.default_rng(n)
+    F, G = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    fresh = SliceEngine(s, n, 20.0)
+    streamed = (fresh.numerator(F), fresh.numerator(F, G), fresh.q_ratio(F))
+    assert fresh._table is None
+    held = SliceEngine(s, n, 20.0)
+    held._blocks
+    assert (held.numerator(F), held.numerator(F, G), held.q_ratio(F)) == streamed
+
+
+def traced_peak(fn):
+    """The peak traced allocation of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_shot_q_ratio_holds_one_block_at_a_time():
+    # the held table at n = 3000 peaks at about 72 MB to build; streamed, a
+    # q_ratio keeps one block and one scratch alive (about 2 MB)
+    eng = SliceEngine(1.0, 3000, 40.0)
+    F = eng.trial_values(0.3)
+    assert traced_peak(lambda: eng.q_ratio(F)) < 8 * 2 ** 20
+    assert eng._table is None
+    assert traced_peak(lambda: eng._blocks) > 48 * 2 ** 20
+
+
+def test_gradient_keeps_the_table_and_numerator_reads_it(monkeypatch):
+    eng = SliceEngine(1.0, 300, 20.0)
+    F = eng.trial_values(0.4)
+    eng.q_gradient(F)
+    table = eng._table
+    assert table is not None and eng._blocks is table
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the held table was rebuilt")
+    monkeypatch.setattr(engine, "row_blocks", refused)
+    want = SIXTEEN_PI3 * eng.delta * sum(V.sum() for V in _row_values(table, F))
+    assert eng.numerator(F) == want
+    assert eng.q_ratio(F) == want / eng.norm_sq(F) ** 2
+    eng.q_gradient(F)
+    assert eng._table is table

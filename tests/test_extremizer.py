@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from hyperconv.extremizer import (CONE_Q, DOUBLE_CONE_Q, SheetPair,
                                   tail_bound_check, trial_family_scan)
 from hyperconv.fields import Conv2DField
 from hyperconv.geometry import psi
-from hyperconv.norms import l2_field_norm, lp_norm
+from hyperconv.norms import TruncationWarning, l2_field_norm, lp_norm
 from hyperconv.profiles import RadialProfile, shell_indicator, trial_profile
 from hyperconv.quadrature import QuadratureSpec
 
@@ -440,6 +441,42 @@ def test_even_pair_field_samples_each_field_once(monkeypatch, reflected):
     h = pair_convolution_field(pair, grid, spec, reflected=reflected)
     assert calls == ["hyperbolic_conv", "cross_conv"]
     np.testing.assert_array_equal(h.values, A.values + A.values[:, ::-1] + B.values + B.values)
+
+
+def test_reflected_even_pair_of_equal_copies_takes_the_self_path(monkeypatch):
+    # sheets with equal values but distinct objects: reflecting swaps equal
+    # sheets, so the reflected field is the unreflected one, at the same cost
+    f = trial_profile(0.7, 1.0, 20.0, 200)
+    pair = SheetPair(f, RadialProfile(f.s, f.grid, f.values.copy()))
+    grid = pair_template(pair, 41, 61)
+    spec = QuadratureSpec()
+    points = []
+    real = RadialProfile.at_time
+    monkeypatch.setattr(RadialProfile, "at_time",
+                        lambda self, t: points.append(np.size(t)) or real(self, t))
+    values, counts = [], []
+    for reflected in (False, True):
+        points.clear()
+        values.append(pair_convolution_field(pair, grid, spec, reflected=reflected).values)
+        counts.append(sum(points))
+    assert counts[0] > 0 and counts[0] == counts[1]
+    np.testing.assert_array_equal(*values)
+
+
+def test_full_q_ratio_warns_when_the_summed_field_is_truncated():
+    # half the 81 x 121 template's extent cuts the field: Qbar 12.391, not 12.166
+    f = trial_profile(0.7, 1.0, 20.0, 200)
+    pair = SheetPair(f, f)
+    full = pair_template(pair, 81, 121)
+    half = Conv2DField.template(full.rho_grid[-1] / 2, full.tau_grid[0] / 2,
+                                full.tau_grid[-1] / 2, 81, 121)
+    with pytest.warns(TruncationWarning, match="touches the grid boundary"):
+        qbar_half = full_q_ratio(pair, grid=half)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        qbar_full = full_q_ratio(pair, grid=full)[0]
+        full_q_ratio(pair)
+    np.testing.assert_allclose([qbar_half, qbar_full], [12.391, 12.166], atol=1e-3)
 
 
 @pytest.mark.parametrize("grid", [
