@@ -6,8 +6,8 @@ adjoint-restriction inequality on the one-sheeted hyperboloid family
 densities, cap and boost geometry, trial-function comparisons against the
 cone constant, a radial extremizer search, and dyadic bilinear diagnostics.
 Importing the package, or any of its modules, loads numpy and the bare
-``scipy`` package but no scipy submodule: ``scipy.integrate`` and
-``scipy.optimize`` load on the first call that needs them.
+``scipy`` package but no scipy submodule: ``scipy.integrate``, and with
+it ``scipy.optimize``, loads on the first Gauss-Kronrod integral.
 """
 
 __version__ = "0.1.0"

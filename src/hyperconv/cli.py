@@ -8,10 +8,12 @@
     hyperconv field --a 1 --s 1 --r-max 20 --n 400 --n-rho 161 --n-tau 243
 
 Every record holds the command, its inputs, the package versions and the
-total wall time.  ``maximize`` runs ``extremizer.maximize_radial`` and adds
-the seed, ``q_star``, ``q_refined``, the best exponential trial value and
-one row per restart with its Q evaluations and the reason its ascent
-stopped.  ``scan`` runs ``extremizer.bilinear_dyadic_scan`` and adds the
+total wall time.  ``maximize`` runs ``extremizer.maximize_radial``, whose
+ascent is the safeguarded Euler-Lagrange power map with Anderson mixing,
+and adds the seed, ``q_star``, ``q_refined``, the best exponential trial
+value and one row per restart with its Q evaluations (one gradient each)
+and the reason its ascent stopped: "iters" (the step budget ran out),
+"rel_stop" (an accepted step gained less than rel_stop) or "stalled".  ``scan`` runs ``extremizer.bilinear_dyadic_scan`` and adds the
 shell-pair table as nested lists and the report (slope, intercept,
 constant, ``diag_max``, ``refined``).  ``study`` runs
 ``extremizer.extremal_study`` and adds its report: q*(n), the observed
@@ -104,7 +106,7 @@ def main(argv=None) -> int:
     p.add_argument("--grid-size", type=int, default=400, help="engine grid nodes (>= 64)")
     p.add_argument("--r-max", type=float, default=40.0, help="truncation radius")
     p.add_argument("--restarts", type=int, default=5, help="number of ascent starts")
-    p.add_argument("--iters", type=int, default=2000, help="iterations per ascent")
+    p.add_argument("--iters", type=int, default=2000, help="steps per ascent")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the random starts")
     p = sub.add_parser("scan", help="dyadic shell-pair decay table (bilinear_dyadic_scan)")
     p.set_defaults(run=_scan)

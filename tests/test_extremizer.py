@@ -639,7 +639,7 @@ def test_ascent_reports_why_it_stopped(caplog, iters, rel_stop, stop):
     assert len(lines) == 2 and all(f"({stop})" in line for line in lines)
 
 
-# ---- L-BFGS-B ascent and the extremal study ----
+# ---- the power ascent, its L-BFGS-B reference and the extremal study ----
 
 def test_ascent_reaches_the_search_target():
     res = maximize_radial(1.0, 400, 40.0, restarts=1, iters=300)
@@ -673,6 +673,63 @@ def test_ascent_names_the_node_of_a_nan_gradient(monkeypatch):
         extremizer._ascend(eng, eng.trial_values(0.5), 10, 1e-9)
     assert exc.value.indices == [17]
     assert "[17]" in str(exc.value)
+
+
+def test_ascent_without_a_usable_mix_is_the_plain_power_map(monkeypatch):
+    # a least-squares solve that returns NaN leaves a non-finite mix, which
+    # the ascent must skip for the plain image without evaluating it
+    eng = SliceEngine(1.0, 120, psi(20.0, 1.0))
+    F = eng.trial_values(0.5)
+    F = F / np.sqrt(eng.norm_sq(F))
+    q, grad = eng.q_gradient(F)
+    plain = [q]
+    for _ in range(8):
+        G = np.maximum(grad / eng.den_weights + 4.0 * q * F, 0.0)
+        F = G / np.sqrt(eng.norm_sq(G))
+        q, grad = eng.q_gradient(F)
+        plain.append(q)
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda a, b, rcond=None: (np.full(a.shape[1], np.nan),))
+    _, trace, stop, evaluations = extremizer._ascend(eng, eng.trial_values(0.5), 8, 0.0)
+    assert stop == "iters" and evaluations == 9
+    np.testing.assert_allclose(trace, plain, rtol=1e-14)
+    assert all(b > a for a, b in zip(trace, trace[1:]))
+
+
+SEARCH_CASES = [(1.0, 400, 40.0), (3.0, 400, 120.0), (0.5, 600, 20.0)]
+
+
+@pytest.mark.parametrize("s, n, r_max", SEARCH_CASES)
+def test_ascent_reaches_the_lbfgsb_optimum(s, n, r_max):
+    # scipy's bound-constrained quasi-Newton method is the reference here only
+    from scipy.optimize import minimize
+
+    eng = SliceEngine(s, n, psi(r_max, s))
+    F0 = eng.trial_values(trial_family_scan(eng)[0])
+    F, trace, stop, _ = extremizer._ascend(eng, F0, 2000, 1e-12)
+    assert stop == "rel_stop"
+
+    def neg_q(x):
+        q, grad = eng.q_gradient(x)
+        return -q, -grad
+
+    res = minimize(neg_q, F0 / np.sqrt(eng.norm_sq(F0)), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * n,
+                   options={"maxiter": 2000, "maxcor": 20, "ftol": 1e-15, "gtol": 1e-12})
+    G = res.x / np.sqrt(eng.norm_sq(res.x))
+    np.testing.assert_allclose(trace[-1], eng.q_ratio(G), rtol=1e-12)
+    assert np.sqrt(eng.norm_sq(F - G)) <= 1e-6
+    # Euler-Lagrange residual at ||F||_w = 1: grad N = 4 N w F
+    num, grad = eng.numerator_gradient(F)
+    fixed = 4.0 * num * F
+    assert np.max(np.abs(grad / eng.den_weights - fixed)) / np.max(fixed) <= 1e-7
+
+
+@pytest.mark.parametrize("s, n, r_max", SEARCH_CASES)
+def test_every_start_reaches_one_optimum(s, n, r_max):
+    res = maximize_radial(s, n, r_max, restarts=7, iters=2000, rel_stop=1e-12)
+    q = [row["q"] for row in res.restarts]
+    assert len(q) == 7 and max(q) - min(q) <= 1e-9
 
 
 def test_extremal_study_converges_at_order_two():

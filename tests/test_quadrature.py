@@ -171,9 +171,9 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("mpmath", "sympy"
 
 
 def test_importing_the_package_loads_no_scipy_submodule():
-    # scipy.integrate and scipy.optimize load on the first gk integral and the
-    # first ascent; every module import and the field, engine and dyadic
-    # routes run without them, in a fresh interpreter
+    # scipy.integrate, and with it scipy.optimize, loads on the first gk
+    # integral; every module import and the field, engine and dyadic routes
+    # run without them, in a fresh interpreter
     src = Path(quadrature.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
@@ -181,6 +181,25 @@ def test_importing_the_package_loads_no_scipy_submodule():
     assert out[0] == "[]"
     np.testing.assert_allclose(float(out[1]), np.e - 1.0, rtol=1e-12)
     assert out[2] == "[]"  # after every route: no undeclared mpmath or sympy
+
+
+_ASCENT_PROBE = """
+import sys
+from hyperconv.extremizer import extremal_study, maximize_radial
+
+maximize_radial(1.0, 64, restarts=1, iters=3)
+extremal_study(1.0, 20.0, [64, 128, 256])
+print(sorted(m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize.")))
+"""
+
+
+def test_the_radial_search_loads_no_scipy_optimize():
+    # no gk integral runs first: importing scipy.integrate loads scipy.optimize itself
+    src = Path(quadrature.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _ASCENT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]"]
 
 
 def test_importing_the_package_loads_no_numpy_polynomial():
