@@ -1,21 +1,23 @@
 """The ``hyperconv`` console script: one JSON run record per command.
 
-    hyperconv maximize --s 1 --grid-size 400 --r-max 40 --restarts 5 \\
+    hyperconv maximize --s 1 --grid-size 400 --r-max 40 --restarts 1 \\
         --iters 2000 --seed 24301
     hyperconv scan --s 1 --k-max 6 --profile-kind bump --nodes-per-shell 48
     hyperconv study --s 1 --r-max 40 --n 400,800,1600 --n 3200
     hyperconv q --a 0.3 --s 1 --r-max 40 --n 500 --grid-n 1000
     hyperconv field --a 1 --s 1 --r-max 20 --n 400 --n-rho 161 --n-tau 243
 
-Every record holds the command, its inputs, the package versions and the
-total wall time.  ``maximize`` runs ``extremizer.maximize_radial``, whose
-ascent is the safeguarded Euler-Lagrange power map with Anderson mixing,
-and adds the seed, ``q_star``, ``q_refined``, the best exponential trial
-value and one row per restart with its Q evaluations (one gradient each)
-and the reason its ascent stopped: "iters" (the step budget ran out),
-"rel_stop" (an accepted step gained less than rel_stop) or "stalled".  ``scan`` runs ``extremizer.bilinear_dyadic_scan`` and adds the
-shell-pair table as nested lists and the report (slope, intercept,
-constant, ``diag_max``, ``refined``).  ``study`` runs
+Every record holds the command, its inputs (the parsed arguments), the
+package versions and the total wall time.  ``maximize`` runs
+``extremizer.maximize_radial``, whose ascent is the safeguarded
+Euler-Lagrange power map with Anderson mixing, and adds the seed,
+``q_star``, ``q_refined``, the best exponential trial value and one row per
+restart with its Q evaluations (one gradient each) and the reason its
+ascent stopped: "iters" (the step budget ran out), "rel_stop" (an accepted
+step gained less than rel_stop) or "stalled".  ``scan`` runs
+``extremizer.bilinear_dyadic_scan`` and adds the shell-pair table as
+nested lists and the report (slope, intercept, constant, ``diag_max``,
+``refined``).  ``study`` runs
 ``extremizer.extremal_study`` and adds its report: q*(n), the observed
 orders, the Richardson limits, ``q_inf``, ``margin``, ``error_bar``, the
 truncation run and one row per n with its wall time.  ``q`` runs
@@ -49,12 +51,10 @@ from .quadrature import DEFAULT_SEED
 STUDY_N = [400, 800, 1600, 3200]
 
 
-def _maximize(args):
-    inputs = {"s": args.s, "grid_size": args.grid_size, "r_max": args.r_max,
-              "restarts": args.restarts, "iters": args.iters, "seed": args.seed}
+def _maximize(inputs):
     res = maximize_radial(**inputs)
-    return inputs, {
-        "seed": args.seed,
+    return {
+        "seed": inputs["seed"],
         "q_star": res.q_star,
         "q_refined": res.q_refined,
         "trial_best_q": res.trial_best_q,
@@ -62,35 +62,31 @@ def _maximize(args):
     }
 
 
-def _scan(args):
-    inputs = {"s": args.s, "k_max": args.k_max, "profile_kind": args.profile_kind,
-              "nodes_per_shell": args.nodes_per_shell}
+def _scan(inputs):
     table, report = bilinear_dyadic_scan(**inputs)
-    return inputs, {"table": table.tolist(), "report": report}
+    return {"table": table.tolist(), "report": report}
 
 
-def _study(args):
-    inputs = {"s": args.s, "r_max": args.r_max,
-              "n_list": [n for part in args.n or [STUDY_N] for n in part]}
-    return inputs, extremal_study(**inputs)
+def _study(inputs):
+    # flattened in place, so the record lists the sizes the study ran
+    inputs["n_list"] = [n for part in inputs["n_list"] or [STUDY_N] for n in part]
+    return extremal_study(**inputs)
 
 
-def _q(args):
-    inputs = {"a": args.a, "s": args.s, "r_max": args.r_max, "n": args.n,
-              "grid_n": args.grid_n}
-    if args.grid_n is not None:
-        check_count("grid_n", args.grid_n, 16)
-    q, report = q_ratio(trial_profile(args.a, args.s, args.r_max, args.n), n=args.grid_n)
-    return inputs, {"q": q, "report": report}
+def _q(inputs):
+    if inputs["grid_n"] is not None:
+        check_count("grid_n", inputs["grid_n"], 16)
+    profile = trial_profile(inputs["a"], inputs["s"], inputs["r_max"], inputs["n"])
+    q, report = q_ratio(profile, n=inputs["grid_n"])
+    return {"q": q, "report": report}
 
 
-def _field(args):
-    inputs = {"a": args.a, "s": args.s, "r_max": args.r_max, "n": args.n,
-              "n_rho": args.n_rho, "n_tau": args.n_tau}
-    f = trial_profile(args.a, args.s, args.r_max, args.n)
+def _field(inputs):
+    f = trial_profile(inputs["a"], inputs["s"], inputs["r_max"], inputs["n"])
     pair = SheetPair(f, f)
-    qbar, breakdown = full_q_ratio(pair, grid=pair_template(pair, args.n_rho, args.n_tau))
-    return inputs, {"qbar": qbar, "breakdown": breakdown}
+    grid = pair_template(pair, inputs["n_rho"], inputs["n_tau"])
+    qbar, breakdown = full_q_ratio(pair, grid=grid)
+    return {"qbar": qbar, "breakdown": breakdown}
 
 
 def _int_list(text: str) -> list[int]:
@@ -105,7 +101,7 @@ def main(argv=None) -> int:
     p.add_argument("--s", type=float, default=1.0, help="mass parameter s > 0")
     p.add_argument("--grid-size", type=int, default=400, help="engine grid nodes (>= 64)")
     p.add_argument("--r-max", type=float, default=40.0, help="truncation radius")
-    p.add_argument("--restarts", type=int, default=5, help="number of ascent starts")
+    p.add_argument("--restarts", type=int, default=1, help="number of ascent starts")
     p.add_argument("--iters", type=int, default=2000, help="steps per ascent")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the random starts")
     p = sub.add_parser("scan", help="dyadic shell-pair decay table (bilinear_dyadic_scan)")
@@ -119,7 +115,7 @@ def main(argv=None) -> int:
     p.set_defaults(run=_study)
     p.add_argument("--s", type=float, default=1.0, help="mass parameter s > 0")
     p.add_argument("--r-max", type=float, default=40.0, help="truncation radius")
-    p.add_argument("--n", type=_int_list, action="append",
+    p.add_argument("--n", type=_int_list, action="append", dest="n_list",
                    help="grid sizes, comma-separated or repeated (default "
                         f"{','.join(map(str, STUDY_N))})")
     p = sub.add_parser("q", help="Q of one exponential trial profile (q_ratio)")
@@ -139,9 +135,10 @@ def main(argv=None) -> int:
     p.add_argument("--n-rho", type=int, default=161, help="template rho nodes (>= 2)")
     p.add_argument("--n-tau", type=int, default=243, help="template tau nodes (>= 2)")
     args = parser.parse_args(argv)
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
     started = time.perf_counter()
     try:
-        inputs, result = args.run(args)
+        result = args.run(inputs)
     except ValueError as exc:  # bad inputs, named by the library
         parser.error(str(exc))
     record = {

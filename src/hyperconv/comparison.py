@@ -97,9 +97,8 @@ class RatioSample:
     margin: float  # ratio - 2*pi
 
 
-def ratio_scan(a_min: float, a_max: float, steps: int,
-               spec: QuadratureSpec | None = None):
-    """Figure-style scan (samples, summary); flags non-positive margins.
+def ratio_scan(a_min: float, a_max: float, steps: int):
+    """Figure-style scan (samples, summary) at rel_tol 1e-12; flags non-positive margins.
 
     summary['pass'] is False when any sampled ratio fails to exceed the cone
     constant 2*pi; those samples are listed as reproduction failures (the
@@ -110,8 +109,8 @@ def ratio_scan(a_min: float, a_max: float, steps: int,
     steps = check_count("steps", steps, 1)
     samples = []
     for a in np.linspace(a_min, a_max, steps):
-        I = I_of_a(a, spec)
-        II = II_of_a(a, spec)
+        I = I_of_a(a)
+        II = II_of_a(a)
         samples.append(RatioSample(float(a), I, II, I / II, I / II - CONE_CONSTANT))
     margins = np.array([s.margin for s in samples])
     failures = [s.a for s in samples if s.margin <= 0.0]
@@ -151,8 +150,8 @@ def _fit_limit(A, values):
     return float(coef[0]), float(np.max(np.abs(A @ coef - values)))
 
 
-def derivative_limits(spec: QuadratureSpec | None = None) -> dict:
-    """Estimates of the five comparison-ratio limits with error bars.
+def derivative_limits() -> dict:
+    """Estimates of the five comparison-ratio limits with error bars, at rel_tol 1e-13.
 
     ratio -> 2*pi, first and second a-derivatives -> 0, third -> 8*pi, and
     the rescaled-pair derivative d/da (N/D) -> 4*pi/3.  Central differences
@@ -162,7 +161,7 @@ def derivative_limits(spec: QuadratureSpec | None = None) -> dict:
     extrapolations over the fixed schedules b = 0.02 .. 0.0025 and
     b = 1e-2 .. 1e-3 (reported per-sample too).
     """
-    spec = spec or QuadratureSpec(rel_tol=1e-13)
+    spec = QuadratureSpec(rel_tol=1e-13)
     r = lambda b: ratio_of_a(b, spec)
     report = {}
 
@@ -234,14 +233,14 @@ IDENTITY_SPECS = [
 ]
 
 
-def _identity_integral(integrand, a: float, rel_tol: float) -> float:
-    """int_0^inf integrand(u, a^{1/3}) du on the scale-c pieces."""
+def _identity_integral(integrand, a: float) -> float:
+    """int_0^inf integrand(u, a^{1/3}) du on the scale-c pieces, at rel_tol 1e-12."""
     c = a ** (1.0 / 3.0)
-    return _piecewise(lambda u: integrand(u, c), _edges_for(c), rel_tol)
+    return _piecewise(lambda u: integrand(u, c), _edges_for(c), 1e-12)
 
 
-def asymptotic_integral_suite(rel_tol: float = 1e-12):
-    """Verify, per identity, the leading term and the remainder order.
+def asymptotic_integral_suite():
+    """Verify, per identity, the leading term and the remainder order (rel_tol 1e-12).
 
     For each identity the remainder (lhs - leading)/envelope is computed on
     a = 1e-2, 1e-3, ..., 1e-8 and must be bounded and stable: it is fitted
@@ -254,7 +253,7 @@ def asymptotic_integral_suite(rel_tol: float = 1e-12):
     a_arr = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     out = []
     for name, leading, envelope, integrand in IDENTITY_SPECS:
-        lhs = np.array([_identity_integral(integrand, a, rel_tol) for a in a_arr])
+        lhs = np.array([_identity_integral(integrand, a) for a in a_arr])
         c = a_arr ** (1.0 / 3.0)
         lead = np.array([leading(a, cc) for a, cc in zip(a_arr, c)])
         env = np.array([envelope(a, cc) for a, cc in zip(a_arr, c)])
@@ -289,23 +288,23 @@ def asymptotic_integral_suite(rel_tol: float = 1e-12):
     return out
 
 
-def exact_log_identity_gap(a: float, rel_tol: float = 1e-12) -> float:
+def exact_log_identity_gap(a: float) -> float:
     """|lhs - rhs| of the integration-by-parts identity linking (1) and the logs.
 
     int e^{-u}/sqrt(u^2 + a^{2/3}) du = int e^{-u} log(u + sqrt(u^2 + a^{2/3})) du
                                         - (1/3) log a,
-    both sides by quadrature.
+    both sides by quadrature at rel_tol 1e-12.
     """
-    lhs = _identity_integral(IDENTITY_SPECS[0][3], a, rel_tol)  # inv_sqrt
+    lhs = _identity_integral(IDENTITY_SPECS[0][3], a)  # inv_sqrt
     log_term = lambda u, c: np.exp(-u) * np.log(u + np.sqrt(u * u + c * c))
-    rhs = _identity_integral(log_term, a, rel_tol) - np.log(a) / 3.0
+    rhs = _identity_integral(log_term, a) - np.log(a) / 3.0
     return abs(lhs - rhs)
 
 
-def closing_integral(rel_tol: float = 1e-12) -> float:
-    """int_0^inf du / ((u + sqrt(u^2+1)) sqrt(u^2+1)); equals 1 exactly."""
+def closing_integral() -> float:
+    """int_0^inf du / ((u + sqrt(u^2+1)) sqrt(u^2+1)) at rel_tol 1e-12; equals 1 exactly."""
     f = lambda u: 1.0 / ((u + np.sqrt(u * u + 1.0)) * np.sqrt(u * u + 1.0))
-    val = _piecewise(f, [0.0, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8], rel_tol)
+    val = _piecewise(f, [0.0, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8], 1e-12)
     # analytic tail beyond the last edge: integrand ~ 1/(2 u^2)
     return val + 0.5e-8
 
@@ -319,13 +318,13 @@ def _exp_weighted_row_mass(a: float, s: float, part, rel_tol: float) -> float:
     return 4.0 * np.pi * _piecewise(f, sorted({0.0, 1.0, 5.0, 10.0, 30.0 / a, 60.0 / a}), rel_tol)
 
 
-def masked_numerator(a: float, s: float = 1.0, rel_tol: float = 1e-10) -> float:
+def masked_numerator(a: float, s: float = 1.0) -> float:
     """Weighted L2 mass of the exp-weighted inner+middle density branches.
 
     Equals I(a) at s = 1: the same object reached through the closed-form
-    row mass instead of the appendix integrand (cross-oracle).
+    row mass, at rel_tol 1e-10, instead of the appendix integrand (cross-oracle).
     """
-    return _exp_weighted_row_mass(a, s, lambda m: m[0], rel_tol)
+    return _exp_weighted_row_mass(a, s, lambda m: m[0], 1e-10)
 
 
 def full_numerator(a: float, s: float = 1.0, rel_tol: float = 1e-9) -> float:

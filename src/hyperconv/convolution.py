@@ -34,10 +34,10 @@ rounding is bounded by the row's total and never by the block's; a block
 returns bit for bit what its rows return one at a time.  A cell far below
 its row's total therefore carries absolute rounding of about 1e-16 times
 that total.  On the fields of the overlapping cusped shells in the tests,
-cells between 1e-7 and 1e-5 of the field maximum moved by up to 2.3e-10
-relative when window ends on kinks joined the prefix sums and self rows
-were folded (the whole field by 3.6e-15 of its maximum); harmless for L2
-norms, not for a log-scale fit of small field values.  A cell is
+cells between 1e-7 and 1e-5 of the field maximum carry relative rounding
+of order 1e-10 (two summation orders differ there by up to 2.3e-10), and
+the whole field about 4e-15 of its maximum; harmless for L2 norms, not
+for a log-scale fit of small field values.  A cell is
 accepted at the first level L = 1..4 whose value moved by at most
 rel_tol * max(|value|, 1e-3 * int |integrand|) + abs_tol from level L - 1.
 ``meta["quad_levels"]`` counts the cells accepted at each level; cells
@@ -59,7 +59,7 @@ import numpy as np
 
 from .closedforms import branch_curves as _branch_edges
 from .fields import Conv2DField
-from .geometry import phi, psi
+from .geometry import check_real, phi, psi
 from .profiles import RadialProfile
 from .quadrature import QuadratureError, QuadratureSpec
 
@@ -73,8 +73,7 @@ def sphere_pair_kernel(R: float, R2: float, x: float) -> float:
     lives on the annulus |R - R2| <= |x| <= R + R2 with density 2*pi/|x|.
     x = 0 (with R = R2) is a singular ray; only x > 0 is accepted.
     """
-    if R <= 0 or R2 <= 0:
-        raise ValueError("sphere radii must be positive")
+    R, R2 = check_real("R", R, above=0.0), check_real("R2", R2, above=0.0)
     if x <= 0:
         raise ValueError("kernel defined for x > 0 only (singular ray at 0)")
     if abs(R - R2) <= x <= R + R2:
@@ -372,7 +371,7 @@ def hyperbolic_conv(f: RadialProfile, g: RadialProfile, grid: Conv2DField,
     TypeError names it.
     """
     if f.s != g.s:
-        raise ValueError("profiles must share the mass parameter")
+        raise ValueError(f"g.s must be f.s = {f.s}, got {g.s}")
     _check_quad(quad)
     s = f.s
     fu, gu = f.u_support(), g.u_support()
@@ -424,7 +423,7 @@ def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField,
     handled as in ``hyperbolic_conv``.
     """
     if f_plus.s != f_minus.s:
-        raise ValueError("profiles must share the mass parameter")
+        raise ValueError(f"f_minus.s must be f_plus.s = {f_plus.s}, got {f_minus.s}")
     _check_quad(quad)
     s = f_plus.s
     rho, tau = grid.rho_grid, grid.tau_grid

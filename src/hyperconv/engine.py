@@ -153,8 +153,8 @@ SIXTEEN_PI3 = 16.0 * np.pi ** 3
 FOUR_PI = 4.0 * np.pi
 CHUNK = 16  # block widths are multiples of CHUNK, the width of the window-sum products
 # stored entries per block, at most, padding to a multiple of CHUNK included:
-# bounds each block's temporaries.  With row-wise scans, 2^14 made the
-# gradient 1.05x / 1.14x slower and 2^16 1.11x / 1.07x slower at n = 600 / 1200.
+# bounds each block's temporaries.  With chunked window sums, 2^14 made the
+# gradient 1.1-1.4x slower at n = 600 and 1200; 2^16 was within the spread.
 BLOCK_ENTRIES = 2 ** 15
 
 

@@ -203,21 +203,21 @@ def _ascend(engine: SliceEngine, F0: np.ndarray, iters: int, rel_stop: float):
 
 
 def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
-                    restarts: int = 5, iters: int = 2000, seed: int = DEFAULT_SEED,
+                    restarts: int = 1, iters: int = 2000, seed: int = DEFAULT_SEED,
                     rel_stop: float = 1e-9) -> AscentResult:
     """Euler-Lagrange power ascent on Q over nonnegative radial profiles.
 
-    Multi-start: the best exponential trial profile (restart 0), dyadic
-    shell indicators, and random log-normal profiles, each ascended by the
-    Anderson-accelerated power map (``_ascend``) for at most ``iters``
-    steps or until an accepted step gains less than ``rel_stop``.  At
-    ``rel_stop`` = 1e-12 every start reaches the same Q to 1e-9 or better
-    on the grids tested, so the extra starts check uniqueness rather than
-    search.  The returned best value dominates the trial-family baseline
-    to rounding: restart 0 starts from the best trial profile, the
-    ascent's trace is monotone, and its first entry is Q at that profile
-    normalized, which can differ from the scan's value
-    (``trial_family_scan``) by a few ulps.
+    The best exponential trial profile is restart 0, the only start by
+    default; ``restarts`` > 1 adds dyadic shell indicators and random
+    log-normal profiles.  Each start is ascended by the Anderson-accelerated
+    power map (``_ascend``) for at most ``iters`` steps or until an accepted
+    step gains less than ``rel_stop``.  At ``rel_stop`` = 1e-12 every start
+    reaches the same Q to 1e-9 or better on the grids tested, so the extra
+    starts check uniqueness rather than search.  The returned best value
+    dominates the trial-family baseline to rounding: restart 0 starts from
+    the best trial profile, the ascent's trace is monotone, and its first
+    entry is Q at that profile normalized, which can differ from the scan's
+    value (``trial_family_scan``) by a few ulps.
 
     ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
     on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
@@ -583,7 +583,8 @@ def dyadic_shell_values(s: float, k: int, delta: float, kind: str = "bump"):
     i0 = int(np.ceil(u_lo / delta))
     i1 = int(np.floor(u_hi / delta))
     if i1 - i0 < 8:
-        raise ValueError("grid too coarse for the shell")
+        raise ValueError(f"delta must be fine enough for 9 nodes in shell k = {k}, got {delta} "
+                         f"({i1 - i0 + 1} nodes)")
     u = np.arange(i0, i1 + 1) * delta
     if kind == "bump":
         vals = smooth_bump(2.0 * (u - u_lo) / (u_hi - u_lo) - 1.0)
@@ -606,7 +607,8 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
     shell profiles; the report carries the least-squares slope of
     log2(norm) against the separations 1 <= |k - k'| <= 6 (at least four,
     as k_max >= 4) and the on-diagonal constant.  One automatic refinement
-    doubles the grid when the two resolutions disagree beyond 1 percent.
+    doubles the grid when the two resolutions disagree beyond 1 percent; a
+    warning names the gap if the refined and previous tables still do.
     """
     s = _check_positive_mass(s, "dyadic scan")
     k_max = check_count("k_max", k_max, 4)
@@ -625,11 +627,15 @@ def bilinear_dyadic_scan(s: float, k_max: int = 6, profile_kind: str = "bump",
                 tbl[k, kp] = tbl[kp, k] = val
         return tbl
 
+    gap = lambda fine, coarse: np.max(np.abs(fine - coarse) / np.maximum(fine, 1e-300))
     delta = psi(2.0 * s, s) / nodes_per_shell
     table = compute(delta / 2.0)
-    refined = bool(np.max(np.abs(table - compute(delta)) / np.maximum(table, 1e-300)) > 1e-2)
+    refined = bool(gap(table, compute(delta)) > 1e-2)
     if refined:
-        table = compute(delta / 4.0)
+        half, table = table, compute(delta / 4.0)
+        if gap(table, half) > 1e-2:
+            log.warning("dyadic scan: after its one refinement the tables still differ by "
+                        "%.2g relative (nodes_per_shell = %d)", gap(table, half), nodes_per_shell)
 
     seps, logs = [], []
     for k in range(k_max + 1):
@@ -698,23 +704,21 @@ def dyadic_refinement_check(f: RadialProfile, engine: SliceEngine | None = None)
 
 # ---- tail bound and cone limit ----
 
-def tail_bound_check(a: float, f_tail: RadialProfile,
-                     engine: SliceEngine | None = None):
+def tail_bound_check(a: float, f_tail: RadialProfile):
     """(lhs, bound) of the far-tail convolution bound at mass 1.
 
     For profiles supported where |y| >= a > 1,
     ||f mu * f mu||_2^2 <= 2 pi (1 + 1/sqrt(a^2 - 1)) ||f||_2^4.
     The bound uses the exact L2 norm of the profile (``lp_norm``), not a
-    sum over engine nodes; lhs is the SliceEngine discretization of the
-    numerator.
+    sum over engine nodes; lhs is the numerator on a ``SliceEngine`` of
+    max(512, 2 * profile nodes) nodes over [0, psi(r_max, 1)].
     """
     a = check_real("a", a, above=1.0)
     if f_tail.s != 1.0:
-        raise ValueError("stated for the unit mass parameter")
+        raise ValueError(f"f_tail.s must be 1 (the unit mass), got {f_tail.s}")
     if f_tail.grid[np.abs(f_tail.values) > 0].min() < a:
         raise ValueError("profile must be supported in |y| >= a")
-    engine = engine or SliceEngine(1.0, max(512, 2 * f_tail.grid.size),
-                                   psi(f_tail.r_max, 1.0))
+    engine = SliceEngine(1.0, max(512, 2 * f_tail.grid.size), psi(f_tail.r_max, 1.0))
     F = engine.sample(f_tail)
     lhs = engine.numerator(F)
     norm_sq = lp_norm(f_tail, 2.0) ** 2
@@ -722,15 +726,14 @@ def tail_bound_check(a: float, f_tail: RadialProfile,
     return lhs, bound
 
 
-def cone_limit_scan(f: RadialProfile, s_list, n_rho: int = 161, n_tau: int = 161,
-                    quad: QuadratureSpec | None = None):
+def cone_limit_scan(f: RadialProfile, s_list):
     """Distances ||f mu_s * f mu_s - f sigma_c * f sigma_c||_2 along s -> 0.
 
     The profile is a fixed radial function supported in |y| >= a > 0 and is
-    re-read as living on each mass-s surface.  Also reports the dominating
-    bound 4 pi ||f||_inf^2 (1 + 1/a) against the field maxima.
+    re-read as living on each mass-s surface; every field is sampled on one
+    161 x 161 template with ``QuadratureSpec()``.  Also reports the
+    dominating bound 4 pi ||f||_inf^2 (1 + 1/a) against the field maxima.
     """
-    quad = quad or QuadratureSpec()
     s_list = [check_real("every s in s_list", s, at_least=0.0) for s in s_list]
     if not s_list:
         raise ValueError("s_list must hold at least one mass parameter")
@@ -742,14 +745,14 @@ def cone_limit_scan(f: RadialProfile, s_list, n_rho: int = 161, n_tau: int = 161
     b = f.r_max
     s_pad = max(s_list)
     grid = Conv2DField.template(2.0 * b + 2.0 * s_pad + 0.1, 0.0,
-                                2.0 * b * 1.02, n_rho, n_tau)
+                                2.0 * b * 1.02, 161, 161)
     cone_profile = RadialProfile(0.0, f.grid, f.values)
-    h0 = hyperbolic_conv(cone_profile, cone_profile, grid, quad)
+    h0 = hyperbolic_conv(cone_profile, cone_profile, grid, QuadratureSpec())
     sup_bound = 4.0 * np.pi * float(np.max(np.abs(f.values))) ** 2 * (1.0 + 1.0 / a)
     rows = []
     for s in s_list:
         fs = RadialProfile(s, f.grid, f.values)
-        hs = hyperbolic_conv(fs, fs, grid, quad)
+        hs = hyperbolic_conv(fs, fs, grid, QuadratureSpec())
         diff = grid.like(hs.values - h0.values)
         d = l2_field_norm(diff, warn_boundary=False)[0]
         rows.append({"s": float(s), "distance": float(d),

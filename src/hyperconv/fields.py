@@ -30,14 +30,15 @@ class Conv2DField:
         self.rho_grid = np.asarray(self.rho_grid, dtype=float)
         self.tau_grid = np.asarray(self.tau_grid, dtype=float)
         self.values = np.asarray(self.values)
-        if self.rho_grid.ndim != 1 or self.tau_grid.ndim != 1:
-            raise ValueError("grids must be 1-D")
-        if not (np.all(np.isfinite(self.rho_grid)) and np.all(np.isfinite(self.tau_grid))):
-            raise ValueError("grids must be finite")
+        for name, grid in (("rho_grid", self.rho_grid), ("tau_grid", self.tau_grid)):
+            if grid.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
+            if not np.all(np.isfinite(grid)):
+                raise ValueError("grids must be finite")
+            if not np.all(np.diff(grid) > 0):
+                raise ValueError(f"{name} must be increasing, got a step of {np.diff(grid).min()}")
         if np.any(self.rho_grid < 0):
             raise ValueError("rho grid must be nonnegative")
-        if not (np.all(np.diff(self.rho_grid) > 0) and np.all(np.diff(self.tau_grid) > 0)):
-            raise ValueError("grids must be strictly increasing")
         if self.values.shape != (self.rho_grid.size, self.tau_grid.size):
             raise ValueError("values must have shape (n_rho, n_tau)")
 
@@ -77,14 +78,14 @@ class Conv2DField:
     def like(self, values: np.ndarray) -> "Conv2DField":
         return Conv2DField(self.rho_grid, self.tau_grid, values, dict(self.meta))
 
-    def touches_boundary(self, rel: float = 1e-9) -> bool:
-        """True when the sampled support reaches the outermost grid lines."""
+    def touches_boundary(self) -> bool:
+        """True when a value on the outer grid lines (not rho = 0) exceeds 1e-9 of the peak."""
         v = np.abs(self.values)
         peak = v.max() if v.size else 0.0
         if peak == 0.0:
             return False
         edge = max(v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
-        return edge > rel * peak
+        return edge > 1e-9 * peak
 
     def to_csv(self, path) -> None:
         if np.iscomplexobj(self.values):

@@ -16,6 +16,7 @@ from .geometry import check_count, check_mass, check_real, phi, psi
 from .quadrature import QuadratureSpec, gauss_legendre_nodes
 
 CAP_SAMPLES = 64  # radii and angles sampled per cap certificate
+SURFACE_NODES = (64, 24, 48)  # surface_integral's first (u, polar, azimuth) resolution
 CALIBRATED_C = 3.0  # empirical constant of the bounded-ball certificate
 
 
@@ -87,29 +88,28 @@ def boost_matrix(bp: BoostParam, scaled: bool = False) -> np.ndarray:
     return L
 
 
-def boost(bp: BoostParam, p, scaled: bool = False):
-    """Apply the (optionally scaled) boost to one or many 4-vectors."""
-    L = boost_matrix(bp, scaled)
+def boost(bp: BoostParam, p):
+    """Apply the unscaled boost ``boost_matrix(bp)`` to one or many 4-vectors."""
+    L = boost_matrix(bp)
     p = np.asarray(p, dtype=float)
     return p @ L.T
 
 
 @dataclass(frozen=True)
 class CapSpec:
-    """Radial band [a, b] times a spherical cap of half-angle eps about axis."""
+    """Radial band [a, b] times a spherical cap of half-angle eps about e1."""
 
     s: float
     a: float
     b: float
     eps: float
-    axis: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         check_mass(self.s)
         if not (self.s <= self.a < self.b):
             raise ValueError("need s <= a < b")
         if not (0.0 <= self.eps <= np.pi):
-            raise ValueError("half-angle must lie in [0, pi]")
+            raise ValueError(f"eps must be in [0, pi], got {self.eps}")
 
     @property
     def spherical_area(self) -> float:
@@ -189,7 +189,7 @@ def normalize_cap(c: CapSpec) -> tuple:
                         and radii.max() <= 33.0 / 16.0 + 1e-12),
     }
     report["pass"] = report["measure_ok"] and report["band_ok"]
-    return BoostParam(t, c.axis), report
+    return BoostParam(t), report
 
 
 def dyadic_cap_asymptotics(s: float, k: int, eps: float):
@@ -309,7 +309,7 @@ def surface_integral(f, s: float = 1.0, transform: np.ndarray | None = None,
         return total
 
     prev = None
-    n_u, n_polar, n_azim = 64, 24, 48
+    n_u, n_polar, n_azim = SURFACE_NODES
     for _ in range(5):
         val = evaluate(n_u, n_polar, n_azim)
         if prev is not None and abs(val - prev) <= spec.rel_tol * abs(val):

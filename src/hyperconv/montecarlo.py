@@ -62,7 +62,7 @@ def mc_pairing_oracle(f: RadialProfile, g: RadialProfile, testfn: BumpSpec,
     """
     n_samples = check_count("n_samples", n_samples, 1)
     if f.s != g.s:
-        raise ValueError("profiles must share the mass parameter")
+        raise ValueError(f"g.s must be f.s = {f.s}, got {g.s}")
     quad = quad or QuadratureSpec()
     rng = np.random.default_rng(quad.seed if quad.seed is not None else DEFAULT_SEED)
     (u0, u1), (v0, v1) = f.u_support(), g.u_support()

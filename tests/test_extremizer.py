@@ -517,6 +517,30 @@ def test_bilinear_scan_slope_and_symmetry():
     assert np.isfinite(report["diag_max"])
 
 
+def test_indicator_scan_warns_when_its_one_refinement_is_not_enough(caplog):
+    # at 8 nodes per shell the delta and delta/2 tables differ by 4.9e-2 and
+    # the delta/2 and delta/4 tables still by 2.3e-2
+    with caplog.at_level(logging.WARNING, logger="hyperconv"):
+        table, report = bilinear_dyadic_scan(1.0, k_max=4, profile_kind="indicator",
+                                             nodes_per_shell=8)
+    assert report["refined"]
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "0.023" in caplog.text and "nodes_per_shell = 8" in caplog.text
+    # the reported table is the delta/4 one, pair by pair
+    delta = psi(2.0, 1.0) / 8 / 4.0
+    shells = [dyadic_shell_values(1.0, k, delta, "indicator") for k in range(5)]
+    direct = np.array([[np.sqrt(shell_pair_norm_sq(1.0, delta, *shells[k], *shells[kp]))
+                        for kp in range(5)] for k in range(5)])
+    np.testing.assert_array_equal(table, direct)
+
+
+def test_bump_scan_settles_without_a_refinement_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="hyperconv"):
+        _, report = bilinear_dyadic_scan(1.0, k_max=4, nodes_per_shell=32)
+    assert not report["refined"]
+    assert not caplog.records
+
+
 def test_dyadic_refinement_single_and_multi_shell():
     s = 1.0
     single = shell_indicator(2.0, 4.0, s, n=200, smooth=True)

@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
+from hyperconv import lorentz
 from hyperconv.lorentz import (BoostParam, CapSpec, GaussianTest,
                                PreconditionError, boost, boost_matrix,
                                bounded_ball_certificate, cap_measure,
                                dyadic_cap_asymptotics, dyadic_log_term,
                                lorentz_invariance_check, minkowski_form,
-                               normalize_cap, rotation_to_axis)
-from hyperconv.quadrature import QuadratureSpec
+                               normalize_cap, rotation_to_axis, surface_integral)
+from hyperconv.geometry import phi
+from hyperconv.quadrature import QuadratureSpec, gauss_legendre_nodes
 
 
 def test_minkowski_basics():
@@ -193,3 +195,29 @@ def test_invariance_under_rotation_tighter():
     R[:3, :3] = rotation_to_axis([0.0, 1.0, 0.0])
     lhs, rhs, rel = lorentz_invariance_check(f, R, QuadratureSpec(rel_tol=1e-9))
     assert rel <= 1e-10
+
+
+def test_unconverged_surface_integral_returns_its_last_value_and_an_infinite_error(monkeypatch):
+    # a small first resolution keeps all five small (the default one needs
+    # 0.6 GB at the fifth); an integrand that grows with each evaluation
+    # never settles
+    monkeypatch.setattr(lorentz, "SURFACE_NODES", (4, 2, 4))
+    calls = []
+
+    def drifting(x, t):
+        calls.append(1)
+        return np.full(t.shape, float(len(calls)))
+
+    value, error = surface_integral(drifting)
+    assert error == np.inf
+    assert len(calls) == 10  # five resolutions, two sheets each
+    # the value is the fifth resolution's, with 19 u nodes: sheets worth 9 and 10
+    u, wu = gauss_legendre_nodes(0.0, 12.0, 19)
+    np.testing.assert_allclose(value, (9 + 10) * 4.0 * np.pi * np.sum(wu * phi(u, 1.0)),
+                               rtol=1e-12)
+
+
+def test_invariance_check_raises_when_a_surface_integral_does_not_converge(monkeypatch):
+    monkeypatch.setattr(lorentz, "surface_integral", lambda *args, **kwargs: (1.0, np.inf))
+    with pytest.raises(RuntimeError, match="did not converge at the resolution cap"):
+        lorentz_invariance_check(GaussianTest(), BoostParam(0.3))

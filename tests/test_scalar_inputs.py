@@ -1,20 +1,38 @@
-"""Bad scalar inputs fail at the boundary with a ValueError that names the parameter."""
+"""Bad scalar inputs fail at the boundary with a ValueError that names the parameter.
+
+Inputs at the edge of a routine's domain (tau = 0, rho = 0, s = 0, an empty
+interval) return the routine's exact edge value.
+"""
+import os
+
 import numpy as np
 import pytest
 
 from hyperconv import montecarlo
 from hyperconv.closedforms import (ConvPoint, exp_weighted_conv, mu_cone_conv_sup,
-                                   mu_self_conv_sup, mu_self_conv_sup_exact)
+                                   mu_self_conv, mu_self_conv_casewise, mu_self_conv_sup,
+                                   mu_self_conv_sup_exact, support_predicate)
 from hyperconv.comparison import I_of_a, II_of_a, ratio_scan
-from hyperconv.extremizer import dyadic_shell_values, shell_pair_norm_sq, tail_bound_check
-from hyperconv.lorentz import bounded_ball_certificate, dyadic_log_term
+from hyperconv.convolution import cross_conv, hyperbolic_conv, self_window, sphere_pair_kernel
+from hyperconv.engine import SliceEngine
+from hyperconv.extremizer import (SheetPair, cone_limit_scan, dyadic_pieces,
+                                  dyadic_shell_values, shell_pair_norm_sq, tail_bound_check)
+from hyperconv.fields import Conv2DField
+from hyperconv.lorentz import (BoostParam, CapSpec, bounded_ball_certificate, cap_measure,
+                               dyadic_log_term, rotation_to_axis)
 from hyperconv.montecarlo import BumpSpec, mc_pairing_oracle
+from hyperconv.norms import field_inner_product
 from hyperconv.profiles import RadialProfile, shell_indicator
-from hyperconv.quadrature import split_exp_tail
+from hyperconv.quadrature import QuadratureSpec, QuadResult, simpson_adaptive, split_exp_tail
 
 nan, inf = np.nan, np.inf
 F = np.ones(10)
 F_NAN, F_INF = np.where(np.arange(10) == 3, nan, F), np.where(np.arange(10) == 3, inf, F)
+SHELL = shell_indicator(1.0, 2.0, 1.0, n=20)
+SHELL_HALF = RadialProfile(0.5, SHELL.grid, SHELL.values)
+AXIS_PROFILE = RadialProfile(0.0, np.linspace(0.0, 1.0, 5), np.ones(5))  # nonzero at r = 0
+FIELD = Conv2DField.template(1.0, -1.0, 1.0, 3, 4)
+BUMP = BumpSpec(rho0=1.0, tau0=1.5, w_rho=0.5, w_tau=0.5)
 
 
 CASES = {
@@ -55,6 +73,84 @@ CASES = {
     "bounded_ball_certificate(k=2.5)": (lambda: bounded_ball_certificate(1.0, 2.5, 0.3), "k"),
     "dyadic_log_term(-1)": (lambda: dyadic_log_term(-1), "k"),
     "dyadic_log_term(2.5)": (lambda: dyadic_log_term(2.5), "k"),
+    "sphere_pair_kernel(R=0)": (lambda: sphere_pair_kernel(0.0, 1.0, 1.0), "R"),
+    "sphere_pair_kernel(R2=-1)": (lambda: sphere_pair_kernel(1.0, -1.0, 1.0), "R2"),
+    "hyperbolic_conv(g.s)": (lambda: hyperbolic_conv(SHELL, SHELL_HALF, FIELD, QuadratureSpec()),
+                             "g.s"),
+    "cross_conv(f_minus.s)": (lambda: cross_conv(SHELL, SHELL_HALF, FIELD, QuadratureSpec()),
+                              "f_minus.s"),
+    "mc_pairing_oracle(g.s)": (lambda: mc_pairing_oracle(SHELL, SHELL_HALF, BUMP), "g.s"),
+    "dyadic_shell_values(delta too coarse)": (lambda: dyadic_shell_values(1.0, 0, 0.5), "delta"),
+    "tail_bound_check(f_tail.s=0.5)": (lambda: tail_bound_check(2.0, SHELL_HALF), "f_tail.s"),
+    "Conv2DField(rho_grid 2-D)": (lambda: Conv2DField(np.ones((2, 2)), [0.0, 1.0], np.ones((4, 2))),
+                                  "rho_grid"),
+    "Conv2DField(tau_grid not increasing)": (
+        lambda: Conv2DField([0.0, 1.0], [0.0, 1.0, 1.0], np.ones((2, 3))), "tau_grid"),
+    "rotation_to_axis(0)": (lambda: rotation_to_axis([0.0, 0.0, 0.0]), "axis"),
+    "CapSpec(eps=4)": (lambda: CapSpec(1.0, 1.0, 2.0, 4.0), "eps"),
+    "RadialProfile(one node)": (lambda: RadialProfile(1.0, [1.0], [1.0]), "grid"),
+    "RadialProfile(grid not increasing)": (lambda: RadialProfile(1.0, [2.0, 1.5], [1.0, 1.0]),
+                                           "grid"),
+}
+
+# bad inputs whose message names the condition rather than reading "<name> must be"
+# (a lorentz.PreconditionError is a ValueError)
+MESSAGES = {
+    "ConvPoint(rho=-1)": (lambda: ConvPoint(1.0, -1.0, 1.0), r"rho = \|xi\| must be nonnegative"),
+    "support_predicate(kind)": (lambda: support_predicate(ConvPoint(1.0, 1.0, 1.0), "box"),
+                                "unknown kind 'box'"),
+    "SliceEngine.q_gradient(0)": (lambda: SliceEngine(1.0, 64, 3.0).q_gradient(np.zeros(64)),
+                                  "zero L2 norm"),
+    "SheetPair(mass)": (lambda: SheetPair(SHELL, SHELL_HALF), "sheets must share the mass"),
+    "SheetPair(grid)": (lambda: SheetPair(SHELL, shell_indicator(1.0, 3.0, 1.0, n=20)),
+                        "sheets must share the radial grid"),
+    "dyadic_pieces(mass at r = 0)": (lambda: dyadic_pieces(AXIS_PROFILE), "f must vanish at r = 0"),
+    "tail_bound_check(support)": (lambda: tail_bound_check(5.0, shell_indicator(2.0, 6.0, 1.0)),
+                                  r"profile must be supported in \|y\| >= a"),
+    "cone_limit_scan(mass at r = 0)": (lambda: cone_limit_scan(AXIS_PROFILE, [0.1]),
+                                       "profile must vanish near the origin"),
+    "cone_limit_scan(s beyond support)": (lambda: cone_limit_scan(SHELL_HALF, [1.5]),
+                                          "every s in s_list must stay below the support"),
+    "Conv2DField(rho < 0)": (lambda: Conv2DField([-1.0, 1.0], [0.0, 1.0], np.ones((2, 2))),
+                             "rho grid must be nonnegative"),
+    "Conv2DField(values shape)": (lambda: Conv2DField([0.0, 1.0], [0.0, 1.0], np.ones((2, 3))),
+                                  r"values must have shape \(n_rho, n_tau\)"),
+    "Conv2DField.to_binary(complex)": (lambda: FIELD.like(FIELD.values + 1j).to_binary(os.devnull),
+                                       "binary cache stores real-valued fields only"),
+    "Conv2DField.from_binary(empty)": (lambda: Conv2DField.from_binary(os.devnull),
+                                       "not a H3CF field cache"),
+    "BoostParam(t=1)": (lambda: BoostParam(1.0), r"boost parameter must satisfy \|t\| < 1"),
+    "CapSpec(a < s)": (lambda: CapSpec(1.0, 0.5, 2.0, 0.3), "need s <= a < b"),
+    "cap_measure(b=inf)": (lambda: cap_measure(CapSpec(1.0, 1.0, inf, 0.3)),
+                           "cap measure requires b < infinity"),
+    "bounded_ball_certificate(eps=2)": (lambda: bounded_ball_certificate(1.0, 1, 2.0),
+                                        r"eps in \[0, pi/2\]"),
+    "field_inner_product(grids)": (lambda: field_inner_product(FIELD, Conv2DField.template(
+        1.0, -1.0, 1.0, 3, 5)), "fields must share grids"),
+    "RadialProfile(grid below s)": (lambda: RadialProfile(1.0, [0.5, 2.0], [1.0, 1.0]),
+                                    r"grid radii must be >= s = 1\.0"),
+    "RadialProfile(values shape)": (lambda: RadialProfile(1.0, [1.0, 2.0], [1.0]),
+                                    "values must match grid shape"),
+    "RadialProfile(values nan)": (lambda: RadialProfile(1.0, [1.0, 2.0], [1.0, nan]),
+                                  "profile values must be finite"),
+    "shell_indicator(lo < s)": (lambda: shell_indicator(0.5, 2.0, 1.0), "need s <= lo < hi"),
+}
+
+# the exact value at the edge of each routine's domain
+EDGE_VALUES = {
+    "mu_self_conv_casewise(tau=0)": (lambda: mu_self_conv_casewise(1.0, 0.5, 0.0), 0.0),
+    "mu_self_conv_casewise(rho=0)": (lambda: mu_self_conv_casewise(0.5, 0.0, 0.3),
+                                     mu_self_conv(ConvPoint(0.5, 0.0, 0.3))),
+    "mu_cone_conv_sup(s=0)": (lambda: mu_cone_conv_sup(0.0, 1.0), 2.0 * np.pi),
+    "mu_cone_conv_sup(s=0, tau=0)": (lambda: mu_cone_conv_sup(0.0, 0.0), 0.0),
+    "mu_cone_conv_sup(tau=0)": (lambda: mu_cone_conv_sup(1.0, 0.0), 0.0),
+    "self_window(tau=0)": (lambda: self_window(1.0, 1.0, 0.0), []),
+    "simpson_adaptive(b = a)": (lambda: simpson_adaptive(np.exp, 1.0, 1.0),
+                                QuadResult(0.0, 0.0, True)),
+    # radii whose squares underflow give an empty time support
+    "mc_pairing_oracle(empty support)": (
+        lambda: mc_pairing_oracle(*[RadialProfile(0.0, [1e-200, 2e-200], [1.0, 1.0])] * 2, BUMP),
+        (0.0, 0.0)),
 }
 
 
@@ -64,6 +160,17 @@ def test_bad_scalar_is_named(call, name):
     # error that named no parameter (for dyadic shells, "grid too coarse")
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         call()
+
+
+@pytest.mark.parametrize("call, match", MESSAGES.values(), ids=MESSAGES.keys())
+def test_bad_input_names_the_condition(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, expected", EDGE_VALUES.values(), ids=EDGE_VALUES.keys())
+def test_domain_edge_returns_its_exact_value(call, expected):
+    assert call() == expected
 
 
 @pytest.mark.parametrize("name", ["n_samples"])
