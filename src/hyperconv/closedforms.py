@@ -82,13 +82,13 @@ def branch_curves(s: float, tau):
     The edges are clamped to lo <= mid <= hi: rounding can put the middle
     edge an ulp beyond the support edge (tau^2 / (4 s) below an ulp of 2 s)
     and, at s = 0 where all three meet at tau, the inner edge an ulp beyond
-    the others.  ``tau`` may be an array (a column of rows); the edges then
-    come as arrays.
+    the others; 2 hypot(tau/2, s) keeps the middle edge within half an ulp.
+    ``tau`` may be an array (a column of rows); the edges then come as arrays.
     """
     tau = np.asarray(tau, dtype=float)
     root = np.sqrt(tau * tau + s * s)
     hi_edge = root + s
-    mid_edge = np.minimum(np.sqrt(tau * tau + 4.0 * s * s), hi_edge)
+    mid_edge = np.minimum(2.0 * np.hypot(0.5 * tau, s), hi_edge)
     lo_edge = np.divide(tau * tau, hi_edge, out=np.zeros_like(root), where=root > 0.0)
     return np.minimum(lo_edge, mid_edge), mid_edge, hi_edge
 

@@ -32,7 +32,7 @@ from .fields import Conv2DField
 from .geometry import check_count, check_mass, check_r_max, check_real, phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
 from .profiles import RadialProfile, smooth_bump
-from .quadrature import DEFAULT_SEED, QuadratureSpec
+from .quadrature import DEFAULT_SEED, QuadratureSpec, richardson
 
 log = logging.getLogger("hyperconv")
 
@@ -54,16 +54,16 @@ DOUBLE_CONE_Q = 3.0 * np.pi  # (3/2) * cone value, the double-cone benchmark
 def q_ratio(f: RadialProfile, n: int | None = None):
     """(Q(f), report) on an engine grid matched to the profile.
 
-    The report carries the tail mass fraction near the truncation radius and
-    a Richardson error estimate from a half-resolution evaluation.  That
-    estimate covers only the engine's own resolution error: it says nothing
-    of the gap to the field route (``full_q_ratio``), which is larger on
-    sharp-edged profiles (1.3 % for ``shell_indicator(1, 2, 1, n=200)``,
-    against an estimate of 0.05 %).  ``n`` (at least 16, default
-    max(256, 2 * profile nodes)) is the engine grid size.
+    The report carries the tail mass fraction near the truncation radius and an
+    error estimate, the Richardson correction (``quadrature.richardson``) from
+    a half-resolution evaluation.  That estimate covers only the engine's own
+    resolution error: it says nothing of the gap to the field route
+    (``full_q_ratio``), which is larger on sharp-edged profiles (1.3 % for
+    ``shell_indicator(1, 2, 1, n=200)``, against an estimate of 0.05 %).  ``n``
+    (at least 16, default max(256, 2 * profile nodes)) is the engine grid size.
     """
     if not np.any(np.abs(f.values) > 0):
-        raise ValueError("zero profile")
+        raise ValueError("f must not be a zero profile")
     n = max(256, 2 * f.grid.size) if n is None else check_count("n", n, 16)
     u_max = psi(f.r_max, f.s)
     eng = SliceEngine(f.s, n, u_max)
@@ -71,11 +71,12 @@ def q_ratio(f: RadialProfile, n: int | None = None):
     q = eng.q_ratio(F)
     eng_half = SliceEngine(f.s, n // 2, u_max)
     q_half = eng_half.q_ratio(eng_half.sample(f))
+    *_, corrections, _ = richardson((q_half, q), (eng_half.delta, eng.delta))
     den = eng.norm_sq(F)
     tail_mass = float(np.sum((eng.den_weights * F * F)[eng.u > 0.9 * u_max]) / den)
     report = {
         "grid_n": n,
-        "error_estimate": abs(q - q_half) / 3.0,
+        "error_estimate": abs(corrections[0]),
         "tail_mass_fraction": tail_mass,
         "sharp_constant_lower_bound": TWO_PI * q ** 0.25,
     }
@@ -219,13 +220,13 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
     entry is Q at that profile normalized, which can differ from the scan's
     value (``trial_family_scan``) by a few ulps.
 
-    ``q_refined`` = (4 q2 - q_star) / 3 extrapolates from the optimum resampled
-    on a doubled grid; Q's O(delta^2) bias is positive, so it lies below q_star.
-    The search's engine holds its table (``SliceEngine``) and is released
-    before the doubled-grid engine is built; that engine evaluates once, so
-    it streams its table block by block and never holds it.  The cone s = 0
-    is refused: there the engine's first rows overweight the tip node, and
-    the ascent runs to a spike at node 0.
+    ``q_refined`` is the Richardson limit (``quadrature.richardson``) of q_star
+    and Q at the optimum resampled on a doubled grid; Q's O(delta^2) bias is
+    positive, so it lies below q_star.  The search's engine holds its table
+    (``SliceEngine``) and is released before the doubled-grid engine is built;
+    that engine evaluates once, so it streams its table block by block and
+    never holds it.  The cone s = 0 is refused: there the engine's first rows
+    overweight the tip node, and the ascent runs to a spike at node 0.
     """
     s = _check_positive_mass(s, "radial search")
     r_max = check_r_max(r_max, s)
@@ -267,15 +268,14 @@ def maximize_radial(s: float, grid_size: int = 400, r_max: float = 40.0,
             best = (F, q, trace)
     F_star, q_star, trace = best
 
-    # refined certificate value: resample the optimum on a doubled grid, with
-    # the coarse table released first; the one-shot q_ratio holds no table
     prof = RadialProfile(s, engine.radius_grid, F_star)
+    delta = engine.delta
     del engine
     eng2 = SliceEngine(s, 2 * grid_size, psi(r_max, s))
     q2 = eng2.q_ratio(eng2.sample(prof))
-    q_refined = (4.0 * q2 - q_star) / 3.0
+    *_, limits = richardson((q_star, q2), (delta, eng2.delta))
     return AscentResult(profile=prof, q_star=float(q_star),
-                        q_refined=float(q_refined), trial_best_a=a_star,
+                        q_refined=float(limits[0]), trial_best_a=a_star,
                         trial_best_q=q_trial, trace=trace,
                         restarts=restart_rows, stagnated=stagnated_any)
 
@@ -287,21 +287,18 @@ STUDY_ITERS = 2000      # a cap only: study ascents meet STUDY_REL_STOP in 9-17 
 def extremal_study(s: float, r_max: float, n_list) -> dict:
     """q*(delta) on refined grids, extrapolated to delta -> 0 with an error bar.
 
-    The ascent at the first n starts from the best exponential trial
-    profile; each later one is warm-started from the coarser optimum,
-    interpolated in u (every grid spans [0, psi(r_max)]).  Each ascent
-    (``_ascend``, the safeguarded power map) runs to ``STUDY_REL_STOP``; a
-    warm start needs about 10 gradients.  With d_k = q_k - q_{k-1} and
-    grid ratio h_k = delta_{k-1} / delta_k, the report holds q*(n), the
-    differences d_k, their ratios d_{k-1} / d_k, the observed orders
-    log(d_{k-1} / d_k) / log(h_k) (exact for a constant ratio; NaN where
-    the differences change sign), the order-2 Richardson limits
-    q_k + d_k / (h_k^2 - 1) with ``q_inf`` the last, and ``margin`` =
-    q_inf - 2*pi.  ``error_bar`` adds the spread of the last two limits
-    and the truncation shift: q* at about 2*r_max on the first grid's nodes
-    and spacing, minus q*(n_list[0]).  ``rows`` (and ``truncation``) hold
-    each ascent's iterations, Q evaluations, stop reason and wall time.
-    The cone s = 0 is refused, as in ``maximize_radial``.
+    The ascent at the first n starts from the best exponential trial profile;
+    each later one is warm-started from the coarser optimum, interpolated in u
+    (every grid spans [0, psi(r_max)]).  Each ascent (``_ascend``, the
+    safeguarded power map) runs to ``STUDY_REL_STOP``; a warm start needs about
+    10 gradients.  The report holds q*(n) and its order-2 Richardson ladder in
+    the grid spacings (``quadrature.richardson``): the differences, their
+    ratios, the observed orders and the limits, with ``q_inf`` the last, and
+    ``margin`` = q_inf - 2*pi.  ``error_bar`` adds the spread of the last two
+    limits and the truncation shift: q* at about 2*r_max on the first grid's
+    nodes and spacing, minus q*(n_list[0]).  ``rows`` (and ``truncation``) hold
+    each ascent's iterations, Q evaluations, stop reason and wall time.  The
+    cone s = 0 is refused, as in ``maximize_radial``.
     """
     s = _check_positive_mass(s, "radial search")
     r_max = check_r_max(r_max, s)
@@ -334,18 +331,14 @@ def extremal_study(s: float, r_max: float, n_list) -> dict:
     u_wide = (n_wide - 1) * rows[0]["delta"]
     _, wide = solve(n_wide, u_wide, optima[0])
 
-    q = np.array([row["q_star"] for row in rows])
-    h = np.array([a["delta"] / b["delta"] for a, b in zip(rows, rows[1:])])
-    d = np.diff(q)
-    ratios = d[:-1] / d[1:]
-    limits = q[1:] + d / (h ** 2 - 1.0)
+    q = [row["q_star"] for row in rows]
+    d, ratios, orders, _, limits = richardson(q, [row["delta"] for row in rows])
     spread = abs(limits[-1] - limits[-2])
     truncation = wide["q_star"] - q[0]
     return {
-        "q_star": q.tolist(),
+        "q_star": q,
         "differences": d.tolist(), "difference_ratios": ratios.tolist(),
-        "observed_orders": (np.log(np.where(ratios > 0.0, ratios, np.nan))
-                            / np.log(h[1:])).tolist(),
+        "observed_orders": orders.tolist(),
         "richardson": limits.tolist(), "q_inf": float(limits[-1]),
         "margin": float(limits[-1] - CONE_Q),
         "error_bar": float(spread + abs(truncation)),
@@ -511,7 +504,7 @@ def even_pair_certificate(result: AscentResult, engine_n: int = 800):
     Q(f) > 2*pi.
     """
     f = result.profile
-    eng = SliceEngine(f.s, engine_n, psi(f.r_max, f.s))
+    eng = SliceEngine(f.s, check_count("engine_n", engine_n, 8), psi(f.r_max, f.s))
     q = eng.q_ratio(eng.sample(f))
     qbar_floor = 1.5 * q
     return {
@@ -691,7 +684,7 @@ def dyadic_refinement_check(f: RadialProfile, engine: SliceEngine | None = None)
     apart than its decay length.
     """
     if not np.any(f.values):
-        raise ValueError("zero profile")
+        raise ValueError("f must not be a zero profile")
     engine = engine or SliceEngine(f.s, max(512, 2 * f.grid.size), psi(f.r_max, f.s))
     F = engine.sample(f)
     lhs = TWO_PI * engine.numerator(F) ** 0.25

@@ -9,7 +9,7 @@ from .convolution import _profile_integral
 from .fields import Conv2DField
 from .geometry import check_real
 from .profiles import RadialProfile
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, richardson
 
 
 def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> float:
@@ -30,8 +30,8 @@ class TruncationWarning(UserWarning):
 def l2_field_norm(h: Conv2DField, warn_boundary: bool = True):
     """Weighted L2 norm of a sampled field with a grid-refinement error estimate.
 
-    Returns (norm, error_estimate); the estimate compares the trapezoid value
-    with the one on every-other-node subgrids (Richardson-style).  Warns when
+    Returns (norm, error_estimate); the estimate is the Richardson correction
+    (``quadrature.richardson``) from every-other-node subgrids.  Warns when
     the support touches the grid boundary (truncation bias).
     """
     if warn_boundary and h.touches_boundary():
@@ -44,7 +44,8 @@ def l2_field_norm(h: Conv2DField, warn_boundary: bool = True):
 
     full = sq_integral(h.rho_grid, h.tau_grid, h.values)
     coarse = sq_integral(h.rho_grid[::2], h.tau_grid[::2], h.values[::2, ::2])
-    err_sq = abs(full - coarse) / 3.0
+    *_, corrections, _ = richardson((coarse, full), (2.0, 1.0))
+    err_sq = abs(corrections[0])
     norm = np.sqrt(max(full, 0.0))
     err = 0.5 * err_sq / norm if norm > 0 else np.sqrt(err_sq)
     return norm, err

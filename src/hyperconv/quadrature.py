@@ -6,7 +6,7 @@ submodule.  Route B ("simpson") is an in-house composite Simpson rule with
 panel doubling up to a depth cap; it is deliberately independent of scipy so
 that closed forms can be checked against two dissimilar integrators.
 ``integrate_pieces`` runs either route over consecutive pieces and is the
-package's one piece loop.
+package's one piece loop; ``richardson`` is its one grid-refinement rule.
 ``QuadratureSpec`` rejects any other rule name.
 Integrands must accept numpy arrays.  These routes serve the oracles
 (``comparison``, ``montecarlo``, the tests); the profile integrals and the
@@ -52,6 +52,22 @@ class QuadResult:
     value: float
     error: float
     converged: bool
+
+
+def richardson(values, spacings):
+    """Order-2 Richardson ladder of ``values`` on grid ``spacings``, coarse to fine.
+
+    With d_k = values[k] - values[k-1] and h_k = spacings[k-1] / spacings[k],
+    returns arrays (d_k, d_{k-1} / d_k, observed orders log(d_{k-1} / d_k) /
+    log(h_k), NaN where d changes sign, corrections d_k / (h_k^2 - 1), limits
+    values[k] + d_k / (h_k^2 - 1)), the limits exact for errors c spacing^2.
+    """
+    d = np.diff(values)
+    h = np.divide(spacings[:-1], spacings[1:])
+    ratios = d[:-1] / d[1:]
+    orders = np.log(np.where(ratios > 0.0, ratios, np.nan)) / np.log(h[1:])
+    corrections = d / (h ** 2 - 1.0)
+    return d, ratios, orders, corrections, np.add(values[1:], corrections)
 
 
 def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,

@@ -2,7 +2,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperconv import convolution
@@ -190,6 +190,8 @@ def _window_length(s, rho, tau):
 
 @settings(max_examples=300, deadline=None)
 @given(s=st.floats(0.0, 10.0), log_tau=st.floats(-9.0, 3.0), theta=st.floats(1e-12, 1.0))
+@example(s=5.799943092246908, log_tau=-6.161532051440594, theta=0.5)
+@example(s=3.08779924722896, log_tau=0.0, theta=1e-12)
 def test_window_length_is_continuous_across_the_branch_curves(s, log_tau, theta):
     # the length L(rho) rises to tau on the inner branch, is tau on the
     # middle one and falls to 0 on the outer one; each probe is bounded by

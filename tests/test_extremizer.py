@@ -34,6 +34,17 @@ def test_q_ratio_trial_profile_exceeds_cone():
     assert 0 <= report["tail_mass_fraction"] < 0.05
 
 
+def test_q_ratio_error_estimate_uses_the_grid_ratio():
+    # the default engine has 400 nodes and its half 200, so h = 399/199
+    f = shell_indicator(1.0, 2.0, 1.0, n=200)
+    q, report = q_ratio(f)
+    half = SliceEngine(f.s, 200, psi(f.r_max, f.s))
+    q_half = half.q_ratio(half.sample(f))
+    h = 399.0 / 199.0
+    np.testing.assert_allclose(report["error_estimate"], abs(q - q_half) / (h * h - 1.0),
+                               rtol=1e-12)
+
+
 def test_q_ratio_rejects_zero():
     grid = np.linspace(1.0, 2.0, 10)
     with pytest.raises(ValueError):
@@ -668,6 +679,13 @@ def test_ascent_reports_why_it_stopped(caplog, iters, rel_stop, stop):
 def test_ascent_reaches_the_search_target():
     res = maximize_radial(1.0, 400, 40.0, restarts=1, iters=300)
     assert res.q_star >= 6.44656
+
+
+def test_refined_value_extrapolates_at_the_grids_own_ratio():
+    # 400 and 800 nodes on one span: delta ratio 799/399, not 2 (which read
+    # 6.4442789); the 200/400/800 study's q_inf is 6.4442987
+    res = maximize_radial(1.0, 400, 40.0, restarts=1, iters=300)
+    assert abs(res.q_refined - 6.4442808) <= 1e-7
 
 
 def test_ascent_returns_a_normalized_nonnegative_profile():

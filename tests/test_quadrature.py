@@ -13,7 +13,7 @@ from hyperconv.norms import lp_norm
 from hyperconv.profiles import RadialProfile
 from hyperconv.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre_nodes,
                                   integrate, integrate_exp_decay, integrate_pieces,
-                                  simpson_adaptive, split_exp_tail)
+                                  richardson, simpson_adaptive, split_exp_tail)
 
 
 def test_simpson_polynomial_exact():
@@ -54,6 +54,22 @@ def test_gk_budget_covers_every_breakpoint_piece(seed):
     res = integrate(lambda u: np.abs(f(phi(u, 1.0))) ** p * phi(u, 1.0), 0.0, pts[-1], spec,
                     points=pts)
     np.testing.assert_allclose(4.0 * np.pi * res.value, lp_norm(f, p, spec) ** p, rtol=1e-12)
+
+
+def test_richardson_removes_a_quadratic_error_at_any_grid_ratio():
+    # q = c0 + c2 delta^2 on spacings shrinking by 2.5: every limit is c0 and
+    # every observed order 2, which a rule assuming a ratio of 2 would miss
+    c0, c2 = 6.4443, 0.37
+    delta = 0.1 / 2.5 ** np.arange(4)
+    d, ratios, orders, corrections, limits = richardson(c0 + c2 * delta ** 2, delta)
+    np.testing.assert_allclose(d, np.diff(c2 * delta ** 2), rtol=1e-12)
+    np.testing.assert_allclose(ratios, 2.5 ** 2, rtol=1e-9)
+    np.testing.assert_allclose(orders, 2.0, rtol=1e-9)
+    np.testing.assert_allclose(corrections, -c2 * delta[1:] ** 2, rtol=1e-9)
+    np.testing.assert_allclose(limits, c0, rtol=1e-14)
+    # two levels give one limit and no order; a sign change gives a NaN order
+    assert [a.size for a in richardson([1.0, 0.5], [2.0, 1.0])] == [1, 0, 0, 1, 1]
+    assert np.isnan(richardson([1.0, 0.5, 0.6], [4.0, 2.0, 1.0])[2]).all()
 
 
 def test_split_edges_sorted_positive():

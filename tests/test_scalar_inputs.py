@@ -15,8 +15,10 @@ from hyperconv.closedforms import (ConvPoint, exp_weighted_conv, mu_cone_conv_su
 from hyperconv.comparison import I_of_a, II_of_a, ratio_scan
 from hyperconv.convolution import cross_conv, hyperbolic_conv, self_window, sphere_pair_kernel
 from hyperconv.engine import SliceEngine
-from hyperconv.extremizer import (SheetPair, cone_limit_scan, dyadic_pieces,
-                                  dyadic_shell_values, shell_pair_norm_sq, tail_bound_check)
+from hyperconv.extremizer import (AscentResult, SheetPair, cone_limit_scan, dyadic_pieces,
+                                  dyadic_refinement_check, dyadic_shell_values,
+                                  even_pair_certificate, q_ratio, shell_pair_norm_sq,
+                                  tail_bound_check)
 from hyperconv.fields import Conv2DField
 from hyperconv.lorentz import (BoostParam, CapSpec, bounded_ball_certificate, cap_measure,
                                dyadic_log_term, rotation_to_axis)
@@ -33,6 +35,9 @@ SHELL_HALF = RadialProfile(0.5, SHELL.grid, SHELL.values)
 AXIS_PROFILE = RadialProfile(0.0, np.linspace(0.0, 1.0, 5), np.ones(5))  # nonzero at r = 0
 FIELD = Conv2DField.template(1.0, -1.0, 1.0, 3, 4)
 BUMP = BumpSpec(rho0=1.0, tau0=1.5, w_rho=0.5, w_tau=0.5)
+ZERO = RadialProfile(1.0, SHELL.grid, np.zeros(SHELL.grid.size))
+SHELL_RESULT = AscentResult(profile=SHELL, q_star=1.0, q_refined=1.0, trial_best_a=1.0,
+                            trial_best_q=1.0, trace=[], restarts=[], stagnated=False)
 
 
 CASES = {
@@ -91,6 +96,8 @@ CASES = {
     "RadialProfile(one node)": (lambda: RadialProfile(1.0, [1.0], [1.0]), "grid"),
     "RadialProfile(grid not increasing)": (lambda: RadialProfile(1.0, [2.0, 1.5], [1.0, 1.0]),
                                            "grid"),
+    "even_pair_certificate(engine_n=4)": (lambda: even_pair_certificate(SHELL_RESULT, engine_n=4),
+                                          "engine_n"),
 }
 
 # bad inputs whose message names the condition rather than reading "<name> must be"
@@ -134,6 +141,9 @@ MESSAGES = {
     "RadialProfile(values nan)": (lambda: RadialProfile(1.0, [1.0, 2.0], [1.0, nan]),
                                   "profile values must be finite"),
     "shell_indicator(lo < s)": (lambda: shell_indicator(0.5, 2.0, 1.0), "need s <= lo < hi"),
+    "q_ratio(zero)": (lambda: q_ratio(ZERO), "^f must not be a zero profile"),
+    "dyadic_refinement_check(zero)": (lambda: dyadic_refinement_check(ZERO),
+                                      "^f must not be a zero profile"),
 }
 
 # the exact value at the edge of each routine's domain
