@@ -12,9 +12,11 @@ package versions and the total wall time.  ``maximize`` runs
 ``extremizer.maximize_radial``, whose ascent is the safeguarded
 Euler-Lagrange power map with Anderson mixing, and adds the seed,
 ``q_star``, ``q_refined``, the best exponential trial value and one row per
-restart with its Q evaluations (one gradient each) and the reason its
-ascent stopped: "iters" (the step budget ran out), "rel_stop" (an accepted
-step gained less than rel_stop) or "stalled".  ``scan`` runs
+restart with its Q evaluations (one gradient each) on the search grid, its
+``coarse_evaluations`` on the grid four times coarser that the search
+starts from (0 below 256 nodes, where there is none) and the reason its
+search-grid ascent stopped: "iters" (the step budget ran out), "rel_stop"
+(an accepted step gained less than rel_stop) or "stalled".  ``scan`` runs
 ``extremizer.bilinear_dyadic_scan`` and adds the shell-pair table as
 nested lists and the report (slope, intercept, constant, ``diag_max``,
 ``refined``).  ``study`` runs

@@ -688,6 +688,15 @@ def test_refined_value_extrapolates_at_the_grids_own_ratio():
     assert abs(res.q_refined - 6.4442808) <= 1e-7
 
 
+def test_search_returns_one_q_star_for_every_mass():
+    # Q is invariant under s -> lambda s with r_max -> lambda r_max, and the
+    # grids in u coincide; a cold start on the 600-node grid stops by rel_stop
+    # at s = 10 after 9 gradients, 4.3e-8 below the other masses
+    q = [maximize_radial(s, 600, 40.0 * s, restarts=1).q_star
+         for s in (0.25, 0.5, 1.0, 2.0, 4.0, 10.0)]
+    assert max(q) - min(q) <= 1e-10 * min(q)
+
+
 def test_ascent_returns_a_normalized_nonnegative_profile():
     eng = SliceEngine(1.0, 120, psi(20.0, 1.0))
     F0 = eng.trial_values(0.5) * np.cos(0.3 * eng.u)  # signed start, clipped at 0
@@ -912,6 +921,51 @@ def test_maximize_radial_holds_one_engine_at_a_time(monkeypatch):
     res = extremizer.maximize_radial(1.0, 64, r_max=20.0, restarts=2, iters=5)
     assert len(built) == 2 and alive_at_build == [[], []]
     assert res.profile.grid.size == 64
+
+
+def test_maximize_radial_holds_one_table_at_a_time_with_a_coarse_grid(monkeypatch):
+    # each time an engine builds or streams its table, no engine holds one
+    sizes, built, holders = [], [], []
+
+    class Tracked(SliceEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sizes.append(self.n)
+            built.append(weakref.ref(self))
+
+        def _table_blocks(self, scratch=None):
+            holders.append([e.n for e in (ref() for ref in built)
+                            if e is not None and e._table is not None])
+            return super()._table_blocks(scratch)
+    monkeypatch.setattr(extremizer, "SliceEngine", Tracked)
+    res = extremizer.maximize_radial(1.0, 256, r_max=20.0, restarts=2)
+    assert sizes == [256, 64, 512]
+    assert holders == [[], [], []]
+    assert res.profile.grid.size == 256
+
+
+@pytest.mark.parametrize("grid_size, coarse", [(64, False), (255, False), (256, True)])
+def test_only_a_search_grid_of_256_nodes_or_more_starts_on_a_coarse_grid(grid_size, coarse):
+    res = maximize_radial(1.0, grid_size, r_max=20.0, restarts=2)
+    assert [row["coarse_evaluations"] > 0 for row in res.restarts] == [coarse, coarse]
+
+
+def test_a_poor_coarse_optimum_falls_back_to_the_best_trial_start(monkeypatch):
+    # the coarse phase returns a spike at one node, whose Q on the 256-node
+    # grid is 0.32 against the trial family's 6.36
+    real_ascend = extremizer._ascend
+
+    def spiked(engine, F0, iters, rel_stop):
+        if engine.n < 256:
+            F = np.zeros(engine.n)
+            F[20] = 1.0
+            return F, [0.0], "iters", 1
+        return real_ascend(engine, F0, iters, rel_stop)
+    monkeypatch.setattr(extremizer, "_ascend", spiked)
+    res = maximize_radial(1.0, 256, r_max=20.0, restarts=1)
+    assert res.restarts[0]["coarse_evaluations"] == 1
+    assert res.trace[0] >= res.trial_best_q * (1.0 - 1e-12)
+    assert res.q_star >= res.trial_best_q
 
 
 def test_dyadic_scan_slope_fits_separations_one_to_six():
