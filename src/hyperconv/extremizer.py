@@ -29,7 +29,7 @@ import numpy as np
 from . import convolution
 from .convolution import cross_conv, hyperbolic_conv
 from .engine import SliceEngine, _node_values, _Scratch, blocks_numerator, row_blocks
-from .fields import Conv2DField
+from .fields import Conv2DField, check_grid
 from .geometry import check_count, check_mass, check_r_max, check_real, phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
 from .profiles import RadialProfile, smooth_bump
@@ -455,7 +455,9 @@ def _sheet_fields(pair: SheetPair, grid: Conv2DField, quad: QuadratureSpec,
     g is the pair or, if reflected, its reflection (the sheets swapped).
     Equal sheets share one self and one cross field.  The lower field is
     reflected by reversing tau, so the tau grid must be symmetric about 0.
+    A ``grid`` that is not a ``Conv2DField`` raises a TypeError that names it.
     """
+    check_grid(grid)
     tau = grid.tau_grid
     if not np.allclose(tau, -tau[::-1], rtol=0.0, atol=1e-12 * np.max(np.abs(tau))):
         raise ValueError(f"grid needs a tau grid symmetric about 0, got [{tau[0]}, {tau[-1]}]")
@@ -478,8 +480,9 @@ def pair_convolution_field(pair: SheetPair, grid: Conv2DField,
     reflected=False gives f mubar * f mubar; reflected=True gives
     f mubar * (reflection of f) mubar, the object the symmetrization
     inequality bounds pointwise.  The fields come from ``_sheet_fields``:
-    the tau grid must be symmetric about 0, or a ValueError names ``grid``,
-    and an even pair samples one self field and one cross field.
+    ``grid`` must be a ``Conv2DField``, or a TypeError names it, its tau
+    grid must be symmetric about 0, or a ValueError names ``grid``, and an
+    even pair samples one self field and one cross field.
     """
     upper, lower, cross, cross2 = _sheet_fields(pair, grid, quad, reflected)
     return grid.like(upper.values + lower.values[:, ::-1] + cross.values + cross2.values)
@@ -509,7 +512,8 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     kept terms certify the >= 6 x (upper-sheet term) inequality.  Its
     ``quad_levels`` holds each sampled field's ``meta["quad_levels"]``
     (upper_self, lower_self, cross).  ``grid`` defaults to ``pair_template``;
-    its tau grid must be symmetric about 0, or a ValueError names ``grid``.
+    any other must be a ``Conv2DField``, or a TypeError names it, and its
+    tau grid must be symmetric about 0, or a ValueError names ``grid``.
     The fields come from ``_sheet_fields``, so sheets with equal node values
     (even pairs) share one self field.  A ``norms.TruncationWarning`` says
     that the summed field reaches the grid's outer lines, so the numerator

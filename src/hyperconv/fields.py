@@ -16,7 +16,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import check_count, check_mass, check_real
+
 MAGIC = b"H3CF"
+
+
+def _template_axes(rho_max, tau_min, tau_max, n_rho, n_tau, min_rho: int):
+    """The checked equispaced rho and tau axes of a template."""
+    rho_max = check_real("rho_max", rho_max, above=0.0)
+    tau_min = check_real("tau_min", tau_min)
+    tau_max = check_real("tau_max", tau_max, above=tau_min)
+    return (np.linspace(0.0, rho_max, check_count("n_rho", n_rho, min_rho)),
+            np.linspace(tau_min, tau_max, check_count("n_tau", n_tau, 1)))
+
+
+def check_grid(grid) -> None:
+    """A TypeError that names ``grid`` unless it is a ``Conv2DField``."""
+    if not isinstance(grid, Conv2DField):
+        raise TypeError(f"grid must be a Conv2DField, got {grid!r}")
 
 
 @dataclass
@@ -45,9 +62,15 @@ class Conv2DField:
     @classmethod
     def template(cls, rho_max: float, tau_min: float, tau_max: float,
                  n_rho: int, n_tau: int) -> "Conv2DField":
-        return cls(np.linspace(0.0, rho_max, n_rho),
-                   np.linspace(tau_min, tau_max, n_tau),
-                   np.zeros((n_rho, n_tau)))
+        """Zero field on n_rho equispaced rho in [0, rho_max] and n_tau tau in [tau_min, tau_max].
+
+        A ValueError names ``rho_max`` unless it is finite and > 0,
+        ``tau_min`` or ``tau_max`` unless both are finite with
+        tau_min < tau_max, and ``n_rho`` or ``n_tau`` unless it is an
+        integer >= 1.
+        """
+        rho, tau = _template_axes(rho_max, tau_min, tau_max, n_rho, n_tau, 1)
+        return cls(rho, tau, np.zeros((rho.size, tau.size)))
 
     @classmethod
     def cusp_refined_template(cls, s: float, rho_max: float, tau_min: float,
@@ -59,9 +82,12 @@ class Conv2DField:
         stalls at O(h^{3/2}).  This grid adds, for every tau row, the cusp
         location and the 32 offsets (j/32)^2 * 6h after it (h the uniform rho
         spacing), restoring near-O(h^2) behavior of row-wise trapezoids.
+        Inputs are checked as in ``template``, except that ``n_rho`` must be
+        >= 2 to give h; a ValueError names ``mass parameter s`` unless it is
+        finite and >= 0.
         """
-        tau = np.linspace(tau_min, tau_max, n_tau)
-        rho = np.linspace(0.0, rho_max, n_rho)
+        s = check_mass(s)
+        rho, tau = _template_axes(rho_max, tau_min, tau_max, n_rho, n_tau, 2)
         h = rho[1] - rho[0]
         cusps = np.sqrt(np.maximum(tau, 0.0) ** 2 + 4.0 * s * s)
         # sqrt-spaced band after each cusp: node offsets (j/m)^2 * band widen

@@ -1,3 +1,4 @@
+import logging
 import tempfile
 
 import numpy as np
@@ -11,6 +12,7 @@ from hyperconv.convolution import (CellConvergenceError, cross_conv,
                                    cross_window, field_mass, hyperbolic_conv,
                                    profile_measure_integral, self_half_width,
                                    self_window, sphere_pair_kernel)
+from hyperconv.extremizer import SheetPair, full_q_ratio, pair_convolution_field
 from hyperconv.fields import Conv2DField
 from hyperconv.geometry import psi
 from hyperconv.profiles import RadialProfile, shell_indicator, trial_profile
@@ -705,6 +707,25 @@ def test_block_sampler_matches_per_row_reference(data, s, complex_values, rho_mi
                 assert got[1] == want[1]
 
 
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_gauss_chunks_change_no_bit(monkeypatch, complex_values):
+    # one interval per chunk against one chunk per pass; zigzag sheets near
+    # the tip of a small mass take some cells to levels 2 to 4
+    s = 0.01
+    zigzag = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    f = RadialProfile(s, np.linspace(s, s + 2.0, 6), zigzag * (1.0 + 0.5j * complex_values))
+    g = RadialProfile(s, f.grid, 1.0 - zigzag)
+    grid = _pair_grid(f, g, 21, 31, 1.1)
+    got = {}
+    for points in (1, 10 ** 9):
+        monkeypatch.setattr(convolution, "GAUSS_POINTS", points)
+        got[points] = [_sampled(conv, f, g, grid, SPEC) for conv in (hyperbolic_conv, cross_conv)]
+    for (a, levels_a), (b, levels_b) in zip(got[1], got[10 ** 9]):
+        assert levels_a == levels_b
+        assert a.tobytes() == b.tobytes()
+    assert any(levels[lev] for _, levels in got[1] for lev in (2, 3, 4))
+
+
 def _pair_grid(f, g, n_rho, n_tau, reach):
     """A template over both profiles' reach, with rows and cells outside the support."""
     s = f.s
@@ -812,6 +833,42 @@ def test_samplers_name_a_quad_that_is_not_a_spec(conv, quad):
     grid = Conv2DField.template(4.0, -3.0, 3.0, 5, 6)
     with pytest.raises(TypeError, match="quad must be a QuadratureSpec"):
         conv(f, f, grid, quad)
+
+
+_PAIR = SheetPair(*[shell_indicator(1.2, 2.0, 1.0, n=20)] * 2)
+_GRID_TAKERS = {
+    "hyperbolic_conv": lambda grid: hyperbolic_conv(_PAIR.f_plus, _PAIR.f_plus, grid, SPEC),
+    "cross_conv": lambda grid: cross_conv(_PAIR.f_plus, _PAIR.f_plus, grid, SPEC),
+    "full_q_ratio": lambda grid: full_q_ratio(_PAIR, grid, SPEC),
+    "pair_convolution_field": lambda grid: pair_convolution_field(_PAIR, grid, SPEC),
+}
+
+
+@pytest.mark.parametrize("call", _GRID_TAKERS.values(), ids=_GRID_TAKERS.keys())
+@pytest.mark.parametrize("grid", ["template", np.zeros((5, 6)), (np.ones(5), np.ones(6))])
+def test_field_routes_name_a_grid_that_is_not_a_field(call, grid):
+    # each died with AttributeError: 'str' object has no attribute 'rho_grid'
+    with pytest.raises(TypeError, match="grid must be a Conv2DField"):
+        call(grid)
+
+
+def test_each_sampled_field_logs_one_debug_record(caplog):
+    f = shell_indicator(1.2, 2.0, 1.0, n=20)
+    grid = Conv2DField.template(4.0, -3.0, 3.0, 9, 12)
+    with caplog.at_level(logging.DEBUG, logger="hyperconv"):
+        h = hyperbolic_conv(f, f, grid, SPEC)
+        cross_conv(f, f, grid, SPEC)
+    records = [r for r in caplog.records if r.name == "hyperconv"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    assert [r.getMessage().split(":")[0] for r in records] == ["hyperbolic_conv", "cross_conv"]
+    u_lo, u_hi = f.u_support()
+    tau = grid.tau_grid
+    rows = np.count_nonzero((tau > 0) & (tau >= 2 * u_lo) & (tau <= 2 * u_hi))
+    cells = sum(h.meta["quad_levels"].values())
+    assert f"{rows} tau rows, {cells} cells with a window, 1 blocks," in records[0].getMessage()
+    assert "quadrature points" in records[1].getMessage()
+    # nothing is added to the returned field
+    assert h.meta.keys() == {"quad_levels"}
 
 
 # ---- cross convolution ----

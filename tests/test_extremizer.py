@@ -408,6 +408,21 @@ def test_full_q_breakdown_reports_the_fields_quadrature_levels():
     assert full_q_ratio(pair)[0] == full_q_ratio(pair, grid=pair_template(pair))[0]
 
 
+def test_full_q_ratio_of_the_even_trial_pair_stays_within_its_memory():
+    # the default 161 x 243 template: the samplers' blocks and Gauss chunks
+    # bound their temporaries, so the fields and norms set the peak (4.43 MiB
+    # when every 6-row block held its Gauss points at once)
+    f = trial_profile(1.0, 1.0, 20.0, 400)
+    tracemalloc.start()
+    try:
+        qbar, _ = full_q_ratio(SheetPair(f, f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(qbar - 12.4897369299) < 1e-9
+    assert peak <= 4.2 * 2 ** 20
+
+
 def test_even_pair_samples_each_field_once(monkeypatch):
     # equal node values on both sheets: one self field and one cross field,
     # assembled exactly as from separately sampled fields

@@ -91,6 +91,38 @@ CASES = {
                                   "rho_grid"),
     "Conv2DField(tau_grid not increasing)": (
         lambda: Conv2DField([0.0, 1.0], [0.0, 1.0, 1.0], np.ones((2, 3))), "tau_grid"),
+    # n_rho = 2.5 failed inside numpy, cusp n_rho = 1 raised IndexError and
+    # n_tau = 0 returned an empty field
+    "Conv2DField.template(n_rho=2.5)": (lambda: Conv2DField.template(1.0, -1.0, 1.0, 2.5, 4),
+                                        "n_rho"),
+    "Conv2DField.template(n_rho=0)": (lambda: Conv2DField.template(1.0, -1.0, 1.0, 0, 4),
+                                      "n_rho"),
+    "Conv2DField.template(n_tau=0)": (lambda: Conv2DField.template(1.0, -1.0, 1.0, 3, 0),
+                                      "n_tau"),
+    "Conv2DField.template(n_tau=True)": (lambda: Conv2DField.template(1.0, -1.0, 1.0, 3, True),
+                                         "n_tau"),
+    "Conv2DField.template(rho_max=0)": (lambda: Conv2DField.template(0.0, -1.0, 1.0, 3, 4),
+                                        "rho_max"),
+    "Conv2DField.template(rho_max=inf)": (lambda: Conv2DField.template(inf, -1.0, 1.0, 3, 4),
+                                          "rho_max"),
+    "Conv2DField.template(tau_min=nan)": (lambda: Conv2DField.template(1.0, nan, 1.0, 3, 4),
+                                          "tau_min"),
+    "Conv2DField.template(tau_max=inf)": (lambda: Conv2DField.template(1.0, -1.0, inf, 3, 4),
+                                          "tau_max"),
+    "Conv2DField.template(tau_max=tau_min)": (lambda: Conv2DField.template(1.0, 1.0, 1.0, 3, 4),
+                                              "tau_max"),
+    "Conv2DField.cusp_refined_template(n_rho=1)": (
+        lambda: Conv2DField.cusp_refined_template(1.0, 1.0, -1.0, 1.0, 1, 4), "n_rho"),
+    "Conv2DField.cusp_refined_template(n_tau=2.5)": (
+        lambda: Conv2DField.cusp_refined_template(1.0, 1.0, -1.0, 1.0, 3, 2.5), "n_tau"),
+    "Conv2DField.cusp_refined_template(rho_max=-1)": (
+        lambda: Conv2DField.cusp_refined_template(1.0, -1.0, -1.0, 1.0, 3, 4), "rho_max"),
+    "Conv2DField.cusp_refined_template(tau_min=inf)": (
+        lambda: Conv2DField.cusp_refined_template(1.0, 1.0, inf, 1.0, 3, 4), "tau_min"),
+    "Conv2DField.cusp_refined_template(tau_max < tau_min)": (
+        lambda: Conv2DField.cusp_refined_template(1.0, 1.0, 1.0, -1.0, 3, 4), "tau_max"),
+    "Conv2DField.cusp_refined_template(s=nan)": (
+        lambda: Conv2DField.cusp_refined_template(nan, 1.0, -1.0, 1.0, 3, 4), "mass parameter s"),
     "rotation_to_axis(0)": (lambda: rotation_to_axis([0.0, 0.0, 0.0]), "axis"),
     "CapSpec(eps=4)": (lambda: CapSpec(1.0, 1.0, 2.0, 4.0), "eps"),
     "RadialProfile(one node)": (lambda: RadialProfile(1.0, [1.0], [1.0]), "grid"),
