@@ -30,8 +30,8 @@ truncation run and one row per n with its wall time.  ``q`` runs
 f = ``profiles.trial_profile(a, s, r_max, n)``, sampled on
 ``extremizer.pair_template`` with ``n_rho`` x ``n_tau`` nodes, and adds
 ``qbar`` and the breakdown: numerator, squared denominator, the six
-expansion terms, the expansion gap, the six-term floor, the kept terms and
-the quadrature levels of the three sampled fields.
+expansion terms, the expansion gap, the six-term floor and the kept
+terms.
 """
 from __future__ import annotations
 

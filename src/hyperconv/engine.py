@@ -638,8 +638,13 @@ class SliceEngine:
     # ---- profile handling ----
 
     def sample(self, profile) -> np.ndarray:
-        """Node values of a RadialProfile on the engine grid."""
-        return np.asarray(profile(self.radius_grid), dtype=float)
+        """Node values of a RadialProfile on the engine grid, read at the node times u.
+
+        A profile is linear in u between its own nodes (``profiles``), as the
+        engine's rows take node values to be, so the engine and the profile
+        describe one function.
+        """
+        return np.asarray(profile.at_time(self.u), dtype=float)
 
     def trial_values(self, a: float) -> np.ndarray:
         return np.exp(-0.5 * a * self.u)

@@ -33,7 +33,7 @@ from .fields import Conv2DField, check_grid
 from .geometry import check_count, check_mass, check_r_max, check_real, phi, psi
 from .norms import field_inner_product, l2_field_norm, lp_norm
 from .profiles import RadialProfile, smooth_bump
-from .quadrature import DEFAULT_SEED, QuadratureSpec, richardson
+from .quadrature import DEFAULT_SEED, richardson
 
 log = logging.getLogger("hyperconv")
 
@@ -448,8 +448,7 @@ def symmetrize(pair: SheetPair) -> SheetPair:
     return SheetPair(f, f)
 
 
-def _sheet_fields(pair: SheetPair, grid: Conv2DField, quad: QuadratureSpec,
-                  reflected: bool = False):
+def _sheet_fields(pair: SheetPair, grid: Conv2DField, reflected: bool = False):
     """Unreflected fields f+ * g+, f- * g-, f+ * g- and g+ * f- of a pair field.
 
     g is the pair or, if reflected, its reflection (the sheets swapped).
@@ -466,15 +465,15 @@ def _sheet_fields(pair: SheetPair, grid: Conv2DField, quad: QuadratureSpec,
     if even:  # a pair shares its grid and mass, so equal values are one function
         fm = fp  # and the samplers take their g is f paths, reflected or not
     gp, gm = (fm, fp) if reflected else (fp, fm)
-    upper = hyperbolic_conv(fp, gp, grid, quad)
-    lower = upper if even else hyperbolic_conv(fm, gm, grid, quad)
-    cross = cross_conv(fp, gm, grid, quad)
-    cross2 = cross_conv(gp, fm, grid, quad) if reflected and not even else cross
+    upper = hyperbolic_conv(fp, gp, grid)
+    lower = upper if even else hyperbolic_conv(fm, gm, grid)
+    cross = cross_conv(fp, gm, grid)
+    cross2 = cross_conv(gp, fm, grid) if reflected and not even else cross
     return upper, lower, cross, cross2
 
 
 def pair_convolution_field(pair: SheetPair, grid: Conv2DField,
-                           quad: QuadratureSpec, reflected: bool = False) -> Conv2DField:
+                           reflected: bool = False) -> Conv2DField:
     """Sampled (f mubar * g mubar) with g = pair or its antipodal reflection.
 
     reflected=False gives f mubar * f mubar; reflected=True gives
@@ -484,7 +483,7 @@ def pair_convolution_field(pair: SheetPair, grid: Conv2DField,
     grid must be symmetric about 0, or a ValueError names ``grid``, and an
     even pair samples one self field and one cross field.
     """
-    upper, lower, cross, cross2 = _sheet_fields(pair, grid, quad, reflected)
+    upper, lower, cross, cross2 = _sheet_fields(pair, grid, reflected)
     return grid.like(upper.values + lower.values[:, ::-1] + cross.values + cross2.values)
 
 
@@ -502,16 +501,17 @@ def pair_template(pair: SheetPair, n_rho: int = 161, n_tau: int = 243) -> Conv2D
     return Conv2DField.template(rho_hi * 1.01, -2.02 * u_hi, 2.02 * u_hi, n_rho, n_tau)
 
 
-def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
-                 quad: QuadratureSpec | None = None):
+def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None):
     """Full-surface Q with the five-term expansion breakdown.
 
     Q = ||f mubar * f mubar||_2^2 / ||f||_{L2(mubar)}^4 assembled from the
     sheet self-convolutions, the cross convolution and reflections.  The
     breakdown reports the expansion terms; for nonnegative even pairs the
-    kept terms certify the >= 6 x (upper-sheet term) inequality.  Its
-    ``quad_levels`` holds each sampled field's ``meta["quad_levels"]``
-    (upper_self, lower_self, cross).  ``grid`` defaults to ``pair_template``;
+    kept terms certify the >= 6 x (upper-sheet term) inequality.  The
+    sampled field values are exact window integrals of the profiles'
+    interpolants (``convolution``), so the only resolution error left is
+    that of the grid rule over (rho, tau) in ``l2_field_norm``.
+    ``grid`` defaults to ``pair_template``;
     any other must be a ``Conv2DField``, or a TypeError names it, and its
     tau grid must be symmetric about 0, or a ValueError names ``grid``.
     The fields come from ``_sheet_fields``, so sheets with equal node values
@@ -519,10 +519,9 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
     that the summed field reaches the grid's outer lines, so the numerator
     misses the part beyond them.
     """
-    quad = quad or QuadratureSpec()
     if grid is None:
         grid = pair_template(pair)
-    A, Ap, B, _ = _sheet_fields(pair, grid, quad)
+    A, Ap, B, _ = _sheet_fields(pair, grid)
     Ap_ref = grid.like(Ap.values[:, ::-1])
     total = grid.like(A.values + Ap_ref.values + 2.0 * B.values)
     num = l2_field_norm(total, warn_boundary=True)[0] ** 2
@@ -543,9 +542,6 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None,
         "expansion_gap": num - sum(terms.values()),
         "six_term_floor": 6.0 * terms["upper_self"],
         "kept_terms": terms["upper_self"] + terms["lower_self"] + terms["cross_sq"],
-        "quad_levels": {"upper_self": A.meta["quad_levels"],
-                        "lower_self": Ap.meta["quad_levels"],
-                        "cross": B.meta["quad_levels"]},
     }
     return qbar, breakdown
 
@@ -782,7 +778,7 @@ def cone_limit_scan(f: RadialProfile, s_list):
 
     The profile is a fixed radial function supported in |y| >= a > 0 and is
     re-read as living on each mass-s surface; every field is sampled on one
-    161 x 161 template with ``QuadratureSpec()``.  Also reports the
+    161 x 161 template.  Also reports the
     dominating bound 4 pi ||f||_inf^2 (1 + 1/a) against the field maxima.
     """
     s_list = [check_real("every s in s_list", s, at_least=0.0) for s in s_list]
@@ -798,12 +794,12 @@ def cone_limit_scan(f: RadialProfile, s_list):
     grid = Conv2DField.template(2.0 * b + 2.0 * s_pad + 0.1, 0.0,
                                 2.0 * b * 1.02, 161, 161)
     cone_profile = RadialProfile(0.0, f.grid, f.values)
-    h0 = hyperbolic_conv(cone_profile, cone_profile, grid, QuadratureSpec())
+    h0 = hyperbolic_conv(cone_profile, cone_profile, grid)
     sup_bound = 4.0 * np.pi * float(np.max(np.abs(f.values))) ** 2 * (1.0 + 1.0 / a)
     rows = []
     for s in s_list:
         fs = RadialProfile(s, f.grid, f.values)
-        hs = hyperbolic_conv(fs, fs, grid, QuadratureSpec())
+        hs = hyperbolic_conv(fs, fs, grid)
         diff = grid.like(hs.values - h0.values)
         d = l2_field_norm(diff, warn_boundary=False)[0]
         rows.append({"s": float(s), "distance": float(d),

@@ -12,7 +12,7 @@ f64 values row-major (rho index varies slowest)``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class Conv2DField:
     rho_grid: np.ndarray
     tau_grid: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.rho_grid = np.asarray(self.rho_grid, dtype=float)
@@ -102,7 +101,7 @@ class Conv2DField:
         return cls(rho, tau, np.zeros((rho.size, tau.size)))
 
     def like(self, values: np.ndarray) -> "Conv2DField":
-        return Conv2DField(self.rho_grid, self.tau_grid, values, dict(self.meta))
+        return Conv2DField(self.rho_grid, self.tau_grid, values)
 
     def touches_boundary(self) -> bool:
         """True when a value on the outer grid lines (not rho = 0) exceeds 1e-9 of the peak."""

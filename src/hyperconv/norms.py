@@ -15,9 +15,12 @@ from .quadrature import QuadratureSpec, richardson
 def lp_norm(f: RadialProfile, p: float, spec: QuadratureSpec | None = None) -> float:
     """Lp norm of a radial profile against the surface measure; ``p`` finite and >= 1.
 
-    ||f||_p^p = 4*pi * int |f(phi(u))|^p phi(u) du: 8-point Gauss between cuts at the node
-    times, the interpolant's zeros and u = s 2**k (each graded), levels doubling until the
-    spec's rel_tol and abs_tol are met, else ``QuadratureError`` names the u-range.
+    ||f||_p^p = 4*pi * int |f|^p phi(u) du over the interpolant, which is linear in the
+    time height u between node times.  Unlike the field samplers' window integrals this
+    integrand is not a polynomial in u (|.|^p and phi(u) = sqrt(u^2 + s^2) are not), so the
+    rule stays adaptive: 8-point Gauss between cuts at the node times, the interpolant's
+    zeros in u and u = s 2**k (each graded), levels doubling until the spec's rel_tol and
+    abs_tol are met, else ``QuadratureError`` names the u-range.
     """
     p = check_real("p", p, at_least=1.0)
     return float(_profile_integral(f, p, spec or QuadratureSpec()) ** (1.0 / p))

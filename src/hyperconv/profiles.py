@@ -1,13 +1,17 @@
-"""Radial profiles on the mass-s surface: sampled values with linear interpolation.
+"""Radial profiles on the mass-s surface: node values, linear in the time height.
 
-A profile is a function of the spatial radius r on a strictly increasing grid
-inside [s, r_max]; evaluation between nodes is piecewise linear and zero
-outside the grid (linear interpolation preserves nonnegativity, which the
-extremizer search relies on).
+A profile holds values at a strictly increasing grid of radii inside
+[s, r_max].  Between nodes it is linear in the time height u = psi(r, s),
+the variable in which every radial integral of this package is taken, and
+it is zero outside the grid.  So one interpolant describes a profile
+everywhere: ``SliceEngine``'s trapezoid rows, the field samplers' window
+integrals and the warm starts of the radial search all read the same
+piecewise-linear function of u.  Linear interpolation preserves
+nonnegativity, which the extremizer search relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +23,7 @@ class RadialProfile:
     s: float
     grid: np.ndarray
     values: np.ndarray
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.s = check_mass(self.s)
@@ -26,10 +31,12 @@ class RadialProfile:
         self.values = np.asarray(self.values)
         if self.grid.ndim != 1 or self.grid.size < 2:
             raise ValueError("grid must be a 1-D array with at least two nodes")
-        if not np.all(np.diff(self.grid) > 0):
-            raise ValueError("grid must be strictly increasing")
         if self.grid[0] < self.s - 1e-12:
             raise ValueError(f"grid radii must be >= s = {self.s}")
+        self.times = psi(self.grid, self.s)
+        if not np.all((np.diff(self.grid) > 0) & (np.diff(self.times) > 0)):
+            raise ValueError("grid must be strictly increasing, and so must its node "
+                             "times psi(grid, s)")
         if self.values.shape != self.grid.shape:
             raise ValueError("values must match grid shape")
         if not np.all(np.isfinite(self.values)):
@@ -44,43 +51,22 @@ class RadialProfile:
         return np.iscomplexobj(self.values)
 
     def __call__(self, r):
-        """Evaluate at radius r (piecewise linear, zero outside the grid)."""
+        """Evaluate at radius r: ``at_time(psi(r))`` on the grid, exactly 0 outside it."""
         r = np.asarray(r, dtype=float)
-        if self.is_complex:
-            out = (np.interp(r, self.grid, self.values.real, left=0.0, right=0.0)
-                   + 1j * np.interp(r, self.grid, self.values.imag, left=0.0, right=0.0))
-        else:
-            out = np.interp(r, self.grid, self.values, left=0.0, right=0.0)
+        inside = (r >= self.grid[0]) & (r <= self.grid[-1])
+        out = np.where(inside, self.at_time(psi(r, self.s)), 0.0)
         return out if out.ndim else complex(out) if self.is_complex else float(out)
 
     def at_time(self, t):
-        """Evaluate at time height t, i.e. at radius phi(t, s)."""
-        return self(phi(t, self.s))
+        """Evaluate at time height |t|: linear between the node times, 0 beyond them."""
+        return np.interp(np.abs(t), self.times, self.values, left=0.0, right=0.0)
 
     def u_support(self):
         """Time-height interval [psi(grid[0]), psi(r_max)] carrying the profile."""
-        return psi(self.grid[0], self.s), psi(self.grid[-1], self.s)
+        return float(self.times[0]), float(self.times[-1])
 
     def scaled(self, c: float) -> "RadialProfile":
         return RadialProfile(self.s, self.grid, self.values * c)
-
-
-def tip_refined_time_grid(s: float, r_max: float, n: int,
-                          tip_nodes: int = 200) -> np.ndarray:
-    """Time-uniform radius grid with quadratically spaced nodes near the tip r = s.
-
-    Linear-in-r interpolation of smooth functions of the time height u loses
-    accuracy near the tip (d^2/dr^2 grows like s^2/psi^3, psi = time height);
-    spacing du proportional to sqrt(u) equalizes the local interpolation
-    error there, so the tip region [0, u_break] gets nodes u_break*(j/m)^2.
-    """
-    u_max = psi(r_max, s)
-    u = np.linspace(0.0, u_max, n)
-    if s > 0 and n > 2 and tip_nodes > 1:
-        u_break = min(max(1.0, 4.0 * u[1]), u_max / 4.0)
-        quad_nodes = u_break * (np.arange(tip_nodes + 1) / tip_nodes) ** 2
-        u = np.unique(np.concatenate([u, quad_nodes]))
-    return phi(u, s)
 
 
 def smooth_bump(x):
@@ -96,13 +82,17 @@ def smooth_bump(x):
 
 def trial_profile(a: float, s: float = 1.0, r_max: float = 40.0,
                   n: int = 400) -> RadialProfile:
-    """Exponential trial profile exp(-(a/2) * psi(r, s)), tip-refined sampling."""
+    """Exponential trial profile exp(-(a/2) u) at n nodes uniform in the time height u.
+
+    Equal steps in u are the engine's grid, and the interpolant is linear in
+    u, so near the tip r = s, where r = phi(u) bends, the nodes need no
+    refinement.
+    """
     a, s = check_real("decay rate a", a, above=0.0), check_mass(s)
     r_max = check_r_max(r_max, s)
     n = check_count("n", n, 2)
-    grid = tip_refined_time_grid(s, r_max, n, tip_nodes=max(64, n // 8))
-    vals = np.exp(-0.5 * a * psi(grid, s))
-    return RadialProfile(s, grid, vals)
+    u = np.linspace(0.0, psi(r_max, s), n)
+    return RadialProfile(s, phi(u, s), np.exp(-0.5 * a * u))
 
 
 def shell_indicator(lo: float, hi: float, s: float, n: int = 200,

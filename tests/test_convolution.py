@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from hyperconv import convolution
 from hyperconv.closedforms import ConvPoint, branch_curves, mu_self_conv, mu_self_conv_grid
-from hyperconv.convolution import (CellConvergenceError, cross_conv,
-                                   cross_window, field_mass, hyperbolic_conv,
+from hyperconv.convolution import (cross_conv, cross_window, field_mass, hyperbolic_conv,
                                    profile_measure_integral, self_half_width,
                                    self_window, sphere_pair_kernel)
 from hyperconv.extremizer import SheetPair, full_q_ratio, pair_convolution_field
@@ -27,11 +26,9 @@ def const_profile(s, r_lo, r_hi, n=400):
 
 
 def interp_then_mask(prof, r):
-    """The reference evaluation: interpolate, then zero r outside the grid."""
+    """The reference evaluation: interpolate in u = psi(r), then zero r outside the grid."""
     r = np.asarray(r, dtype=float)
-    v = prof.values
-    out = (np.interp(r, prof.grid, v.real) + 1j * np.interp(r, prof.grid, v.imag)
-           if np.iscomplexobj(v) else np.interp(r, prof.grid, v))
+    out = np.interp(psi(r, prof.s), psi(prof.grid, prof.s), prof.values)
     return np.where((r < prof.grid[0]) | (r > prof.grid[-1]), 0.0, out)
 
 
@@ -243,13 +240,13 @@ def test_hyperbolic_conv_matches_closed_form():
     s = 1.0
     f = const_profile(s, 1.0, 40.0, 2000)
     grid = Conv2DField.template(6.0, 0.1, 4.0, 25, 23)
-    h = hyperbolic_conv(f, f, grid, QuadratureSpec(rel_tol=1e-10))
+    h = hyperbolic_conv(f, f, grid)
     want = mu_self_conv_grid(s, grid.rho_grid[:, None], grid.tau_grid[None, :])
     mask = want > 1e-12
     np.testing.assert_allclose(h.values[mask], want[mask], rtol=1e-6)
-    # spec spot point
+    # a spot point
     gp = Conv2DField(np.array([1.3, 1.31]), np.array([2.7, 2.71]), np.zeros((2, 2)))
-    hp = hyperbolic_conv(f, f, gp, QuadratureSpec(rel_tol=1e-10))
+    hp = hyperbolic_conv(f, f, gp)
     np.testing.assert_allclose(hp.values[0, 0], mu_self_conv(ConvPoint(s, 1.3, 2.7)),
                                rtol=1e-6)
 
@@ -259,7 +256,7 @@ def test_hyperbolic_conv_exponential_weight_identity():
     s, a = 1.0, 0.1
     f = trial_profile(a, s, r_max=120.0, n=6000)
     grid = Conv2DField.template(4.0, 0.2, 3.5, 14, 13)
-    h = hyperbolic_conv(f, f, grid, QuadratureSpec(rel_tol=1e-10))
+    h = hyperbolic_conv(f, f, grid)
     want = (np.exp(-0.5 * a * grid.tau_grid[None, :])
             * mu_self_conv_grid(s, grid.rho_grid[:, None], grid.tau_grid[None, :]))
     mask = want > 1e-12
@@ -272,13 +269,12 @@ def test_conv_zero_and_commutativity_and_bilinearity():
     g = shell_indicator(2.0, 4.0, s, smooth=True)
     zero = RadialProfile(s, g.grid, np.zeros_like(g.values))
     grid = Conv2DField.template(8.0, 0.05, 8.0, 40, 40)
-    spec = QuadratureSpec(rel_tol=1e-9)
-    hz = hyperbolic_conv(f, zero, grid, spec)
+    hz = hyperbolic_conv(f, zero, grid)
     assert np.all(hz.values == 0.0)
-    hfg = hyperbolic_conv(f, g, grid, spec)
-    hgf = hyperbolic_conv(g, f, grid, spec)
+    hfg = hyperbolic_conv(f, g, grid)
+    hgf = hyperbolic_conv(g, f, grid)
     np.testing.assert_allclose(hfg.values, hgf.values, rtol=1e-8, atol=1e-9)
-    h2 = hyperbolic_conv(f.scaled(2.5), g, grid, spec)
+    h2 = hyperbolic_conv(f.scaled(2.5), g, grid)
     np.testing.assert_allclose(h2.values, 2.5 * hfg.values, rtol=1e-8, atol=1e-9)
 
 
@@ -286,7 +282,7 @@ def test_conv_support_exact_zero():
     s = 1.0
     f = shell_indicator(1.5, 3.0, s, smooth=True)
     grid = Conv2DField.template(9.0, -1.0, 7.0, 35, 30)
-    h = hyperbolic_conv(f, f, grid, QuadratureSpec())
+    h = hyperbolic_conv(f, f, grid)
     rho = grid.rho_grid[:, None]
     tau = grid.tau_grid[None, :]
     outside = (tau < 0) | (rho > np.sqrt(np.maximum(tau, 0) ** 2 + s * s) + s)
@@ -305,7 +301,7 @@ def test_mass_conservation():
     masses = []
     for mult in (1, 2):
         grid = Conv2DField.template(5.8, 2.7, 4.7, 160 * mult + 1, 120 * mult + 1)
-        h = hyperbolic_conv(f, g, grid, QuadratureSpec(rel_tol=1e-9))
+        h = hyperbolic_conv(f, g, grid)
         masses.append(field_mass(h))
     got = (4 * masses[1] - masses[0]) / 3.0
     np.testing.assert_allclose(got, want, rtol=1e-6)
@@ -323,7 +319,7 @@ def test_mass_conservation_overlapping_cusped():
     for mult in (1, 2):
         grid = Conv2DField.cusp_refined_template(s, 5.6, 2.3, 4.4,
                                                  120 * mult + 1, 100 * mult + 1)
-        h = hyperbolic_conv(f, g, grid, QuadratureSpec(rel_tol=1e-9))
+        h = hyperbolic_conv(f, g, grid)
         masses.append(field_mass(h))
     got = (4 * masses[1] - masses[0]) / 3.0
     np.testing.assert_allclose(got, want, rtol=1e-5)
@@ -332,14 +328,13 @@ def test_mass_conservation_overlapping_cusped():
 def test_pointwise_cauchy_schwarz():
     s = 1.0
     grid = Conv2DField.template(6.0, 0.05, 6.0, 30, 30)
-    spec = QuadratureSpec(rel_tol=1e-9)
     rng = np.random.default_rng(2)
     base = shell_indicator(1.2, 3.5, s, n=200, smooth=True)
     vals = base.values * rng.uniform(-1.0, 2.0, base.values.size)
     f = RadialProfile(s, base.grid, vals)
     fsq = RadialProfile(s, base.grid, np.abs(vals) ** 2)
-    h = hyperbolic_conv(f, f, grid, spec)
-    hsq = hyperbolic_conv(fsq, fsq, grid, spec)
+    h = hyperbolic_conv(f, f, grid)
+    hsq = hyperbolic_conv(fsq, fsq, grid)
     mu2 = mu_self_conv_grid(s, grid.rho_grid[:, None], grid.tau_grid[None, :])
     lhs = np.abs(h.values) ** 2
     rhs = hsq.values * mu2
@@ -393,7 +388,7 @@ def test_row_integrator_matches_gk_oracle(s, kind):
     rho, tau = grid.rho_grid[:, None], grid.tau_grid[None, :]
 
     # self convolution: cells drawn from the inner, middle and outer branches
-    h = hyperbolic_conv(f, g, grid, SPEC)
+    h = hyperbolic_conv(f, g, grid)
     live = (h.values != 0) & (rho > 0)
     lo = np.sqrt(tau ** 2 + s * s) - s
     mid = np.sqrt(tau ** 2 + 4 * s * s)
@@ -410,7 +405,7 @@ def test_row_integrator_matches_gk_oracle(s, kind):
         np.testing.assert_allclose(h.values[i, j], want, rtol=1e-9)
 
     # cross convolution: cells drawn from both signs of tau
-    h = cross_conv(f, g, grid, SPEC)
+    h = cross_conv(f, g, grid)
     live = h.values != 0
     cells = _draw(rng, [np.argwhere(live & (tau > 0)), np.argwhere(live & (tau < 0))])
     assert len(cells) == 20
@@ -426,26 +421,71 @@ def test_row_integrator_matches_gk_oracle(s, kind):
         np.testing.assert_allclose(h.values[i, j], want, rtol=1e-9)
 
 
-def test_unconverged_cells_raise_and_levels_are_reported():
-    s = 1.0
-    f = shell_indicator(1.2, 2.5, s, n=60, smooth=True)
-    g = shell_indicator(1.5, 3.0, s, n=50, smooth=True)
-    grid = Conv2DField.template(7.0, -5.0, 5.0, 20, 21)
-    strict = QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)
-    for conv in (hyperbolic_conv, cross_conv):
-        h = conv(f, g, grid, QuadratureSpec())
-        integrated = (h.values != 0) & (grid.rho_grid[:, None] > 0)
-        levels = h.meta["quad_levels"]
-        assert sorted(levels) == [1, 2, 3, 4]
-        assert sum(levels.values()) == np.count_nonzero(integrated)
-        with pytest.raises(CellConvergenceError) as err:
-            conv(f, g, grid, strict)
-        assert err.value.cells
-        for cell in err.value.cells:
-            assert all(type(k) is int for k in cell)
-            i, j = cell
-            assert 0 <= i < 20 and 0 <= j < 21
-            assert integrated[i, j]
+# ---- exact window integrals ----
+
+def _gauss2(integrand, cuts):
+    """2-point Gauss on each piece between sorted cuts: exact for cubics.
+
+    Its points lie inside the pieces, so no value is read across a jump at
+    a cut, as Simpson's endpoints would.
+    """
+    a, b = cuts[:-1], cuts[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = half / np.sqrt(3.0)
+    return np.sum(half * (integrand(mid - x) + integrand(mid + x)))
+
+
+def _exact_cell(integrand, windows, times, tau, support, rho):
+    """2 pi / rho * int over the windows, cut at the node times, tau minus them and the support."""
+    total = 0.0
+    for a, b in windows:
+        cuts = np.concatenate([[a, b], times, tau - times, times - tau, support])
+        total += _gauss2(integrand, np.unique(cuts[(cuts >= a) & (cuts <= b)]))
+    return 2 * np.pi / rho * total
+
+
+def _few_node_profile(s, complex_values, rng):
+    """2 to 5 nodes, spanning [0.5, 2] in time, with values that stay away from 0."""
+    n = int(rng.integers(2, 6))
+    u = np.sort(np.concatenate([rng.uniform(0.0, 0.5, 1), rng.uniform(0.5, 2.0, n - 2),
+                                rng.uniform(2.0, 2.5, 1)]))
+    vals = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    if complex_values:
+        vals = vals * np.exp(1j * rng.uniform(0.0, 6.0, n))
+    return RadialProfile(s, np.sqrt(u * u + s * s), vals)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_window_integrals_are_exact_for_profiles_linear_in_time(s, complex_values):
+    # between kinks both factors are linear in t, so each sampled cell is
+    # the exact window integral of the interpolants, up to rounding
+    rng = np.random.default_rng(int(10 * s) + 100 * complex_values)
+    for _ in range(3):
+        f = _few_node_profile(s, complex_values, rng)
+        g = _few_node_profile(s, False, rng)
+        times = np.concatenate([f.times, g.times])
+        grid = _pair_grid(f, g, 13, 17, 1.0)
+        # every cell off rho = 0, where the sampler takes the closed-form axis value
+        cells = [(i, j) for i in range(1, 13) for j in range(17)]
+        for a, b in ((f, g), (f, f)):
+            h = hyperbolic_conv(a, b, grid).values
+            for i, j in cells:
+                r, t = grid.rho_grid[i], grid.tau_grid[j]
+                want = _exact_cell(lambda x: a.at_time(x) * b.at_time(t - x),
+                                   self_window(s, r, t), times, t, [], r)
+                assert abs(h[i, j] - want) <= 1e-13 * np.abs(h).max()
+        h = cross_conv(f, g, grid).values
+        assert np.any(h[:, grid.tau_grid < 0]) and np.any(h[:, grid.tau_grid > 0])
+        for i, j in cells:
+            r, t = grid.rho_grid[i], grid.tau_grid[j]
+            # at tau < 0 the lower sheet's slice lies |tau| above the upper one's
+            fa, fb = (f, g) if t >= 0 else (g, f)
+            t = abs(t)
+            want = _exact_cell(lambda x: fa.at_time(t + x) * fb.at_time(x),
+                               cross_window(s, r, t, t_cap=fb.times[-1]), times, t,
+                               [fb.times[0], fa.times[0] - t, fa.times[-1] - t], r)
+            assert abs(h[i, j] - want) <= 1e-13 * np.abs(h).max()
 
 
 # ---- block sampler against the per-row reference ----
@@ -453,13 +493,10 @@ def test_unconverged_cells_raise_and_levels_are_reported():
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 
-def _ref_gauss_sums(integrand, lo, hi, level):
-    pieces = 2 ** level
-    half = 0.5 * (hi - lo) / pieces
-    centers = lo[:, None] + half[:, None] * (2.0 * np.arange(pieces) + 1.0)
-    t = centers[:, :, None] + half[:, None, None] * _GL8_X
-    terms = half[:, None, None] * _GL8_W * integrand(t)
-    return terms.sum(axis=(1, 2)), np.abs(terms).sum(axis=(1, 2))
+def _ref_gauss_sums(integrand, lo, hi):
+    half = 0.5 * (hi - lo)
+    t = (lo + half)[:, None, None] + half[:, None, None] * _GL8_X
+    return (half[:, None, None] * _GL8_W * integrand(t)).sum(axis=(1, 2))
 
 
 def _ref_window_sums(ends, segs, first, last):
@@ -474,17 +511,17 @@ def _ref_cell_sums(cell, x, n):
     return np.bincount(cell, x, n)
 
 
-def _ref_live_sums(integrand, lo, hi, level):
+def _ref_live_sums(integrand, lo, hi):
     """``_ref_gauss_sums`` on the intervals of nonzero length, exactly 0 on the others."""
     live = hi > lo
-    val, mag = _ref_gauss_sums(integrand, lo[live], hi[live], level)
-    out, out_abs = np.zeros(lo.size, dtype=val.dtype), np.zeros(lo.size)
-    out[live], out_abs[live] = val, mag
-    return out, out_abs
+    val = _ref_gauss_sums(integrand, lo[live], hi[live])
+    out = np.zeros(lo.size, dtype=val.dtype)
+    out[live] = val
+    return out
 
 
-def _ref_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
-    """One tau row at a time: the sampler's rows before they ran in blocks.
+def _ref_row_integrals(integrand, kinks, lo, hi, support, rho):
+    """One tau row at a time, one 8-point rule per segment.
 
     A window end on a kink starts or ends the window's whole-kink part,
     and an end segment of length zero is exactly 0.
@@ -493,9 +530,8 @@ def _ref_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
     lo = np.maximum(lo, support[0])
     hi = np.minimum(hi, support[1])
     slot, cell = np.nonzero(hi > lo)
-    level = np.full(n, -1)
     if cell.size == 0:
-        return np.zeros(n), level
+        return np.zeros(n)
     lo, hi = lo[slot, cell], hi[slot, cell]
     kinks = np.unique(kinks)
     kinks = kinks[(kinks >= lo.min()) & (kinks <= hi.max())]
@@ -507,35 +543,14 @@ def _ref_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
     ends_hi = np.concatenate([np.where(inner, padded[first], hi), hi])
     first = np.where(inner, first, 0)
     last = np.where(inner, last, 0)
-    seg, _ = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], 0)
-    end, _ = _ref_live_sums(integrand, ends_lo, ends_hi, 0)
-    out = np.zeros(n, dtype=end.dtype)
-    level[cell] = convolution.MAX_LEVEL + 1
-    open_cells = level > convolution.MAX_LEVEL
-    for lev in range(1, convolution.MAX_LEVEL + 1):
-        sel = open_cells[cell]
-        sel2 = np.concatenate([sel, sel])
-        c, a, b = cell[sel], first[sel], last[sel]
-        new_seg, seg_abs = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], lev)
-        new_end, end_abs = _ref_live_sums(integrand, ends_lo[sel2], ends_hi[sel2], lev)
-        fine = _ref_cell_sums(c, _ref_window_sums(new_end, new_seg, a, b), n)
-        change = _ref_cell_sums(c, _ref_window_sums(new_end - end[sel2], new_seg - seg, a, b), n)
-        scale = np.bincount(c, _ref_window_sums(end_abs, seg_abs, a, b), n)
-        ok = open_cells & (np.abs(change) <= quad.rel_tol * np.maximum(
-            np.abs(fine), 1e-3 * scale) + quad.abs_tol)
-        out[ok] = fine[ok]
-        level[ok] = lev
-        open_cells &= ~ok
-        if not open_cells.any():
-            break
-        seg = new_seg
-        end[sel2] = new_end
-    live = level >= 0
-    out[live] *= 2 * np.pi / rho[live]
-    return out, level
+    seg = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:])
+    end = _ref_live_sums(integrand, ends_lo, ends_hi)
+    out = _ref_cell_sums(cell, _ref_window_sums(end, seg, first, last), n)
+    out[cell] *= 2 * np.pi / rho[cell]
+    return out
 
 
-def _ref_hyperbolic_conv(f, g, grid, quad):
+def _ref_hyperbolic_conv(f, g, grid):
     """Rows folded at tau/2: f(t) g(tau - t) + g(t) f(tau - t) over t >= tau/2."""
     s = f.s
     fu, gu = f.u_support(), g.u_support()
@@ -543,7 +558,6 @@ def _ref_hyperbolic_conv(f, g, grid, quad):
     rho = grid.rho_grid
     out = np.zeros((rho.size, grid.tau_grid.size),
                    dtype=complex if (f.is_complex or g.is_complex) else float)
-    level = np.full(out.shape, -1)
     for j, tau in enumerate(grid.tau_grid):
         if tau <= 0 or tau < fu[0] + gu[0] or tau > fu[1] + gu[1]:
             continue
@@ -552,94 +566,19 @@ def _ref_hyperbolic_conv(f, g, grid, quad):
         support = (max(tau - fu[1], gu[0]) if hi1 < c else max(lo1, c),
                    max(hi1, min(tau - fu[0], gu[1])))
         lo, hi = convolution._self_windows(s, rho, tau)
-        out[:, j], level[:, j] = _ref_row_integrals(
+        out[:, j] = _ref_row_integrals(
             lambda t: f.at_time(t) * g.at_time(tau - t) + g.at_time(t) * f.at_time(tau - t),
-            np.concatenate([u, tau - u, [c]]), lo, hi, support, rho, quad)
+            np.concatenate([u, tau - u, [c]]), lo, hi, support, rho)
         mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
         out[rho == 0.0, j] = 2 * np.pi * np.sqrt(1.0 + 4.0 * s * s / (tau * tau)) * mid
-    return convolution._checked_field(grid, out, level)
+    return grid.like(out)
 
 
-def _prior_row_integrals(integrand, kinks, lo, hi, support, rho, quad):
-    """The per-row rule before window ends on kinks joined the prefix sums.
-
-    A window end on a kink is integrated as an end segment, and rows are
-    not folded; kept to bound the sampler's change from this rule.
-    """
-    n = rho.size
-    lo = np.maximum(lo, support[0])
-    hi = np.minimum(hi, support[1])
-    slot, cell = np.nonzero(hi > lo)
-    level = np.full(n, -1)
-    if cell.size == 0:
-        return np.zeros(n), level
-    lo, hi = lo[slot, cell], hi[slot, cell]
-    kinks = np.sort(kinks)
-    kinks = kinks[(kinks > lo.min()) & (kinks < hi.max())]
-    first = np.searchsorted(kinks, lo, side="right")
-    last = np.searchsorted(kinks, hi, side="left") - 1
-    inner = last >= first
-    padded = np.append(kinks, 0.0)
-    ends_lo = np.concatenate([lo, np.where(inner, padded[last], hi)])
-    ends_hi = np.concatenate([np.where(inner, padded[first], hi), hi])
-    first = np.where(inner, first, 0)
-    last = np.where(inner, last, 0)
-    seg, _ = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], 0)
-    end, _ = _ref_gauss_sums(integrand, ends_lo, ends_hi, 0)
-    out = np.zeros(n, dtype=end.dtype)
-    level[cell] = convolution.MAX_LEVEL + 1
-    open_cells = level > convolution.MAX_LEVEL
-    for lev in range(1, convolution.MAX_LEVEL + 1):
-        sel = open_cells[cell]
-        sel2 = np.concatenate([sel, sel])
-        c, a, b = cell[sel], first[sel], last[sel]
-        new_seg, seg_abs = _ref_gauss_sums(integrand, kinks[:-1], kinks[1:], lev)
-        new_end, end_abs = _ref_gauss_sums(integrand, ends_lo[sel2], ends_hi[sel2], lev)
-        fine = _ref_cell_sums(c, _ref_window_sums(new_end, new_seg, a, b), n)
-        change = _ref_cell_sums(c, _ref_window_sums(new_end - end[sel2], new_seg - seg, a, b), n)
-        scale = np.bincount(c, _ref_window_sums(end_abs, seg_abs, a, b), n)
-        ok = open_cells & (np.abs(change) <= quad.rel_tol * np.maximum(
-            np.abs(fine), 1e-3 * scale) + quad.abs_tol)
-        out[ok] = fine[ok]
-        level[ok] = lev
-        open_cells &= ~ok
-        if not open_cells.any():
-            break
-        seg = new_seg
-        end[sel2] = new_end
-    live = level >= 0
-    out[live] *= 2 * np.pi / rho[live]
-    return out, level
-
-
-def _prior_hyperbolic_conv(f, g, grid, quad):
-    s = f.s
-    fu, gu = f.u_support(), g.u_support()
-    f_kinks, g_kinks = psi(f.grid, s), psi(g.grid, s)
-    rho = grid.rho_grid
-    out = np.zeros((rho.size, grid.tau_grid.size),
-                   dtype=complex if (f.is_complex or g.is_complex) else float)
-    level = np.full(out.shape, -1)
-    for j, tau in enumerate(grid.tau_grid):
-        if tau <= 0 or tau < fu[0] + gu[0] or tau > fu[1] + gu[1]:
-            continue
-        support = (max(fu[0], tau - gu[1]), min(fu[1], tau - gu[0]))
-        lo, hi = convolution._self_windows(s, rho, tau)
-        out[:, j], level[:, j] = _prior_row_integrals(
-            lambda t: f.at_time(t) * g.at_time(tau - t),
-            np.concatenate([f_kinks, tau - g_kinks]), lo, hi, support, rho, quad)
-        mid = f.at_time(0.5 * tau) * g.at_time(0.5 * tau)
-        out[rho == 0.0, j] = 2 * np.pi * np.sqrt(1.0 + 4.0 * s * s / (tau * tau)) * mid
-    return convolution._checked_field(grid, out, level)
-
-
-def _ref_cross_conv(f_plus, f_minus, grid, quad, row_integrals=None):
-    row_integrals = row_integrals or _ref_row_integrals
+def _ref_cross_conv(f_plus, f_minus, grid):
     s = f_plus.s
     rho = grid.rho_grid
     out = np.zeros((rho.size, grid.tau_grid.size),
                    dtype=complex if (f_plus.is_complex or f_minus.is_complex) else float)
-    level = np.full(out.shape, -1)
     for j, tau in enumerate(grid.tau_grid):
         fa, fb = (f_plus, f_minus) if tau >= 0 else (f_minus, f_plus)
         t_abs = abs(tau)
@@ -648,20 +587,11 @@ def _ref_cross_conv(f_plus, f_minus, grid, quad, row_integrals=None):
         if support[1] <= support[0]:
             continue
         lo, hi = convolution._cross_windows(s, rho, t_abs, support[1])
-        out[:, j], level[:, j] = row_integrals(
+        out[:, j] = _ref_row_integrals(
             lambda t: fa.at_time(t_abs + t) * fb.at_time(t),
             np.concatenate([psi(fa.grid, s) - t_abs, psi(fb.grid, s)]),
-            lo, hi, support, rho, quad)
-    return convolution._checked_field(grid, out, level)
-
-
-def _sampled(conv, *args):
-    """(values, quad_levels) of a sampled field, or the cells that did not converge."""
-    try:
-        h = conv(*args)
-    except CellConvergenceError as err:
-        return "unconverged", err.cells
-    return h.values, h.meta["quad_levels"]
+            lo, hi, support, rho)
+    return grid.like(out)
 
 
 @st.composite
@@ -680,13 +610,11 @@ def _profile(draw, s, complex_values):
 @given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
        complex_values=st.booleans(), rho_min=st.sampled_from([0.0, 0.013]),
        n_rho=st.integers(2, 30), n_tau=st.integers(2, 30), reach=st.floats(0.3, 1.5),
-       quad=st.sampled_from([SPEC, QuadratureSpec(rel_tol=1e-13),
-                             QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)]),
        bound=st.sampled_from([1, convolution.BLOCK_CELLS, 10 ** 9]))
 def test_block_sampler_matches_per_row_reference(data, s, complex_values, rho_min, n_rho,
-                                                 n_tau, reach, quad, bound):
-    # values, level counts and unconverged cells bit for bit; reach < 1 or
-    # > 1 leaves tau rows and rho cells outside the support
+                                                 n_tau, reach, bound):
+    # values bit for bit; reach < 1 or > 1 leaves tau rows and rho cells
+    # outside the support
     f = data.draw(_profile(s, complex_values))
     g = data.draw(_profile(s, False))
     u_hi = max(f.u_support()[1], g.u_support()[1])
@@ -698,19 +626,15 @@ def test_block_sampler_matches_per_row_reference(data, s, complex_values, rho_mi
         mp.setattr(convolution, "BLOCK_CELLS", bound)
         for conv, ref in ((hyperbolic_conv, _ref_hyperbolic_conv),
                           (cross_conv, _ref_cross_conv)):
-            got, want = _sampled(conv, f, g, grid, quad), _sampled(ref, f, g, grid, quad)
-            if isinstance(want[0], str):
-                assert got == want
-            else:
-                assert got[0].dtype == want[0].dtype
-                np.testing.assert_array_equal(got[0], want[0])
-                assert got[1] == want[1]
+            got, want = conv(f, g, grid).values, ref(f, g, grid).values
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_gauss_chunks_change_no_bit(monkeypatch, complex_values):
-    # one interval per chunk against one chunk per pass; zigzag sheets near
-    # the tip of a small mass take some cells to levels 2 to 4
+    # one interval per chunk against one chunk per pass, on zigzag sheets
+    # near the tip of a small mass
     s = 0.01
     zigzag = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     f = RadialProfile(s, np.linspace(s, s + 2.0, 6), zigzag * (1.0 + 0.5j * complex_values))
@@ -719,11 +643,9 @@ def test_gauss_chunks_change_no_bit(monkeypatch, complex_values):
     got = {}
     for points in (1, 10 ** 9):
         monkeypatch.setattr(convolution, "GAUSS_POINTS", points)
-        got[points] = [_sampled(conv, f, g, grid, SPEC) for conv in (hyperbolic_conv, cross_conv)]
-    for (a, levels_a), (b, levels_b) in zip(got[1], got[10 ** 9]):
-        assert levels_a == levels_b
+        got[points] = [conv(f, g, grid).values for conv in (hyperbolic_conv, cross_conv)]
+    for a, b in zip(got[1], got[10 ** 9]):
         assert a.tobytes() == b.tobytes()
-    assert any(levels[lev] for _, levels in got[1] for lev in (2, 3, 4))
 
 
 def _pair_grid(f, g, n_rho, n_tau, reach):
@@ -734,39 +656,6 @@ def _pair_grid(f, g, n_rho, n_tau, reach):
     return Conv2DField(np.linspace(0.0, rho_hi, n_rho),
                        np.linspace(-2.0 * reach * u_hi, 2.0 * reach * u_hi + 0.01, n_tau),
                        np.zeros((n_rho, n_tau)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
-       complex_values=st.booleans(), n_rho=st.integers(2, 30), n_tau=st.integers(2, 30),
-       reach=st.floats(0.3, 1.5))
-def test_sampler_agrees_with_the_prior_rule_within_the_acceptance_bound(
-        data, s, complex_values, n_rho, n_tau, reach):
-    # Each rule accepts a cell once its value moved by at most
-    # T = rel_tol * max(|v|, 1e-3 S) + abs_tol (in window-integral units, S
-    # the window integral of the integrand's modulus) from the level before.
-    # 8-point Gauss on halved pieces shrinks the error far faster than that
-    # change, so each value is within T of the integral and the two within
-    # 2 T.  The folded |f(t) g(tau - t) + g(t) f(tau - t)| on t >= tau/2
-    # integrates to at most the unfolded window integral of |f| |g|, so
-    # S <= rho / (2 pi) times the field of (|f|, |g|).
-    quad = QuadratureSpec()
-    f = data.draw(_profile(s, complex_values))
-    g = data.draw(_profile(s, False))
-    grid = _pair_grid(f, g, n_rho, n_tau, reach)
-    f_abs = RadialProfile(s, f.grid, np.abs(f.values))
-    g_abs = RadialProfile(s, g.grid, np.abs(g.values))
-    rho = grid.rho_grid[1:, None]  # rho = 0 is the closed-form axis value in both
-    for conv, prior in ((hyperbolic_conv, _prior_hyperbolic_conv),
-                        (cross_conv, lambda *args: _ref_cross_conv(
-                            *args, row_integrals=_prior_row_integrals))):
-        got = conv(f, g, grid, quad).values
-        want = prior(f, g, grid, quad).values
-        np.testing.assert_array_equal(got[0], want[0])
-        modulus = conv(f_abs, g_abs, grid, quad).values[1:]
-        bound = 2.0 * (quad.rel_tol * np.maximum(np.abs(want[1:]), 1e-3 * modulus)
-                       + quad.abs_tol * 2.0 * np.pi / rho)
-        assert np.all(np.abs(got[1:] - want[1:]) <= bound)
 
 
 @settings(max_examples=30, deadline=None)
@@ -780,12 +669,8 @@ def test_self_convolution_of_a_profile_with_itself_equals_that_with_a_copy(
     f = data.draw(_profile(s, complex_values))
     copy = RadialProfile(s, f.grid.copy(), f.values.copy())
     grid = _pair_grid(f, f, n_rho, n_tau, reach)
-    got, want = _sampled(hyperbolic_conv, f, f, grid, SPEC), _sampled(hyperbolic_conv, f, copy, grid, SPEC)
-    if isinstance(want[0], str):
-        assert got == want
-    else:
-        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1]
+    got, want = hyperbolic_conv(f, f, grid).values, hyperbolic_conv(f, copy, grid).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -797,8 +682,8 @@ def test_self_convolution_is_symmetric_in_its_profiles_to_rounding(
     f = data.draw(_profile(s, complex_values))
     g = data.draw(_profile(s, False))
     grid = _pair_grid(f, g, n_rho, n_tau, reach)
-    fg = hyperbolic_conv(f, g, grid, SPEC).values
-    gf = hyperbolic_conv(g, f, grid, SPEC).values
+    fg = hyperbolic_conv(f, g, grid).values
+    gf = hyperbolic_conv(g, f, grid).values
     np.testing.assert_allclose(fg, gf, rtol=0.0, atol=1e-13 * np.max(np.abs(fg), initial=0.0))
 
 
@@ -814,7 +699,7 @@ def test_no_gauss_sum_is_taken_over_an_empty_interval(monkeypatch):
     intervals = []
     gauss = convolution._gauss_sums
 
-    def nonempty(integrand, lo, hi, tau, level):
+    def nonempty(integrand, lo, hi, tau, level=0):
         assert np.all(hi > lo)
         intervals.append(lo.size)
         return gauss(integrand, lo, hi, tau, level)
@@ -822,25 +707,16 @@ def test_no_gauss_sum_is_taken_over_an_empty_interval(monkeypatch):
     monkeypatch.setattr(convolution, "_gauss_sums", nonempty)
     for conv, a, b in ((hyperbolic_conv, f, f), (hyperbolic_conv, f, g),
                        (cross_conv, f, g), (cross_conv, g, f)):
-        conv(a, b, grid, SPEC)
+        conv(a, b, grid)
     assert sum(intervals) > 0
-
-
-@pytest.mark.parametrize("conv", [hyperbolic_conv, cross_conv])
-@pytest.mark.parametrize("quad", [None, 1e-8, "gk"])
-def test_samplers_name_a_quad_that_is_not_a_spec(conv, quad):
-    f = shell_indicator(1.2, 2.0, 1.0, n=20)
-    grid = Conv2DField.template(4.0, -3.0, 3.0, 5, 6)
-    with pytest.raises(TypeError, match="quad must be a QuadratureSpec"):
-        conv(f, f, grid, quad)
 
 
 _PAIR = SheetPair(*[shell_indicator(1.2, 2.0, 1.0, n=20)] * 2)
 _GRID_TAKERS = {
-    "hyperbolic_conv": lambda grid: hyperbolic_conv(_PAIR.f_plus, _PAIR.f_plus, grid, SPEC),
-    "cross_conv": lambda grid: cross_conv(_PAIR.f_plus, _PAIR.f_plus, grid, SPEC),
-    "full_q_ratio": lambda grid: full_q_ratio(_PAIR, grid, SPEC),
-    "pair_convolution_field": lambda grid: pair_convolution_field(_PAIR, grid, SPEC),
+    "hyperbolic_conv": lambda grid: hyperbolic_conv(_PAIR.f_plus, _PAIR.f_plus, grid),
+    "cross_conv": lambda grid: cross_conv(_PAIR.f_plus, _PAIR.f_plus, grid),
+    "full_q_ratio": lambda grid: full_q_ratio(_PAIR, grid),
+    "pair_convolution_field": lambda grid: pair_convolution_field(_PAIR, grid),
 }
 
 
@@ -856,19 +732,17 @@ def test_each_sampled_field_logs_one_debug_record(caplog):
     f = shell_indicator(1.2, 2.0, 1.0, n=20)
     grid = Conv2DField.template(4.0, -3.0, 3.0, 9, 12)
     with caplog.at_level(logging.DEBUG, logger="hyperconv"):
-        h = hyperbolic_conv(f, f, grid, SPEC)
-        cross_conv(f, f, grid, SPEC)
+        h = hyperbolic_conv(f, f, grid)
+        cross_conv(f, f, grid)
     records = [r for r in caplog.records if r.name == "hyperconv"]
     assert [r.levelno for r in records] == [logging.DEBUG] * 2
     assert [r.getMessage().split(":")[0] for r in records] == ["hyperbolic_conv", "cross_conv"]
     u_lo, u_hi = f.u_support()
     tau = grid.tau_grid
     rows = np.count_nonzero((tau > 0) & (tau >= 2 * u_lo) & (tau <= 2 * u_hi))
-    cells = sum(h.meta["quad_levels"].values())
+    cells = np.count_nonzero((h.values != 0) & (grid.rho_grid[:, None] > 0))
     assert f"{rows} tau rows, {cells} cells with a window, 1 blocks," in records[0].getMessage()
     assert "quadrature points" in records[1].getMessage()
-    # nothing is added to the returned field
-    assert h.meta.keys() == {"quad_levels"}
 
 
 # ---- cross convolution ----
@@ -877,7 +751,7 @@ def test_cross_reflection_symmetry():
     s = 1.0
     f = shell_indicator(1.2, 2.5, s, smooth=True)
     grid = Conv2DField.template(7.0, -5.0, 5.0, 25, 41)
-    h = cross_conv(f, f, grid, QuadratureSpec(rel_tol=1e-9))
+    h = cross_conv(f, f, grid)
     # symmetric tau grid: field even in tau for identical sheets
     np.testing.assert_allclose(h.values, h.values[:, ::-1], rtol=1e-9, atol=1e-13)
 
@@ -887,9 +761,8 @@ def test_cross_swap_reflection():
     f = shell_indicator(1.2, 2.5, s, smooth=True)
     g = shell_indicator(2.0, 3.5, s, smooth=True)
     grid = Conv2DField.template(8.0, -6.0, 6.0, 20, 31)
-    spec = QuadratureSpec(rel_tol=1e-9)
-    hfg = cross_conv(f, g, grid, spec)
-    hgf = cross_conv(g, f, grid, spec)
+    hfg = cross_conv(f, g, grid)
+    hgf = cross_conv(g, f, grid)
     np.testing.assert_allclose(hfg.values, hgf.values[:, ::-1], rtol=1e-9, atol=1e-13)
 
 
@@ -901,7 +774,7 @@ def test_cross_mass_conservation():
     masses = []
     for mult in (1, 2):
         grid = Conv2DField.template(6.5, -4.0, 4.0, 140 * mult + 1, 180 * mult + 1)
-        h = cross_conv(f, g, grid, QuadratureSpec(rel_tol=1e-9))
+        h = cross_conv(f, g, grid)
         masses.append(field_mass(h))
     got = (4 * masses[1] - masses[0]) / 3.0
     np.testing.assert_allclose(got, want, rtol=2e-5)

@@ -23,7 +23,6 @@ from hyperconv.fields import Conv2DField
 from hyperconv.geometry import psi
 from hyperconv.norms import TruncationWarning, l2_field_norm, lp_norm
 from hyperconv.profiles import RadialProfile, shell_indicator, trial_profile
-from hyperconv.quadrature import QuadratureSpec
 
 
 def test_q_ratio_trial_profile_exceeds_cone():
@@ -328,20 +327,19 @@ def test_symmetrize_preserves_norm_and_fixes_even():
     np.testing.assert_allclose(again.f_plus.values, sym.f_plus.values, rtol=1e-14)
 
 
-def pair_norm_sq_of_field(pair, grid, spec, reflected=False):
-    h = pair_convolution_field(pair, grid, spec, reflected=reflected)
+def pair_norm_sq_of_field(pair, grid, reflected=False):
+    h = pair_convolution_field(pair, grid, reflected=reflected)
     return l2_field_norm(h, warn_boundary=False)[0] ** 2
 
 
 def test_symmetrization_inequality_random_complex():
-    spec = QuadratureSpec(rel_tol=1e-9)
     grid = Conv2DField.template(7.2, -6.3, 6.3, 41, 57)
     worst = np.inf
     for seed in range(20):
         pair = small_pair(seed)
         sym = symmetrize(pair)
-        lhs = pair_norm_sq_of_field(pair, grid, spec)
-        rhs = pair_norm_sq_of_field(sym, grid, spec)
+        lhs = pair_norm_sq_of_field(pair, grid)
+        rhs = pair_norm_sq_of_field(sym, grid)
         slack = np.sqrt(rhs) - np.sqrt(lhs)
         worst = min(worst, slack)
     assert worst >= -1e-12
@@ -350,13 +348,12 @@ def test_symmetrization_inequality_random_complex():
 def test_reflected_pointwise_domination():
     # |f mubar * (reflected f) mubar| <= fsharp mubar * fsharp mubar holds
     # pointwise; with shared quadrature nodes it holds cell-exactly
-    spec = QuadratureSpec(rel_tol=1e-9)
     grid = Conv2DField.template(7.2, -6.3, 6.3, 31, 41)
     for seed in (2, 7):
         pair = small_pair(seed)
         sym = symmetrize(pair)
-        refl = pair_convolution_field(pair, grid, spec, reflected=True)
-        dom = pair_convolution_field(sym, grid, spec)
+        refl = pair_convolution_field(pair, grid, reflected=True)
+        dom = pair_convolution_field(sym, grid)
         assert np.all(np.abs(refl.values) <= dom.values.real + 1e-10)
 
 
@@ -390,24 +387,6 @@ def test_full_q_even_pair_expansion():
     assert qbar >= 1.5 * q_single * (1 - 5e-3)
 
 
-def test_full_q_breakdown_reports_the_fields_quadrature_levels():
-    # zigzag sheets near the tip of a small mass: some cells need level 2 to 4
-    s = 0.01
-    f = RadialProfile(s, np.linspace(s, 2.0, 6), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]))
-    g = RadialProfile(s, f.grid, 1.0 - f.values)
-    pair = SheetPair(f, g)
-    grid = Conv2DField.template(5.0, -4.0, 4.0, 21, 31)
-    spec = QuadratureSpec(rel_tol=1e-9)
-    _, br = full_q_ratio(pair, grid=grid, quad=spec)
-    assert br["quad_levels"] == {
-        "upper_self": hyperbolic_conv(f, f, grid, spec).meta["quad_levels"],
-        "lower_self": hyperbolic_conv(g, g, grid, spec).meta["quad_levels"],
-        "cross": cross_conv(f, g, grid, spec).meta["quad_levels"]}
-    assert br["quad_levels"]["upper_self"] != br["quad_levels"]["lower_self"]
-    # the default grid is pair_template's
-    assert full_q_ratio(pair)[0] == full_q_ratio(pair, grid=pair_template(pair))[0]
-
-
 def test_full_q_ratio_of_the_even_trial_pair_stays_within_its_memory():
     # the default 161 x 243 template: the samplers' blocks and Gauss chunks
     # bound their temporaries, so the fields and norms set the peak (4.43 MiB
@@ -419,7 +398,7 @@ def test_full_q_ratio_of_the_even_trial_pair_stays_within_its_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(qbar - 12.4897369299) < 1e-9
+    assert abs(qbar - 12.4897180969) < 1e-9
     assert peak <= 4.2 * 2 ** 20
 
 
@@ -429,26 +408,22 @@ def test_even_pair_samples_each_field_once(monkeypatch):
     f = shell_indicator(1.2, 2.4, 1.0, n=40, smooth=True)
     pair = SheetPair(f, RadialProfile(1.0, f.grid, f.values.copy()))
     grid = Conv2DField.template(7.0, -6.0, 6.0, 31, 45)
-    spec = QuadratureSpec(rel_tol=1e-9)
-    A, B = hyperbolic_conv(f, f, grid, spec), cross_conv(f, f, grid, spec)
+    A, B = hyperbolic_conv(f, f, grid), cross_conv(f, f, grid)
     calls = []
     for name in ("hyperbolic_conv", "cross_conv"):
         real = getattr(extremizer, name)
         monkeypatch.setattr(extremizer, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    qbar, br = full_q_ratio(pair, grid=grid, quad=spec)
+    qbar, br = full_q_ratio(pair, grid=grid)
     assert calls == ["hyperbolic_conv", "cross_conv"]
     total = grid.like(A.values + A.values[:, ::-1] + 2.0 * B.values)
     num = l2_field_norm(total, warn_boundary=False)[0] ** 2
     assert br["numerator"] == num
     assert qbar == num / pair.l2_norm_sq() ** 2
     assert br["terms"]["upper_self"] == br["terms"]["lower_self"]
-    assert br["quad_levels"] == {"upper_self": A.meta["quad_levels"],
-                                 "lower_self": A.meta["quad_levels"],
-                                 "cross": B.meta["quad_levels"]}
     # the unreflected pair field samples its cross field once as well
     calls.clear()
-    pair_convolution_field(small_pair(3), grid, spec)
+    pair_convolution_field(small_pair(3), grid)
     assert calls == ["hyperbolic_conv", "hyperbolic_conv", "cross_conv"]
 
 
@@ -457,14 +432,13 @@ def test_even_pair_field_samples_each_field_once(monkeypatch, reflected):
     pair = symmetrize(small_pair(3))
     f = pair.f_plus
     grid = Conv2DField.template(7.2, -6.3, 6.3, 31, 41)
-    spec = QuadratureSpec(rel_tol=1e-9)
-    A, B = hyperbolic_conv(f, f, grid, spec), cross_conv(f, f, grid, spec)
+    A, B = hyperbolic_conv(f, f, grid), cross_conv(f, f, grid)
     calls = []
     for name in ("hyperbolic_conv", "cross_conv"):
         real = getattr(extremizer, name)
         monkeypatch.setattr(extremizer, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    h = pair_convolution_field(pair, grid, spec, reflected=reflected)
+    h = pair_convolution_field(pair, grid, reflected=reflected)
     assert calls == ["hyperbolic_conv", "cross_conv"]
     np.testing.assert_array_equal(h.values, A.values + A.values[:, ::-1] + B.values + B.values)
 
@@ -475,7 +449,6 @@ def test_reflected_even_pair_of_equal_copies_takes_the_self_path(monkeypatch):
     f = trial_profile(0.7, 1.0, 20.0, 200)
     pair = SheetPair(f, RadialProfile(f.s, f.grid, f.values.copy()))
     grid = pair_template(pair, 41, 61)
-    spec = QuadratureSpec()
     points = []
     real = RadialProfile.at_time
     monkeypatch.setattr(RadialProfile, "at_time",
@@ -483,7 +456,7 @@ def test_reflected_even_pair_of_equal_copies_takes_the_self_path(monkeypatch):
     values, counts = [], []
     for reflected in (False, True):
         points.clear()
-        values.append(pair_convolution_field(pair, grid, spec, reflected=reflected).values)
+        values.append(pair_convolution_field(pair, grid, reflected=reflected).values)
         counts.append(sum(points))
     assert counts[0] > 0 and counts[0] == counts[1]
     np.testing.assert_array_equal(*values)
@@ -501,7 +474,8 @@ def test_full_q_ratio_warns_when_the_summed_field_is_truncated():
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         qbar_full = full_q_ratio(pair, grid=full)[0]
-        full_q_ratio(pair)
+        # the default grid is pair_template's
+        assert full_q_ratio(pair)[0] == full_q_ratio(pair, grid=pair_template(pair))[0]
     np.testing.assert_allclose([qbar_half, qbar_full], [12.391, 12.166], atol=1e-3)
 
 
@@ -511,11 +485,10 @@ def test_full_q_ratio_warns_when_the_summed_field_is_truncated():
     Conv2DField.template(1e-5, -1e-5, 1.001e-5, 5, 9)])
 def test_pair_fields_reject_an_asymmetric_tau_grid(grid):
     pair = small_pair(3)
-    spec = QuadratureSpec(rel_tol=1e-9)
     with pytest.raises(ValueError, match="^grid"):
-        full_q_ratio(pair, grid=grid, quad=spec)
+        full_q_ratio(pair, grid=grid)
     with pytest.raises(ValueError, match="^grid"):
-        pair_convolution_field(pair, grid, spec)
+        pair_convolution_field(pair, grid)
 
 
 def test_even_pair_certificate_rejects_a_zero_profile():
@@ -697,10 +670,10 @@ def test_ascent_reaches_the_search_target():
 
 
 def test_refined_value_extrapolates_at_the_grids_own_ratio():
-    # 400 and 800 nodes on one span: delta ratio 799/399, not 2 (which read
-    # 6.4442789); the 200/400/800 study's q_inf is 6.4442987
+    # 400 and 800 nodes on one span: delta ratio 799/399, not 2 (which reads
+    # 6.4442679); the 200/400/800 study's q_inf is 6.4442987
     res = maximize_radial(1.0, 400, 40.0, restarts=1, iters=300)
-    assert abs(res.q_refined - 6.4442808) <= 1e-7
+    assert abs(res.q_refined - 6.4442698) <= 1e-7
 
 
 def test_search_returns_one_q_star_for_every_mass():

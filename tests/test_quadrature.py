@@ -47,9 +47,10 @@ def test_gk_budget_covers_every_breakpoint_piece(seed):
     v = rng.standard_normal(n)
     p = float(rng.uniform(1.0, 3.0))
     f = RadialProfile(1.0, grid, v)
+    u = psi(grid, 1.0)
     i = np.flatnonzero(v[:-1] * v[1:] < 0)
-    cross = grid[i] - v[i] * (grid[i + 1] - grid[i]) / (v[i + 1] - v[i])
-    pts = psi(np.sort(np.concatenate([grid, cross])), 1.0)
+    cross = u[i] - v[i] * (u[i + 1] - u[i]) / (v[i + 1] - v[i])  # f is linear in u
+    pts = np.sort(np.concatenate([u, cross]))
     spec = QuadratureSpec(rel_tol=1e-12)
     res = integrate(lambda u: np.abs(f(phi(u, 1.0))) ** p * phi(u, 1.0), 0.0, pts[-1], spec,
                     points=pts)
@@ -161,6 +162,26 @@ def test_only_the_quadrature_module_imports_scipy_integrate():
             if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
                 importers.add(path.name)
     assert importers == {"quadrature.py"}
+
+
+def test_no_module_imports_an_undeclared_package():
+    # mpmath and sympy may be installed but are not dependencies: no module
+    # of the package, its tests or its benchmarks imports them
+    root = Path(quadrature.__file__).parents[2]
+    paths = [path for folder in ("src", "tests", "benchmarks")
+             for path in sorted((root / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    importers = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [node.module]
+            if any(n.partition(".")[0] in ("mpmath", "sympy") for n in names):
+                importers.add(str(path.relative_to(root)))
+    assert importers == set()
 
 
 _IMPORT_PROBE = """

@@ -25,7 +25,7 @@ from hyperconv.lorentz import (BoostParam, CapSpec, bounded_ball_certificate, ca
 from hyperconv.montecarlo import BumpSpec, mc_pairing_oracle
 from hyperconv.norms import field_inner_product
 from hyperconv.profiles import RadialProfile, shell_indicator
-from hyperconv.quadrature import QuadratureSpec, QuadResult, simpson_adaptive, split_exp_tail
+from hyperconv.quadrature import QuadResult, simpson_adaptive, split_exp_tail
 
 nan, inf = np.nan, np.inf
 F = np.ones(10)
@@ -80,9 +80,9 @@ CASES = {
     "dyadic_log_term(2.5)": (lambda: dyadic_log_term(2.5), "k"),
     "sphere_pair_kernel(R=0)": (lambda: sphere_pair_kernel(0.0, 1.0, 1.0), "R"),
     "sphere_pair_kernel(R2=-1)": (lambda: sphere_pair_kernel(1.0, -1.0, 1.0), "R2"),
-    "hyperbolic_conv(g.s)": (lambda: hyperbolic_conv(SHELL, SHELL_HALF, FIELD, QuadratureSpec()),
+    "hyperbolic_conv(g.s)": (lambda: hyperbolic_conv(SHELL, SHELL_HALF, FIELD),
                              "g.s"),
-    "cross_conv(f_minus.s)": (lambda: cross_conv(SHELL, SHELL_HALF, FIELD, QuadratureSpec()),
+    "cross_conv(f_minus.s)": (lambda: cross_conv(SHELL, SHELL_HALF, FIELD),
                               "f_minus.s"),
     "mc_pairing_oracle(g.s)": (lambda: mc_pairing_oracle(SHELL, SHELL_HALF, BUMP), "g.s"),
     "dyadic_shell_values(delta too coarse)": (lambda: dyadic_shell_values(1.0, 0, 0.5), "delta"),
@@ -168,6 +168,14 @@ MESSAGES = {
         1.0, -1.0, 1.0, 3, 5)), "fields must share grids"),
     "RadialProfile(grid below s)": (lambda: RadialProfile(1.0, [0.5, 2.0], [1.0, 1.0]),
                                     r"grid radii must be >= s = 1\.0"),
+    # both nodes map to the time u = 0, where the interpolant in u has no width
+    "RadialProfile(node times not increasing)": (
+        lambda: RadialProfile(1.0, [1.0 - 1e-13, 1.0, 2.0], [1.0, 1.0, 1.0]),
+        r"^grid must be strictly increasing, and so must its node times psi\(grid, s\)"),
+    # radii whose squares underflow give one node time, an empty time support
+    "RadialProfile(node times underflow)": (
+        lambda: RadialProfile(0.0, [1e-200, 2e-200], [1.0, 1.0]),
+        r"^grid must be strictly increasing, and so must its node times"),
     "RadialProfile(values shape)": (lambda: RadialProfile(1.0, [1.0, 2.0], [1.0]),
                                     "values must match grid shape"),
     "RadialProfile(values nan)": (lambda: RadialProfile(1.0, [1.0, 2.0], [1.0, nan]),
@@ -189,10 +197,6 @@ EDGE_VALUES = {
     "self_window(tau=0)": (lambda: self_window(1.0, 1.0, 0.0), []),
     "simpson_adaptive(b = a)": (lambda: simpson_adaptive(np.exp, 1.0, 1.0),
                                 QuadResult(0.0, 0.0, True)),
-    # radii whose squares underflow give an empty time support
-    "mc_pairing_oracle(empty support)": (
-        lambda: mc_pairing_oracle(*[RadialProfile(0.0, [1e-200, 2e-200], [1.0, 1.0])] * 2, BUMP),
-        (0.0, 0.0)),
 }
 
 
