@@ -24,49 +24,60 @@ a row's kinks the integrand is therefore a quadratic in t, which one
 rounding.  No level, tolerance or convergence test is involved, and no
 cell can fail.
 
-``hyperbolic_conv`` and ``cross_conv`` integrate blocks of tau rows.  A
-block's arrays hold, per row, one entry for each rho cell and one for each
-kink.  A field's rows split into the fewest blocks of at most
-``BLOCK_CELLS`` // (rho cells + kinks per row) rows, and at least one, as
-equal as the rows allow.  Within a block the windows of all cells come
-from one broadcast of the window formulas over the block's tau column,
+``hyperbolic_conv`` and ``cross_conv`` integrate tau rows in passes.  A
+pass holds the rows of one geometry (windows, kinks and support) and one or
+more integrands, one per field or per sign of tau that it fills, and splits
+its rows into the fewest blocks of at most ``BLOCK_CELLS`` //
+(integrands x (rho cells + kinks per row)) rows, and at least one, as
+equal as the rows allow; a block's arrays hold, per row, one entry for each
+rho cell and one for each kink.  Within a block the windows of all cells
+come from one broadcast of the window formulas over the block's tau column,
 each row's kinks are one row of a (rows x kinks) array, and every window
 is cut at the kinks of its own row: its two end segments and the
-whole-kink segments between them get the 8-point rule once, all windows
-of the block in one pass.  A pass evaluates the integrand in chunks of at
+whole-kink segments between them get the 8-point rule once.  That geometry
+is computed once; then each integrand in turn is summed, alone, over the
+segments of the rows it carries, so each field is bit for bit what a pass
+of its own returns.  A Gauss pass evaluates the integrand in chunks of at
 most ``GAUSS_POINTS`` points, so a block's point arrays stay that small
 however many rows it holds; each interval's sum is formed from its own
-terms in the same order as in one pass, so the chunks change no bit.  The kinks a
-window holds are searched inclusively, so a window end that equals a kink
-(a support edge, the cross window's t_cap, the fold point tau/2) starts or
-ends its whole-kink part, and its end segment has length zero.  Such an
-end is exactly 0 and no Gauss sum is taken over it, nor over a whole-kink
-segment between two equal kinks.  The whole-kink part of a window is a
-difference of prefix sums taken along its own row, starting at the row's
-first kink inside any of its windows, so that its rounding is bounded by
-the row's total and never by the block's; a block returns bit for bit what
-its rows return one at a time.  A cell far below its row's total therefore
-carries absolute rounding of about 1e-16 times that total.  On the fields
-of the overlapping cusped shells in the tests, cells between 1e-7 and 1e-5
-of the field maximum carry relative rounding of order 1e-10 (two summation
-orders differ there by up to 2.3e-10), and the whole field about 4e-15 of
-its maximum; harmless for L2 norms, not for a log-scale fit of small field
-values.  Each sampled field logs one DEBUG record to
-``logging.getLogger("hyperconv")``: its tau rows, cells with a window,
-blocks, integrand points and wall time.
+terms in the same order as in one pass, so the chunks change no bit.  The
+kinks a window holds are searched inclusively, so a window end that equals
+a kink (a support edge, the cross window's t_cap, the fold point tau/2)
+starts or ends its whole-kink part, and its end segment has length zero.
+Such an end is exactly 0 and no Gauss sum is taken over it, nor over a
+whole-kink segment between two equal kinks.  The whole-kink part of a
+window is a difference of prefix sums taken along its own row, starting at
+the row's first kink inside any of its windows, so that its rounding is
+bounded by the row's total and never by the block's; a block returns bit
+for bit what its rows return one at a time.  A cell far below its row's
+total therefore carries absolute rounding of about 1e-16 times that total.
+On the fields of the overlapping cusped shells in the tests, cells between
+1e-7 and 1e-5 of the field maximum carry relative rounding of order 1e-10
+(two summation orders differ there by up to 2.3e-10), and the whole field
+about 4e-15 of its maximum; harmless for L2 norms, not for a log-scale fit
+of small field values.  Each pass logs one DEBUG record to
+``logging.getLogger("hyperconv")``: its fields, tau rows, cells with a
+window, blocks, integrand points and wall time.
 
 The self integrand's windows and kernel are symmetric about t = tau/2, so
 ``hyperbolic_conv`` folds each row there and integrates
 f(t) g(tau - t) + g(t) f(tau - t) over t >= tau/2 only, with the row's
 kinks psi(f.grid), psi(g.grid), their reflections tau - psi and tau/2.
+Inside ``shared_self_pass`` the self fields of profiles that share their
+node times, such as a sheet pair's two, come from one pass.
 
 A cross row at tau < 0 is the row at |tau| of the swapped pair
-(cross(f, g)(rho, tau) = cross(g, f)(rho, -tau)), so ``cross_conv`` runs
-its rows as two groups, tau >= 0 and tau < 0 with the sheets swapped,
-each with a single integrand and the windows of ``cross_window`` at |tau|.
+(cross(f, g)(rho, tau) = cross(g, f)(rho, -tau)), with the windows of
+``cross_window`` at |tau|.  When f and g share their node times both signs
+share each row's geometry, so ``cross_conv`` integrates each distinct
+|tau| once, with the integrand of each sign present there; otherwise each
+sign is a pass of its own.  Identical integrands, a self field's f and g
+in either order or ``cross_conv(f, f)``'s two signs, are evaluated once.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import logging
 import time
 
@@ -196,8 +207,9 @@ _GL8_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
                    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
                    0.22238103445337443, 0.10122853629037706])
 MAX_LEVEL = 4  # of the profile integral's adaptive rule
-# a block's rows times the rho cells plus kinks of a row: its cell and
-# segment arrays scale with that, its Gauss point arrays with GAUSS_POINTS
+# a block's rows times the rho cells plus kinks of a row, times the
+# integrands of its pass: its cell and segment arrays scale with that, its
+# Gauss point arrays with GAUSS_POINTS
 BLOCK_CELLS = 2 ** 13
 GAUSS_POINTS = 2 ** 13  # integrand points per chunk of a Gauss pass
 
@@ -253,14 +265,25 @@ def _cell_sums(cell: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cell, x, n)
 
 
-def _block_integrals(integrand, tau, kinks, lo, hi, support, rho):
-    """(2 pi / rho) * window integral of every cell of a row block.
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``x``, as np.unique gives them (which loads numpy.ma)."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def _block_integrals(integrands, carried, tau, kinks, lo, hi, support, rho):
+    """(2 pi / rho) * window integral of every cell of a row block, for each integrand.
 
     Row r has the integrand parameter ``tau[r]``, the kink times
     ``kinks[r]`` and the window slots ``lo[:, r]``/``hi[:, r]``, clipped
     to ``support[:, r]``; ``kinks``, ``lo`` and ``hi`` are sorted and
-    clipped in place.  Values come as (rows, rho.size), with the number of
-    cells that have a window and the number of integrand points taken.
+    clipped in place.  This geometry is shared: integrand c is integrated
+    on the rows ``carried[c]`` marks, alone, so its values are bit for bit
+    those of a block of its own.  Values come as one (rows, rho.size) array
+    per integrand, 0 on the rows it does not carry, with the number of cells
+    that have a window and the number of integrand points taken.
     """
     rows, n = tau.size, rho.size
     lo = np.maximum(lo, support[0][:, None], out=lo)
@@ -268,7 +291,7 @@ def _block_integrals(integrand, tau, kinks, lo, hi, support, rho):
     live = hi > lo
     slot, row, col = np.nonzero(live)
     if row.size == 0:
-        return np.zeros((rows, n)), 0, 0
+        return [np.zeros((rows, n))] * len(integrands), 0, 0
     lo_min = np.where(live, lo, np.inf).min(axis=(0, 2))
     hi_max = np.where(live, hi, -np.inf).max(axis=(0, 2))
     lo, hi = lo[slot, row, col], hi[slot, row, col]
@@ -276,7 +299,7 @@ def _block_integrals(integrand, tau, kinks, lo, hi, support, rho):
     kinks.sort(axis=1)
     # each kink's rank among the block's kinks, offset by its row: one sorted
     # key array, so one search places a value among the kinks of its row
-    uniq = np.unique(kinks)
+    uniq = _distinct(kinks)
     width = uniq.size + 1
     keys = (np.arange(rows)[:, None] * width + np.searchsorted(uniq, kinks)).ravel()
 
@@ -309,19 +332,28 @@ def _block_integrals(integrand, tau, kinks, lo, hi, support, rho):
     ends_lo = np.concatenate([lo, np.where(inner, kinks[row, last], hi)])
     ends_hi = np.concatenate([np.where(inner, kinks[row, first], hi), hi])
     alive = ends_hi > ends_lo
+    end_row = np.concatenate([row, row])
+    first, last = np.where(inner, first - j0, 0), np.where(inner, last - j0, 0)
     # the whole-kink segments; zeros ahead of a row's span leave its prefix
     # sums exact
-    at = np.nonzero(in_span)
-    rs, ks = at
-    seg, _ = _gauss_sums(integrand, kinks[rs, j0 + ks], kinks[rs, j0 + ks + 1], tau[rs])
-    # the windows' ends, exactly 0 where an end has length zero
-    end, _ = _gauss_sums(integrand, ends_lo[alive], ends_hi[alive],
-                         tau[np.concatenate([row, row])[alive]])
-    sums = _window_sums(_scatter(alive.size, alive, end), _scatter((rows, j.size), at, seg), row,
-                        np.where(inner, first - j0, 0), np.where(inner, last - j0, 0))
-    out = _cell_sums(cell, sums, rows * n)
-    out[cell] *= TWO_PI / rho[col]
-    return out.reshape(rows, n), np.count_nonzero(live.any(axis=0)), 8 * (rs.size + end.size)
+    rs, ks = np.nonzero(in_span)
+    seg_lo, seg_hi = kinks[rs, j0 + ks], kinks[rs, j0 + ks + 1]
+    values, points = [], 0
+    for integrand, rows_c in zip(integrands, carried):
+        every = rows_c.all()  # then no copies of the geometry
+        on_seg = slice(None) if every else rows_c[rs]
+        on_end = alive if every else alive & rows_c[end_row]
+        seg, _ = _gauss_sums(integrand, seg_lo[on_seg], seg_hi[on_seg], tau[rs[on_seg]])
+        # the windows' ends, exactly 0 where an end has length zero
+        end, _ = _gauss_sums(integrand, ends_lo[on_end], ends_hi[on_end], tau[end_row[on_end]])
+        sums = _window_sums(_scatter(alive.size, on_end, end),
+                            _scatter((rows, j.size), (rs[on_seg], ks[on_seg]), seg),
+                            row, first, last)
+        out = _cell_sums(cell, sums, rows * n)
+        out[cell] *= TWO_PI / rho[col]
+        values.append(out.reshape(rows, n))
+        points += 8 * (seg.size + end.size)
+    return values, np.count_nonzero(live.any(axis=0)), points
 
 
 def _blocks(count: int, per_row: int):
@@ -332,12 +364,104 @@ def _blocks(count: int, per_row: int):
     return [slice(r, r + step) for r in range(0, count, step)]
 
 
-def _log_field(name: str, start: float, rows: int, cells: int, blocks: int,
+def _log_field(name: str, start: float, fields: int, rows: int, cells: int, blocks: int,
                points: int) -> None:
-    """One DEBUG record per sampled field: its rows, live cells, blocks, points and wall time."""
+    """One DEBUG record per pass: its fields, rows, live cells, blocks, points and wall time."""
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("%s: %d tau rows, %d cells with a window, %d blocks, %d quadrature points, "
-                  "%.3g s", name, rows, cells, blocks, points, time.perf_counter() - start)
+        log.debug("%s: %d fields, %d tau rows, %d cells with a window, %d blocks, "
+                  "%d quadrature points, %.3g s", name, fields, rows, cells, blocks, points,
+                  time.perf_counter() - start)
+
+
+def _sample(name, fields, jobs, t, support, kinks, windows, rho):
+    """One pass over the rows ``t``: their geometry once, then each job's integrand.
+
+    A job is (integrand, [(values, column of each row or -1), ...]); its
+    integrand is integrated on the rows that have a column.  ``kinks(tb)``
+    and ``windows(tb, block)`` give a block's kinks and window slots.
+    """
+    start = time.perf_counter()
+    carried = [np.any([cols >= 0 for _, cols in targets], axis=0) for _, targets in jobs]
+    blocks = _blocks(t.size, (rho.size + kinks(t[:1]).shape[1]) * len(jobs))
+    cells = points = 0
+    for block in blocks:
+        tb = t[block]
+        values, n_cells, n_points = _block_integrals(
+            [integrand for integrand, _ in jobs], [rows[block] for rows in carried], tb,
+            kinks(tb), *windows(tb, block), support[:, block], rho)
+        for vals, (_, targets) in zip(values, jobs):
+            for out, cols in targets:
+                at = cols[block] >= 0
+                out[:, cols[block][at]] = vals[at].T
+        cells += n_cells
+        points += n_points
+    _log_field(name, start, fields, t.size, cells, len(blocks), points)
+
+
+def _self_integrand(f: RadialProfile, g: RadialProfile):
+    if g is f:
+        return lambda x, tau: 2.0 * f.at_time(x) * f.at_time(tau - x)
+    return lambda x, tau: f.at_time(x) * g.at_time(tau - x) + g.at_time(x) * f.at_time(tau - x)
+
+
+def _self_fields(components, grid: Conv2DField) -> list:
+    """The self fields of the (f, g) ``components``, which share s and node times, in one pass.
+
+    Components with the same two profiles, in either order, have one
+    integrand (its two terms add in the other order), evaluated once.
+    """
+    f, g = components[0]
+    s = f.s
+    fu, gu = f.u_support(), g.u_support()
+    u = _distinct(np.concatenate([f.times, g.times]))
+    rho, tau = grid.rho_grid, grid.tau_grid
+    cols = np.flatnonzero((tau > 0) & (tau >= fu[0] + gu[0]) & (tau <= fu[1] + gu[1]))
+    t = tau[cols]
+    c = 0.5 * t
+    # [lo1, hi1] carries f(x) g(t - x); t - x in it carries g(x) f(t - x).
+    # Their union on x >= c, with t - (t - v) written as v so that every
+    # edge is one of the row's kinks bit for bit
+    lo1 = np.maximum(fu[0], t - gu[1])
+    hi1 = np.minimum(fu[1], t - gu[0])
+    support = np.stack([np.where(hi1 < c, np.maximum(t - fu[1], gu[0]), np.maximum(lo1, c)),
+                        np.maximum(hi1, np.minimum(t - fu[0], gu[1]))])
+    outs = [np.zeros((rho.size, tau.size), dtype=complex if (a.is_complex or b.is_complex)
+                     else float) for a, b in components]
+    jobs = {}
+    for (a, b), out in zip(components, outs):
+        job = jobs.setdefault(frozenset((id(a), id(b))), (_self_integrand(a, b), []))
+        job[1].append((out, cols))
+    _sample("hyperbolic_conv", len(outs), list(jobs.values()), t, support,
+            lambda tb: np.concatenate([np.broadcast_to(u, (tb.size, u.size)),
+                                       tb[:, None] - u, 0.5 * tb[:, None]], axis=1),
+            lambda tb, block: _self_windows(s, rho, tb[:, None]), rho)
+    for (a, b), out in zip(components, outs):
+        mid = a.at_time(c) * b.at_time(c)
+        out[np.ix_(rho == 0.0, cols)] = TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (t * t)) * mid
+    return [grid.like(out) for out in outs]
+
+
+# the components, grid and, once sampled, fields of the innermost ``shared_self_pass``
+_SHARED = contextvars.ContextVar("shared_self_pass", default=((), None, []))
+
+
+@contextlib.contextmanager
+def shared_self_pass(components, grid: Conv2DField):
+    """Inside the block, ``hyperbolic_conv`` of the (f, g) ``components`` on ``grid`` is one pass.
+
+    The first such call samples every component's field and each later one
+    returns its own, so a caller still makes one call per field, and each
+    field is bit for bit that of a call alone.  The profiles must share s
+    and node times (their windows and kinks), or a ValueError says so.
+    """
+    times, s = components[0][0].times, components[0][0].s
+    if any(p.s != s or not np.array_equal(p.times, times) for pair in components for p in pair):
+        raise ValueError("a shared self pass needs profiles with one s and one set of node times")
+    token = _SHARED.set((components, grid, []))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 def hyperbolic_conv(f: RadialProfile, g: RadialProfile, grid: Conv2DField) -> Conv2DField:
@@ -356,50 +480,19 @@ def hyperbolic_conv(f: RadialProfile, g: RadialProfile, grid: Conv2DField) -> Co
     [tau - hi1 if hi1 < c else max(lo1, c), max(hi1, tau - lo1)], each edge
     written so that it equals its kink bit for bit and joins the prefix
     sums.  rho = 0 takes the closed-form axis value.  ``grid`` must be a
-    ``Conv2DField``, or a TypeError names it.
+    ``Conv2DField``, or a TypeError names it.  Inside ``shared_self_pass``
+    the field comes from the pass that samples all of its components.
     """
     if f.s != g.s:
         raise ValueError(f"g.s must be f.s = {f.s}, got {g.s}")
     check_grid(grid)
-    start = time.perf_counter()
-    s = f.s
-    fu, gu = f.u_support(), g.u_support()
-    u = np.union1d(f.times, g.times)
-    rho, tau = grid.rho_grid, grid.tau_grid
-    out = np.zeros((rho.size, tau.size),
-                   dtype=complex if (f.is_complex or g.is_complex) else float)
-    if g is f:
-        def integrand(x, tau):
-            return 2.0 * f.at_time(x) * f.at_time(tau - x)
-    else:
-        def integrand(x, tau):
-            return f.at_time(x) * g.at_time(tau - x) + g.at_time(x) * f.at_time(tau - x)
-    cols = np.flatnonzero((tau > 0) & (tau >= fu[0] + gu[0]) & (tau <= fu[1] + gu[1]))
-    t = tau[cols]
-    c = 0.5 * t
-    # [lo1, hi1] carries f(x) g(t - x); t - x in it carries g(x) f(t - x).
-    # Their union on x >= c, with t - (t - v) written as v so that every
-    # edge is one of the row's kinks bit for bit
-    lo1 = np.maximum(fu[0], t - gu[1])
-    hi1 = np.minimum(fu[1], t - gu[0])
-    support = np.stack([np.where(hi1 < c, np.maximum(t - fu[1], gu[0]), np.maximum(lo1, c)),
-                        np.maximum(hi1, np.minimum(t - fu[0], gu[1]))])
-    blocks = _blocks(cols.size, rho.size + 2 * u.size + 1)
-    cells = points = 0
-    for block in blocks:
-        tb, cb = t[block], c[block]
-        kinks = np.concatenate([np.broadcast_to(u, (tb.size, u.size)),
-                                tb[:, None] - u, cb[:, None]], axis=1)
-        vals, n_cells, n_points = _block_integrals(integrand, tb, kinks,
-                                                   *_self_windows(s, rho, tb[:, None]),
-                                                   support[:, block], rho)
-        out[:, cols[block]] = vals.T
-        cells += n_cells
-        points += n_points
-    mid = f.at_time(c) * g.at_time(c)
-    out[np.ix_(rho == 0.0, cols)] = TWO_PI * np.sqrt(1.0 + 4.0 * s * s / (t * t)) * mid
-    _log_field("hyperbolic_conv", start, cols.size, cells, len(blocks), points)
-    return grid.like(out)
+    components, shared, fields = _SHARED.get()
+    k = next((k for k, (a, b) in enumerate(components) if a is f and b is g), None)
+    if shared is not grid or k is None:
+        return _self_fields([(f, g)], grid)[0]
+    if not fields:
+        fields.extend(_self_fields(components, grid))
+    return fields[k]
 
 
 def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField) -> Conv2DField:
@@ -407,45 +500,46 @@ def cross_conv(f_plus: RadialProfile, f_minus: RadialProfile, grid: Conv2DField)
 
     tau may take either sign; the field obeys
     cross(f, g)(rho, tau) = cross(g, f)(rho, -tau).  A row at tau < 0 is
-    therefore the row at |tau| of the swapped pair, so the rows run as two
-    groups, tau >= 0 with (fa, fb) = (f+, f-) and tau < 0 with (f-, f+),
-    each in blocks with the integrand fa(|tau| + t) fb(t) in the lower
-    sheet's time t, the kinks psi(fa.grid) - |tau| and psi(fb.grid), and
-    the support where both factors live.  Between neighbouring kinks the
-    integrand is a product of two functions linear in t, so every window
-    integral is exact up to rounding.  ``grid`` is checked as in
-    ``hyperbolic_conv``.
+    therefore the row at |tau| of the swapped pair: tau >= 0 takes
+    (fa, fb) = (f+, f-) and tau < 0 takes (f-, f+), each with the
+    integrand fa(|tau| + t) fb(t) in the lower sheet's time t, the kinks
+    psi(fa.grid) - |tau| and psi(fb.grid), and the support where both
+    factors live.  If f+ and f- share their node times, both signs share
+    those kinks and supports, so each distinct |tau| is one row of one pass
+    carrying the integrand of each sign present there, one integrand for
+    both if ``f_plus is f_minus``; otherwise each sign is a pass of its
+    own.  Between neighbouring kinks the integrand is a product of two
+    functions linear in t, so every window integral is exact up to
+    rounding.  ``grid`` is checked as in ``hyperbolic_conv``.
     """
     if f_plus.s != f_minus.s:
         raise ValueError(f"f_minus.s must be f_plus.s = {f_plus.s}, got {f_minus.s}")
     check_grid(grid)
-    start = time.perf_counter()
     s = f_plus.s
     rho, tau = grid.rho_grid, grid.tau_grid
     out = np.zeros((rho.size, tau.size),
                    dtype=complex if (f_plus.is_complex or f_minus.is_complex) else float)
     t_abs = np.abs(tau)
-    rows = blocks = cells = points = 0
-    for fa, fb, group in ((f_plus, f_minus, tau >= 0), (f_minus, f_plus, tau < 0)):
+    signs = [(f_plus, f_minus, tau >= 0), (f_minus, f_plus, tau < 0)]
+    for group in [signs] if np.array_equal(f_plus.times, f_minus.times) else [[a] for a in signs]:
+        fa, fb = group[0][:2]
         au, bu = fa.u_support(), fb.u_support()
-        support = np.stack([np.maximum(bu[0], au[0] - t_abs), np.minimum(bu[1], au[1] - t_abs)])
-        cols = np.flatnonzero(group & (support[1] > support[0]))
-        t, support = t_abs[cols], support[:, cols]
-        group_blocks = _blocks(cols.size, rho.size + fa.times.size + fb.times.size)
-        for block in group_blocks:
-            tb = t[block]
-            kinks = np.concatenate([fa.times - tb[:, None],
-                                    np.broadcast_to(fb.times, (tb.size, fb.times.size))], axis=1)
-            vals, n_cells, n_points = _block_integrals(
-                lambda x, tau: fa.at_time(tau + x) * fb.at_time(x), tb, kinks,
-                *_cross_windows(s, rho, tb[:, None], support[1, block, None]),
-                support[:, block], rho)
-            out[:, cols[block]] = vals.T
-            cells += n_cells
-            points += n_points
-        rows += cols.size
-        blocks += len(group_blocks)
-    _log_field("cross_conv", start, rows, cells, blocks, points)
+        live = np.maximum(bu[0], au[0] - t_abs) < np.minimum(bu[1], au[1] - t_abs)
+        t = _distinct(t_abs[live & np.any([sign for *_, sign in group], axis=0)])
+        support = np.stack([np.maximum(bu[0], au[0] - t), np.minimum(bu[1], au[1] - t)])
+        jobs = {}
+        for a, b, sign in group:
+            cols = np.full(t.size, -1)
+            at = np.flatnonzero(sign & live)
+            cols[np.searchsorted(t, t_abs[at])] = at
+            jobs.setdefault((id(a), id(b)), (lambda x, tau, a=a, b=b: a.at_time(tau + x)
+                                             * b.at_time(x), []))[1].append((out, cols))
+        _sample("cross_conv", 1, list(jobs.values()), t, support,
+                lambda tb: np.concatenate([fa.times - tb[:, None],
+                                           np.broadcast_to(fb.times, (tb.size, fb.times.size))],
+                                          axis=1),
+                lambda tb, block: _cross_windows(s, rho, tb[:, None], support[1, block, None]),
+                rho)
     return grid.like(out)
 
 
@@ -469,7 +563,7 @@ def _time_segments(f: RadialProfile):
     u_lo, u_hi = u[0], u[-1]
     if 0 < s < u_hi:
         cuts = np.concatenate([cuts, s * 2.0 ** np.arange(np.log2(u_hi / s) + 1)])
-    cuts = np.unique(cuts[(cuts >= u_lo) & (cuts <= u_hi)])
+    cuts = _distinct(cuts[(cuts >= u_lo) & (cuts <= u_hi)])
     return cuts[:-1], cuts[1:]
 
 

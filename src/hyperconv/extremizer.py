@@ -211,9 +211,12 @@ def _drawn_starts(engine: SliceEngine, a_star: float, restarts: int, seed: int) 
     """The restarts - 1 drawn starts of ``maximize_radial`` on the engine grid.
 
     Shell indicators, random log-normal profiles and perturbed trial
-    profiles exp(-a u/2), a drawn around a_star, in turn.
+    profiles exp(-a u/2), a drawn around a_star, in turn.  A single start
+    draws none, and leaves numpy.random (with hashlib and secrets) unloaded.
     """
     starts = []
+    if restarts == 1:
+        return starts
     for k, seq in enumerate(np.random.SeedSequence(seed).spawn(restarts - 1)):
         rng = np.random.default_rng(seq)
         kind = k % 3
@@ -452,9 +455,16 @@ def _sheet_fields(pair: SheetPair, grid: Conv2DField, reflected: bool = False):
     """Unreflected fields f+ * g+, f- * g-, f+ * g- and g+ * f- of a pair field.
 
     g is the pair or, if reflected, its reflection (the sheets swapped).
-    Equal sheets share one self and one cross field.  The lower field is
-    reflected by reversing tau, so the tau grid must be symmetric about 0.
-    A ``grid`` that is not a ``Conv2DField`` raises a TypeError that names it.
+    Equal sheets share one self and one cross field.  Otherwise the two
+    self fields come from one ``convolution.shared_self_pass``, since a
+    pair's sheets share their grid and mass, hence their node times and
+    windows; reflected, they are one field with its profiles swapped, whose
+    integrand is evaluated once.  Each cross field integrates each |tau|
+    row once (``cross_conv``).  The lower field is reflected by reversing
+    tau, so the tau grid must be symmetric about 0; a template with
+    tau_min = -tau_max is so exactly, and only then do the rows at tau and
+    -tau share a cross pass.  A ``grid`` that is not a ``Conv2DField``
+    raises a TypeError that names it.
     """
     check_grid(grid)
     tau = grid.tau_grid
@@ -465,8 +475,11 @@ def _sheet_fields(pair: SheetPair, grid: Conv2DField, reflected: bool = False):
     if even:  # a pair shares its grid and mass, so equal values are one function
         fm = fp  # and the samplers take their g is f paths, reflected or not
     gp, gm = (fm, fp) if reflected else (fp, fm)
-    upper = hyperbolic_conv(fp, gp, grid)
-    lower = upper if even else hyperbolic_conv(fm, gm, grid)
+    if even:
+        upper = lower = hyperbolic_conv(fp, gp, grid)
+    else:
+        with convolution.shared_self_pass([(fp, gp), (fm, gm)], grid):
+            upper, lower = hyperbolic_conv(fp, gp, grid), hyperbolic_conv(fm, gm, grid)
     cross = cross_conv(fp, gm, grid)
     cross2 = cross_conv(gp, fm, grid) if reflected and not even else cross
     return upper, lower, cross, cross2
@@ -515,7 +528,10 @@ def full_q_ratio(pair: SheetPair, grid: Conv2DField | None = None):
     any other must be a ``Conv2DField``, or a TypeError names it, and its
     tau grid must be symmetric about 0, or a ValueError names ``grid``.
     The fields come from ``_sheet_fields``, so sheets with equal node values
-    (even pairs) share one self field.  A ``norms.TruncationWarning`` says
+    (even pairs) share one self field, unequal sheets sample their two self
+    fields in one pass, and the cross field takes each |tau| row once, each
+    field bit for bit that of a sampler call of its own.  A
+    ``norms.TruncationWarning`` says
     that the summed field reaches the grid's outer lines, so the numerator
     misses the part beyond them.
     """

@@ -22,12 +22,25 @@ MAGIC = b"H3CF"
 
 
 def _template_axes(rho_max, tau_min, tau_max, n_rho, n_tau, min_rho: int):
-    """The checked equispaced rho and tau axes of a template."""
+    """The checked equispaced rho and tau axes of a template.
+
+    With tau_min == -tau_max the tau axis is the upper half of the
+    equispaced one (from 0 when n_tau is odd) and that half negated, so it
+    equals -tau[::-1] exactly: a field reflected in tau lands on the grid's
+    own nodes, and the rows at tau and -tau share |tau|.
+    """
     rho_max = check_real("rho_max", rho_max, above=0.0)
     tau_min = check_real("tau_min", tau_min)
     tau_max = check_real("tau_max", tau_max, above=tau_min)
-    return (np.linspace(0.0, rho_max, check_count("n_rho", n_rho, min_rho)),
-            np.linspace(tau_min, tau_max, check_count("n_tau", n_tau, 1)))
+    n_rho = check_count("n_rho", n_rho, min_rho)
+    n_tau = check_count("n_tau", n_tau, 1)
+    tau = np.linspace(tau_min, tau_max, n_tau)
+    if tau_min == -tau_max and n_tau > 1:
+        half = tau[n_tau // 2:]
+        if n_tau % 2:
+            half[0] = 0.0
+        tau = np.concatenate([-half[n_tau % 2:][::-1], half])
+    return np.linspace(0.0, rho_max, n_rho), tau
 
 
 def check_grid(grid) -> None:
@@ -63,6 +76,7 @@ class Conv2DField:
                  n_rho: int, n_tau: int) -> "Conv2DField":
         """Zero field on n_rho equispaced rho in [0, rho_max] and n_tau tau in [tau_min, tau_max].
 
+        With tau_min == -tau_max the tau nodes are mirrored exactly about 0.
         A ValueError names ``rho_max`` unless it is finite and > 0,
         ``tau_min`` or ``tau_max`` unless both are finite with
         tau_min < tau_max, and ``n_rho`` or ``n_tau`` unless it is an

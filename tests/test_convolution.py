@@ -11,7 +11,7 @@ from hyperconv.closedforms import ConvPoint, branch_curves, mu_self_conv, mu_sel
 from hyperconv.convolution import (cross_conv, cross_window, field_mass, hyperbolic_conv,
                                    profile_measure_integral, self_half_width,
                                    self_window, sphere_pair_kernel)
-from hyperconv.extremizer import SheetPair, full_q_ratio, pair_convolution_field
+from hyperconv.extremizer import SheetPair, _sheet_fields, full_q_ratio, pair_convolution_field
 from hyperconv.fields import Conv2DField
 from hyperconv.geometry import psi
 from hyperconv.profiles import RadialProfile, shell_indicator, trial_profile
@@ -743,6 +743,124 @@ def test_each_sampled_field_logs_one_debug_record(caplog):
     cells = np.count_nonzero((h.values != 0) & (grid.rho_grid[:, None] > 0))
     assert f"{rows} tau rows, {cells} cells with a window, 1 blocks," in records[0].getMessage()
     assert "quadrature points" in records[1].getMessage()
+
+
+# ---- shared passes against single-field calls ----
+
+def _single_cross(f, g, grid):
+    """cross_conv(f, g) from grids of tau >= 0 alone, each a pass of one integrand.
+
+    The rows at tau < 0 are those of cross(g, f) at |tau|.
+    """
+    tau = grid.tau_grid
+    out = None
+    for a, b, cols in ((f, g, np.flatnonzero(tau >= 0)), (g, f, np.flatnonzero(tau < 0)[::-1])):
+        if cols.size:
+            sub = Conv2DField(grid.rho_grid, np.abs(tau[cols]),
+                              np.zeros((grid.rho_grid.size, cols.size)))
+            values = cross_conv(a, b, sub).values
+            out = np.zeros(grid.values.shape, dtype=values.dtype) if out is None else out
+            out[:, cols] = values
+    return out
+
+
+def _values_on(f, rng, complex_values, zero_ends):
+    """Values for f's grid; with zero_ends, 0 on a stretch at each end (a narrower support)."""
+    vals = rng.uniform(-1.0, 2.0, f.grid.size)
+    if complex_values:
+        vals = vals * np.exp(1j * rng.uniform(0.0, 6.0, f.grid.size))
+    if zero_ends:
+        vals[:rng.integers(0, f.grid.size // 2 + 1)] = 0.0
+        vals[f.grid.size - rng.integers(0, f.grid.size // 2 + 1):] = 0.0
+    return vals
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       complex_values=st.booleans(), even=st.booleans(), zero_ends=st.booleans(),
+       reflected=st.booleans(), mirrored=st.booleans(), n_rho=st.integers(2, 20),
+       n_tau=st.integers(2, 30), bound=st.sampled_from([1, convolution.BLOCK_CELLS, 10 ** 9]))
+def test_sheet_fields_equal_single_field_calls(data, s, complex_values, even, zero_ends,
+                                               reflected, mirrored, n_rho, n_tau, bound):
+    # the shared self pass and the shared |tau| rows of the cross fields
+    # change no bit of any field; a linspace tau grid is symmetric only to
+    # rounding, so few of its rows at tau and -tau share a cross pass
+    f = data.draw(_profile(s, complex_values))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    g = RadialProfile(s, f.grid, f.values.copy() if even
+                      else _values_on(f, rng, data.draw(st.booleans()), zero_ends))
+    pair = SheetPair(f, g)
+    u_hi = f.u_support()[1]
+    rho_hi, tau_hi = np.sqrt(4 * u_hi ** 2 + s * s) + s + 0.1, 2.2 * u_hi
+    grid = (Conv2DField.template(rho_hi, -tau_hi, tau_hi, n_rho, n_tau) if mirrored
+            else Conv2DField(np.linspace(0.0, rho_hi, n_rho), np.linspace(-tau_hi, tau_hi, n_tau),
+                             np.zeros((n_rho, n_tau))))
+    fp, fm = f, (f if even else g)  # equal values take the g is f paths
+    gp, gm = (fm, fp) if reflected else (fp, fm)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convolution, "BLOCK_CELLS", bound)
+        got = [h.values for h in _sheet_fields(pair, grid, reflected)]
+        want = [hyperbolic_conv(fp, gp, grid).values, hyperbolic_conv(fm, gm, grid).values,
+                _single_cross(fp, gm, grid), _single_cross(gp, fm, grid)]
+    for a, b in zip(got, want):
+        _assert_same_bytes(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       complex_values=st.booleans(), same_times=st.booleans(), zero_ends=st.booleans(),
+       n_rho=st.integers(2, 20), n_mags=st.integers(1, 15),
+       bound=st.sampled_from([1, convolution.BLOCK_CELLS, 10 ** 9]))
+def test_shared_passes_equal_single_passes_on_any_tau_grid(data, s, complex_values, same_times,
+                                                           zero_ends, n_rho, n_mags, bound):
+    # a tau = 0 row, and each |tau| at tau, at -tau or at both; profiles with
+    # one set of node times share their passes, others take one per sign
+    f = data.draw(_profile(s, complex_values))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    g = (RadialProfile(s, f.grid, _values_on(f, rng, False, zero_ends)) if same_times
+         else data.draw(_profile(s, False)))
+    u_hi = max(f.u_support()[1], g.u_support()[1])
+    mags = rng.uniform(0.01, 2.2 * u_hi, n_mags)
+    sign = rng.integers(0, 3, n_mags)  # +, - or both
+    tau = np.unique(np.concatenate([[0.0], mags[sign != 1], -mags[sign != 0]]))
+    rho = np.linspace(0.0, np.sqrt(4 * u_hi ** 2 + s * s) + s + 0.1, n_rho)
+    grid = Conv2DField(rho, tau, np.zeros((rho.size, tau.size)))
+    components = [(f, f), (g, g), (f, g), (g, f)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convolution, "BLOCK_CELLS", bound)
+        for a, b in components:
+            _assert_same_bytes(cross_conv(a, b, grid).values, _single_cross(a, b, grid))
+        if same_times:
+            with convolution.shared_self_pass(components, grid):
+                shared = [hyperbolic_conv(a, b, grid).values for a, b in components]
+            for (a, b), got in zip(components, shared):
+                _assert_same_bytes(got, hyperbolic_conv(a, b, grid).values)
+
+
+def test_a_shared_self_pass_refuses_profiles_with_other_node_times():
+    f = shell_indicator(1.2, 2.0, 1.0, n=20)
+    g = shell_indicator(1.2, 2.0, 1.0, n=21)
+    grid = Conv2DField.template(4.0, -3.0, 3.0, 9, 12)
+    with pytest.raises(ValueError, match="one s and one set of node times"):
+        with convolution.shared_self_pass([(f, f), (g, g)], grid):
+            pass
+
+
+@pytest.mark.parametrize("n_tau", [2, 3, 170, 171, 242, 243])
+def test_template_tau_nodes_are_mirrored_exactly(n_tau):
+    tau = Conv2DField.template(1.0, -3.7, 3.7, 2, n_tau).tau_grid
+    assert np.array_equal(tau, -tau[::-1])
+    assert tau[0] == -3.7 and tau[-1] == 3.7 and np.all(np.diff(tau) > 0)
+    np.testing.assert_allclose(tau, np.linspace(-3.7, 3.7, n_tau), rtol=0.0, atol=1e-15)
+    if n_tau % 2:
+        assert tau[n_tau // 2] == 0.0
+    # an asymmetric range keeps linspace's nodes
+    assert np.array_equal(Conv2DField.template(1.0, -3.0, 3.7, 2, n_tau).tau_grid,
+                          np.linspace(-3.0, 3.7, n_tau))
 
 
 # ---- cross convolution ----

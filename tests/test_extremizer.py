@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -460,6 +461,39 @@ def test_reflected_even_pair_of_equal_copies_takes_the_self_path(monkeypatch):
         counts.append(sum(points))
     assert counts[0] > 0 and counts[0] == counts[1]
     np.testing.assert_array_equal(*values)
+
+
+def _pass_records(caplog, run):
+    """(name, fields, tau rows, quadrature points) of each sampler pass that ``run`` makes."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hyperconv"):
+        run()
+    found = [re.match(r"(\w+): (\d+) fields, (\d+) tau rows, .* (\d+) quadrature points",
+                      r.getMessage()) for r in caplog.records if r.name == "hyperconv"]
+    return [(m[1], int(m[2]), int(m[3]), int(m[4])) for m in found if m]
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+def test_a_pairs_self_fields_take_one_pass_and_cross_rows_one_per_abs_tau(caplog, reflected):
+    pair = small_pair(3)
+    fp, fm = pair.f_plus, pair.f_minus
+    gp, gm = (fm, fp) if reflected else (fp, fm)
+    grid = Conv2DField.template(7.2, -6.3, 6.3, 31, 41)
+    passes = _pass_records(caplog, lambda: pair_convolution_field(pair, grid, reflected))
+    alone = _pass_records(caplog, lambda: (hyperbolic_conv(fp, gp, grid),
+                                           hyperbolic_conv(fm, gm, grid)))
+    # one self pass carries both fields; reflected they are f+ * f- and
+    # f- * f+, one integrand, so the pass takes the points of one field
+    (_, fields, _, points), = [p for p in passes if p[0] == "hyperbolic_conv"]
+    assert fields == 2 and points == alone[0][3] + (0 if reflected else alone[1][3])
+    # a cross field is one pass over the distinct |tau| of the mirrored grid,
+    # the rows of its tau >= 0 columns alone; cross(f, f) integrates each once
+    half = Conv2DField.template(7.2, 0.0, 6.3, 31, 21)
+    (_, _, rows, points), = _pass_records(caplog, lambda: cross_conv(fp, gm, half))
+    cross = [p for p in passes if p[0] == "cross_conv"]
+    assert rows > 0 and [p[1:3] for p in cross] == [(1, rows)] * (2 if reflected else 1)
+    if reflected:
+        assert cross[0][3] == points
 
 
 def test_full_q_ratio_warns_when_the_summed_field_is_truncated():

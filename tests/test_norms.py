@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hyperconv.norms as norms
 from hyperconv.convolution import profile_measure_integral
 from hyperconv.fields import Conv2DField
-from hyperconv.geometry import phi, psi
+from hyperconv.geometry import phi
 from hyperconv.norms import TruncationWarning, l2_field_norm, lp_norm
 from hyperconv.profiles import RadialProfile, trial_profile
 from hyperconv.quadrature import (QuadratureError, QuadratureSpec, integrate_exp_decay,
@@ -115,11 +115,12 @@ def _reference_lp_norm(f, p, spec):
     # so here every piece between node times and zero crossings is its own
     # call.  The piece at the tip is also cut at u = s, where phi bends:
     # without that cut gk missed rel_tol 1e-12 on 6 of 1500 random profiles
-    # with s near 1e-6
-    r, v = f.grid, f.values
+    # with s near 1e-6.  The interpolant is linear in u, so its zeros are
+    # placed in u
+    u, v = f.times, f.values
     i = np.flatnonzero(np.isrealobj(v) & (np.sign(v[:-1].real) * np.sign(v[1:].real) < 0))
-    zeros = r[i] + (r[i + 1] - r[i]) * (v[i] / (v[i] - v[i + 1])).real
-    edges = psi(np.sort(np.concatenate([r, zeros])), f.s)
+    zeros = u[i] + (u[i + 1] - u[i]) * (v[i] / (v[i] - v[i + 1])).real
+    edges = np.sort(np.concatenate([u, zeros]))
     edges = np.unique(np.append(edges, np.clip(f.s, edges[0], edges[-1])))
     res = integrate_pieces(lambda u: np.abs(f.at_time(u)) ** p * phi(u, f.s), edges, spec)
     return float((4.0 * np.pi * res.value) ** (1.0 / p))

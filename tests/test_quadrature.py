@@ -239,6 +239,39 @@ def test_the_radial_search_loads_no_scipy_optimize():
     assert out == ["[]"]
 
 
+_SINGLE_START_PROBE = """
+import sys
+from hyperconv.extremizer import maximize_radial
+
+maximize_radial(1.0, 64, restarts=1, iters=3)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("hashlib", "secrets")
+             or m.startswith("numpy.random")))
+"""
+
+_FIELD_PROBE = """
+import sys
+import numpy as np
+from hyperconv.extremizer import SheetPair, full_q_ratio, pair_template
+from hyperconv.profiles import RadialProfile, trial_profile
+
+f = trial_profile(1.0, 1.0, 20.0, 100)
+pair = SheetPair(f, RadialProfile(f.s, f.grid, f.values * np.linspace(0.5, 1.5, 100)))
+full_q_ratio(pair, pair_template(pair, 41, 61))
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+@pytest.mark.parametrize("probe", [_SINGLE_START_PROBE, _FIELD_PROBE],
+                         ids=["single_start_numpy_random", "field_route_numpy_ma"])
+def test_a_first_solve_loads_no_module_it_does_not_use(probe):
+    # a single radial start draws nothing, and np.unique would load numpy.ma
+    src = Path(quadrature.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]"]
+
+
 def test_importing_the_package_loads_no_numpy_polynomial():
     # the Gauss rules that quadrature and lorentz build call leggauss inside
     # functions, and convolution keeps its 8-point rule as literals
